@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import clear_caches, lattice_flags, sqrt_table, _cached
+from .lattice import _memo, lattice_flags, sqrt_table
 from .module import (
     LatticeModule,
     maximal_elements,
@@ -66,18 +66,20 @@ _FAULT: tuple[str, frozenset[int] | None] | None = None
 
 @contextmanager
 def inject_classifier_fault(flag: str, elements=None):
-    """Invert one classifier's verdict for the duration of the context."""
+    """Invert one classifier's verdict for the duration of the context.
+
+    No derived table depends on a verdict, so no memo is touched: while the
+    fault is active, :func:`classify_all` builds a fresh result on every call.
+    """
     global _FAULT
     if flag not in FLAG_NAMES:
         raise ValueError(f"unknown classifier flag {flag!r}")
     previous = _FAULT
     _FAULT = (flag, None if elements is None else frozenset(int(e) for e in elements))
-    clear_caches()
     try:
         yield
     finally:
         _FAULT = previous
-        clear_caches()
 
 
 def _faulted(flag: str, element: int, value: bool, witness):
@@ -195,20 +197,27 @@ class PAttachments:
     p_pseudo_primary: int | None
 
 
-def p_attachments(M: LatticeModule, N: int) -> PAttachments:
-    _require_proper(M, N)
-    L = M.lattice
-    lflags = lattice_flags(L)
-    r = int(residual_mm_table(M)[N, M.top])
-    s = int(sqrt_table(L)[r])
-    prime, _ = is_prime_m(M, N)
-    primary, _ = is_primary_m(M, N)
-    pseudo, _ = is_pseudo_primary(M, N)
+def _attachments(lflags, r: int, s: int, prime: bool, primary: bool,
+                 pseudo_primary: bool) -> PAttachments:
+    """Attached primes of an element with (N:I_M) = r, sqrt(r) = s and the given flags."""
     return PAttachments(
         p_prime=r if prime and lflags[r].prime else None,
         p_primary=s if primary and lflags[s].prime else None,
-        p_pseudo_primary=s if pseudo and lflags[s].prime else None,
+        p_pseudo_primary=s if pseudo_primary and lflags[s].prime else None,
     )
+
+
+def p_attachments(M: LatticeModule, N: int) -> PAttachments:
+    _require_proper(M, N)
+    L = M.lattice
+    r = int(residual_mm_table(M)[N, M.top])
+    s = int(sqrt_table(L)[r])
+    return _attachments(lattice_flags(L), r, s, is_prime_m(M, N)[0],
+                        is_primary_m(M, N)[0], is_pseudo_primary(M, N)[0])
+
+
+def _no_prime_between(M: LatticeModule, primes, X: int, N: int) -> bool:
+    return all(q == N for q in primes if M.le(X, q) and M.le(q, N))
 
 
 def is_minimal_prime_over(M: LatticeModule, N: int, X: int) -> bool:
@@ -217,7 +226,7 @@ def is_minimal_prime_over(M: LatticeModule, N: int, X: int) -> bool:
         raise ValueError(f"{M.label(N)} is not a prime element")
     if not M.le(X, N):
         raise ValueError(f"{M.label(X)} is not below {M.label(N)}")
-    return all(q == N for q in prime_elements(M) if M.le(X, q) and M.le(q, N))
+    return _no_prime_between(M, prime_elements(M), X, N)
 
 
 @dataclass(frozen=True)
@@ -272,9 +281,15 @@ def classify(M: LatticeModule, N: int) -> Classification:
     return classify_all(M)[N]
 
 
-@_cached
 def classify_all(M: LatticeModule) -> dict[int, Classification]:
-    """Classification of every proper element, sharing rad/prime computations."""
+    """Classification of every proper element; memoized on M unless a fault is injected."""
+    if _FAULT is not None:
+        return _classification_table.__wrapped__(M)
+    return _classification_table(M)
+
+
+@_memo
+def _classification_table(M: LatticeModule) -> dict[int, Classification]:
     L = M.lattice
     lflags = lattice_flags(L)
     sqrts = sqrt_table(L)
@@ -299,22 +314,20 @@ def classify_all(M: LatticeModule) -> dict[int, Classification]:
         r = int(R[n, M.top])
         s = int(sqrts[r])
         minimal_over = tuple(
-            x for x in M.elements()
-            if M.le(x, n) and all(q == n for q in primes if M.le(x, q) and M.le(q, n))
+            x for x in M.elements() if M.le(x, n) and _no_prime_between(M, primes, x, n)
         ) if n in primes else ()
         out[n] = Classification(
             element=n,
             label=M.label(n),
             proper=True,
             maximal=maximal,
-            p_prime=r if flags["prime"] and lflags[r].prime else None,
-            p_primary=s if flags["primary"] and lflags[s].prime else None,
-            p_pseudo_primary=s if flags["pseudo_primary"] and lflags[s].prime else None,
             residual_top=r,
             sqrt_residual_top=s,
             rad=rad(M, n),
             minimal_prime_over=minimal_over,
             witnesses=witnesses,
             **flags,
+            **vars(_attachments(lflags, r, s, flags["prime"], flags["primary"],
+                                flags["pseudo_primary"])),
         )
     return out

@@ -52,6 +52,10 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
+    return f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -80,6 +84,9 @@ def cmd_validate(args) -> int:
             text = fh.read()
     except OSError as exc:
         return _usage_error(str(exc))
+    except UnicodeDecodeError as exc:
+        print(_not_utf8(args.path, exc), file=sys.stderr)
+        return 2
     try:
         parse_result = parse_instance(text)
     except ParseError as exc:
@@ -101,7 +108,10 @@ def cmd_validate(args) -> int:
 
 def _load_instance(path: str):
     spec = InstanceSpec(family="file", path=path)
-    name, lattice, module = spec.build()
+    try:
+        name, lattice, module = spec.build()
+    except UnicodeDecodeError as exc:
+        raise ParseError(_not_utf8(path, exc)) from None
     if module is None:
         raise ParseError(f"{path} has no module block; classification and "
                          "verification need a module instance")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .classify import classify_all
+from .classify import FLAG_NAMES, classify_all
 from .instances import DEFAULT_SQUARE_CAP, gen_zn_self_module, gen_zn_square_module, serialize_instance
 from .lattice import is_pg_lattice, lattice_flags, sqrt_table
 from .module import (
@@ -1332,18 +1332,18 @@ def replay_violation(instance: Instance, check_id: str, violation: dict,
                      seed: int = 0) -> bool:
     """Re-derive a reported violation from scratch.
 
-    Flag-implication witnesses are replayed directly against the classifiers;
-    anything else re-runs the check kernel and matches the violation.
+    Flag-implication witnesses whose antecedent is made of classifier flags
+    are replayed directly against the classifiers; anything else re-runs the
+    check kernel and matches the violation.
     """
-    if violation.get("kind") == "flag-implication":
+    antecedent = violation.get("antecedent", "").split("+")
+    if violation.get("kind") == "flag-implication" and all(f in FLAG_NAMES for f in antecedent):
         cls = classify_all(instance.module)
         element = violation["element"]
         if element not in cls:
             return False
         c = cls[element]
-        antecedent = violation["antecedent"]
-        flags = antecedent.split("+")
-        return all(c.flag(f) for f in flags) and not c.flag(violation["consequent"])
+        return all(c.flag(f) for f in antecedent) and not c.flag(violation["consequent"])
     check = _REGISTRY[check_id]
     result = run_check(instance, check, seed=seed)
     return violation in result.violations

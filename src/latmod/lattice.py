@@ -14,7 +14,7 @@ with witnesses; every operation below assumes a validated structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -37,24 +37,23 @@ __all__ = [
     "is_principal_l",
     "is_pg_lattice",
     "is_p_primary_l",
-    "clear_caches",
 ]
 
-# Registry of memoized derived tables.  The classifier fault-injection hook
-# flips verdicts mid-session, so it must be able to drop every memo.
-_CACHES: list = []
 
+def _memo(fn):
+    """Memoize a table derived from one structure in that structure's ``__dict__``."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
 
-def _cached(fn):
-    wrapped = lru_cache(maxsize=None)(fn)
-    _CACHES.append(wrapped)
-    return wrapped
+    @wraps(fn)
+    def get(obj):
+        memo = obj.__dict__
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = fn(obj)
+            return value
 
-
-def clear_caches() -> None:
-    """Drop all memoized derived tables (used by the test-only fault hook)."""
-    for fn in _CACHES:
-        fn.cache_clear()
+    return get
 
 
 @dataclass(frozen=True)
@@ -83,21 +82,9 @@ class ValidationError(ValueError):
         super().__init__(f"{len(self.violations)} axiom violation(s): {head}{more}")
 
 
-@dataclass(frozen=True, eq=False)
-class MultiplicativeLattice:
-    """Validated finite multiplicative lattice.
-
-    Immutable after validation: the arrays are read-only and all operations
-    are pure, so instances are safe to share across threads.
-    """
-
-    leq: np.ndarray         # bool (n, n); leq[a, b] iff a <= b
-    join_table: np.ndarray  # int (n, n)
-    meet_table: np.ndarray  # int (n, n)
-    mul_table: np.ndarray   # int (n, n)
-    top: int
-    bottom: int
-    labels: tuple[str, ...] | None = None
+class _FiniteLattice:
+    """Order operations of a finite lattice given by ``leq``, ``join_table``,
+    ``meet_table``, ``top``, ``bottom`` and ``labels``; shared by lattices and modules."""
 
     @property
     def element_count(self) -> int:
@@ -119,9 +106,6 @@ class MultiplicativeLattice:
     def meet(self, a: int, b: int) -> int:
         return int(self.meet_table[a, b])
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
-
     def join_all(self, xs) -> int:
         """Join of any iterable of ids; the empty join is the bottom."""
         out = self.bottom
@@ -138,6 +122,28 @@ class MultiplicativeLattice:
 
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
+
+
+@dataclass(frozen=True, eq=False)
+class MultiplicativeLattice(_FiniteLattice):
+    """Validated finite multiplicative lattice.
+
+    Immutable after validation: the arrays are read-only and all operations
+    are pure, so instances are safe to share across threads.  Derived tables
+    are memoized on the instance and freed with it; filling a memo is
+    idempotent, so a concurrent first read just builds the same table twice.
+    """
+
+    leq: np.ndarray         # bool (n, n); leq[a, b] iff a <= b
+    join_table: np.ndarray  # int (n, n)
+    meet_table: np.ndarray  # int (n, n)
+    mul_table: np.ndarray   # int (n, n)
+    top: int
+    bottom: int
+    labels: tuple[str, ...] | None = None
+
+    def mul(self, a: int, b: int) -> int:
+        return int(self.mul_table[a, b])
 
     def __repr__(self):
         return f"MultiplicativeLattice(n={self.element_count})"
@@ -242,46 +248,32 @@ def _coerce_square(table, n: int, name: str):
     return arr, []
 
 
-def lattice_violations(leq, mul_table, join_table=None, meet_table=None,
-                       top=None, bottom=None, collect_all: bool = True) -> list[Violation]:
-    """Check the multiplicative-lattice axioms on raw tables.
+def _lattice_order(leq: np.ndarray, join_table, meet_table, top, bottom,
+                   collect_all: bool):
+    """Order axioms, derived join/meet cross-checked against supplied tables, top/bottom.
 
-    Returns every violation found (or just the first when
-    ``collect_all=False``), each naming the axiom and a witness tuple.
+    Returns ``((join, meet, top, bottom), violations)``, or ``(None,
+    violations)`` when checking must stop there.
     """
-    leq = np.asarray(leq, dtype=bool)
-    if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
-        return [Violation("order-shape", (), f"leq must be a square matrix, got {leq.shape}")]
-    n = leq.shape[0]
-    if n == 0:
-        return [Violation("order-shape", (), "carrier must be nonempty")]
-
     out = _order_violations(leq, collect_all)
     if out:
-        return out
-
-    join, meet, order_out = _derive_join_meet(leq, collect_all)
-    if order_out:
-        return order_out
-
-    if join_table is not None:
-        supplied, errs = _coerce_square(join_table, n, "join")
+        return None, out
+    join, meet, out = _derive_join_meet(leq, collect_all)
+    if out:
+        return None, out
+    n = leq.shape[0]
+    for name, derived, table in (("join", join, join_table), ("meet", meet, meet_table)):
+        if table is None:
+            continue
+        supplied, errs = _coerce_square(table, n, name)
         if errs:
-            return errs
-        for i, j in np.argwhere(supplied != join):
-            out.append(Violation("join-table", (int(i), int(j)),
-                                 f"supplied join[{i},{j}] = {int(supplied[i, j])}, order gives {int(join[i, j])}"))
+            return None, errs
+        for i, j in np.argwhere(supplied != derived):
+            out.append(Violation(f"{name}-table", (int(i), int(j)),
+                                 f"supplied {name}[{i},{j}] = {int(supplied[i, j])}, "
+                                 f"order gives {int(derived[i, j])}"))
             if not collect_all:
-                return out
-    if meet_table is not None:
-        supplied, errs = _coerce_square(meet_table, n, "meet")
-        if errs:
-            return errs
-        for i, j in np.argwhere(supplied != meet):
-            out.append(Violation("meet-table", (int(i), int(j)),
-                                 f"supplied meet[{i},{j}] = {int(supplied[i, j])}, order gives {int(meet[i, j])}"))
-            if not collect_all:
-                return out
+                return None, out
 
     derived_top = int(np.flatnonzero(leq.all(axis=0))[0])
     derived_bottom = int(np.flatnonzero(leq.all(axis=1))[0])
@@ -290,11 +282,27 @@ def lattice_violations(leq, mul_table, join_table=None, meet_table=None,
     if bottom is not None and int(bottom) != derived_bottom:
         out.append(Violation("bottom", (int(bottom),), f"declared bottom {bottom}, order gives {derived_bottom}"))
     if out and not collect_all:
-        return out
+        return None, out
+    return (join, meet, derived_top, derived_bottom), out
+
+
+def _check_lattice(leq, mul_table, join_table, meet_table, top, bottom, collect_all: bool):
+    """:func:`lattice_violations`, plus ``(leq, join, meet, mul, top, bottom)`` when valid."""
+    leq = np.asarray(leq, dtype=bool)
+    if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
+        return None, [Violation("order-shape", (), f"leq must be a square matrix, got {leq.shape}")]
+    n = leq.shape[0]
+    if n == 0:
+        return None, [Violation("order-shape", (), "carrier must be nonempty")]
+
+    order, out = _lattice_order(leq, join_table, meet_table, top, bottom, collect_all)
+    if order is None:
+        return None, out
+    join, meet, derived_top, derived_bottom = order
 
     mul, errs = _coerce_square(mul_table, n, "mul")
     if errs:
-        return out + errs
+        return None, out + errs
 
     ids = np.arange(n)
     for i, j in np.argwhere(mul != mul.T):
@@ -302,25 +310,25 @@ def lattice_violations(leq, mul_table, join_table=None, meet_table=None,
             out.append(Violation("mul-commutative", (int(i), int(j)),
                                  f"{i}*{j} = {int(mul[i, j])} but {j}*{i} = {int(mul[j, i])}"))
             if not collect_all:
-                return out
+                return None, out
     for (a,) in np.argwhere(mul[derived_top] != ids):
         out.append(Violation("mul-identity", (int(a),),
                              f"top * {a} = {int(mul[derived_top, a])}, expected {a}"))
         if not collect_all:
-            return out
+            return None, out
     for (a,) in np.argwhere(mul[:, derived_top] != ids):
         if mul[derived_top, a] == a:  # avoid duplicating the symmetric report
             out.append(Violation("mul-identity", (int(a),),
                                  f"{a} * top = {int(mul[a, derived_top])}, expected {a}"))
             if not collect_all:
-                return out
+                return None, out
     assoc_lhs = mul[mul, :]
     assoc_rhs = mul[ids[:, None, None], mul[None, :, :]]
     for a, b, c in np.argwhere(assoc_lhs != assoc_rhs):
         out.append(Violation("mul-associative", (int(a), int(b), int(c)),
                              f"({a}*{b})*{c} = {int(assoc_lhs[a, b, c])} but {a}*({b}*{c}) = {int(assoc_rhs[a, b, c])}"))
         if not collect_all:
-            return out
+            return None, out
     dist_lhs = mul[ids[:, None, None], join[None, :, :]]
     dist_rhs = join[mul[:, :, None], mul[:, None, :]]
     for a, b, c in np.argwhere(dist_lhs != dist_rhs):
@@ -328,8 +336,18 @@ def lattice_violations(leq, mul_table, join_table=None, meet_table=None,
                              f"{a}*({b} v {c}) = {int(dist_lhs[a, b, c])} but "
                              f"{a}*{b} v {a}*{c} = {int(dist_rhs[a, b, c])}"))
         if not collect_all:
-            return out
-    return out
+            return None, out
+    return (leq, join, meet, mul, derived_top, derived_bottom), out
+
+
+def lattice_violations(leq, mul_table, join_table=None, meet_table=None,
+                       top=None, bottom=None, collect_all: bool = True) -> list[Violation]:
+    """Check the multiplicative-lattice axioms on raw tables.
+
+    Returns every violation found (or just the first when
+    ``collect_all=False``), each naming the axiom and a witness tuple.
+    """
+    return _check_lattice(leq, mul_table, join_table, meet_table, top, bottom, collect_all)[1]
 
 
 def validate_lattice(leq, mul_table, join_table=None, meet_table=None,
@@ -341,13 +359,12 @@ def validate_lattice(leq, mul_table, join_table=None, meet_table=None,
     order) or omitted (they are derived).  Raises :class:`ValidationError`
     carrying the violation report otherwise.
     """
-    violations = lattice_violations(leq, mul_table, join_table, meet_table,
-                                    top, bottom, collect_all=collect_all)
+    fields, violations = _check_lattice(leq, mul_table, join_table, meet_table,
+                                        top, bottom, collect_all)
     if violations:
         raise ValidationError(violations)
-    leq = np.asarray(leq, dtype=bool)
+    leq, join, meet, mul, top, bottom = fields
     n = leq.shape[0]
-    join, meet, _ = _derive_join_meet(leq, collect_all=True)
     if labels is not None:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
@@ -356,9 +373,9 @@ def validate_lattice(leq, mul_table, join_table=None, meet_table=None,
         leq=_freeze(leq),
         join_table=_freeze(join),
         meet_table=_freeze(meet),
-        mul_table=_freeze(np.asarray(mul_table, dtype=np.int64)),
-        top=int(np.flatnonzero(leq.all(axis=0))[0]),
-        bottom=int(np.flatnonzero(leq.all(axis=1))[0]),
+        mul_table=_freeze(mul),
+        top=top,
+        bottom=bottom,
         labels=labels,
     )
 
@@ -367,7 +384,7 @@ def validate_lattice(leq, mul_table, join_table=None, meet_table=None,
 # residuation, powers, radicals
 
 
-@_cached
+@_memo
 def residual_table_ll(L: MultiplicativeLattice) -> np.ndarray:
     """Full residual table: entry [a, b] is (a:b) = join of x with x*b <= a."""
     n = L.element_count
@@ -384,7 +401,7 @@ def residual_ll(L: MultiplicativeLattice, a: int, b: int) -> int:
     return int(residual_table_ll(L)[a, b])
 
 
-@_cached
+@_memo
 def _stable_power_table(L: MultiplicativeLattice) -> np.ndarray:
     n = L.element_count
     out = np.empty(n, dtype=np.int64)
@@ -404,7 +421,7 @@ def stable_power(L: MultiplicativeLattice, a: int) -> int:
     return int(_stable_power_table(L)[a])
 
 
-@_cached
+@_memo
 def sqrt_table(L: MultiplicativeLattice) -> np.ndarray:
     stable = _stable_power_table(L)
     n = L.element_count
@@ -450,7 +467,7 @@ def is_principal_l(L: MultiplicativeLattice, e: int) -> bool:
     return is_meet_principal_l(L, e) and is_join_principal_l(L, e)
 
 
-@_cached
+@_memo
 def lattice_flags(L: MultiplicativeLattice) -> tuple[LElementFlags, ...]:
     """Flags for every element, computed by exhaustive quantification."""
     n = L.element_count

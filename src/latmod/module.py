@@ -30,11 +30,10 @@ from .lattice import (
     MultiplicativeLattice,
     ValidationError,
     Violation,
-    _cached,
-    _coerce_square,
-    _derive_join_meet,
+    _FiniteLattice,
     _freeze,
-    _order_violations,
+    _lattice_order,
+    _memo,
     lattice_flags,
 )
 
@@ -64,10 +63,12 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class LatticeModule:
+class LatticeModule(_FiniteLattice):
     """Validated finite module over a validated multiplicative lattice.
 
-    Immutable after validation; all operations are pure functions.
+    Immutable after validation; all operations are pure functions.  Derived
+    tables are memoized on the instance and freed with it; filling a memo is
+    idempotent, so a concurrent first read just builds the same table twice.
     """
 
     lattice: MultiplicativeLattice
@@ -79,42 +80,8 @@ class LatticeModule:
     bottom: int             # O_M
     labels: tuple[str, ...] | None = None
 
-    @property
-    def element_count(self) -> int:
-        return int(self.leq.shape[0])
-
-    def elements(self) -> range:
-        return range(self.element_count)
-
-    def proper_elements(self):
-        return (a for a in self.elements() if a != self.top)
-
-    def le(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b])
-
-    def join(self, a: int, b: int) -> int:
-        return int(self.join_table[a, b])
-
-    def meet(self, a: int, b: int) -> int:
-        return int(self.meet_table[a, b])
-
     def act(self, a: int, x: int) -> int:
         return int(self.act_table[a, x])
-
-    def join_all(self, xs) -> int:
-        out = self.bottom
-        for x in xs:
-            out = int(self.join_table[out, x])
-        return out
-
-    def meet_all(self, xs) -> int:
-        out = self.top
-        for x in xs:
-            out = int(self.meet_table[out, x])
-        return out
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels is not None else str(a)
 
     def __repr__(self):
         return f"LatticeModule(n={self.element_count} over {self.lattice!r})"
@@ -132,61 +99,29 @@ class ElementContext:
 # validation
 
 
-def module_violations(L: MultiplicativeLattice, leq, act_table,
-                      join_table=None, meet_table=None, top=None, bottom=None,
-                      collect_all: bool = True, subset_checks: int = 200,
-                      seed: int = 0) -> list[Violation]:
-    """Check the lattice-module axioms on raw tables."""
+def _check_module(L: MultiplicativeLattice, leq, act_table, join_table, meet_table,
+                  top, bottom, collect_all: bool, subset_checks: int, seed: int):
+    """:func:`module_violations`, plus ``(leq, join, meet, act, top, bottom)`` when valid."""
     leq = np.asarray(leq, dtype=bool)
     if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
-        return [Violation("order-shape", (), f"module leq must be square, got {leq.shape}")]
+        return None, [Violation("order-shape", (), f"module leq must be square, got {leq.shape}")]
     m = leq.shape[0]
     if m == 0:
-        return [Violation("order-shape", (), "module carrier must be nonempty")]
+        return None, [Violation("order-shape", (), "module carrier must be nonempty")]
 
-    out = _order_violations(leq, collect_all)
-    if out:
-        return out
-    join, meet, order_out = _derive_join_meet(leq, collect_all)
-    if order_out:
-        return order_out
-
-    if join_table is not None:
-        supplied, errs = _coerce_square(join_table, m, "join")
-        if errs:
-            return errs
-        for i, j in np.argwhere(supplied != join):
-            out.append(Violation("join-table", (int(i), int(j)),
-                                 f"supplied join[{i},{j}] = {int(supplied[i, j])}, order gives {int(join[i, j])}"))
-            if not collect_all:
-                return out
-    if meet_table is not None:
-        supplied, errs = _coerce_square(meet_table, m, "meet")
-        if errs:
-            return errs
-        for i, j in np.argwhere(supplied != meet):
-            out.append(Violation("meet-table", (int(i), int(j)),
-                                 f"supplied meet[{i},{j}] = {int(supplied[i, j])}, order gives {int(meet[i, j])}"))
-            if not collect_all:
-                return out
-
-    derived_top = int(np.flatnonzero(leq.all(axis=0))[0])
-    derived_bottom = int(np.flatnonzero(leq.all(axis=1))[0])
-    if top is not None and int(top) != derived_top:
-        out.append(Violation("top", (int(top),), f"declared top {top}, order gives {derived_top}"))
-    if bottom is not None and int(bottom) != derived_bottom:
-        out.append(Violation("bottom", (int(bottom),), f"declared bottom {bottom}, order gives {derived_bottom}"))
-    if out and not collect_all:
-        return out
+    order, out = _lattice_order(leq, join_table, meet_table, top, bottom, collect_all)
+    if order is None:
+        return None, out
+    join, meet, derived_top, derived_bottom = order
 
     nl = L.element_count
     act = np.asarray(act_table, dtype=np.int64)
     if act.shape != (nl, m):
-        return out + [Violation("act-shape", (), f"action table must be {nl}x{m}, got {act.shape}")]
+        return None, out + [Violation("act-shape", (), f"action table must be {nl}x{m}, got {act.shape}")]
     if ((act < 0) | (act >= m)).any():
         a, x = map(int, np.argwhere((act < 0) | (act >= m))[0])
-        return out + [Violation("act-range", (a, x),
-                                f"act[{a},{x}] = {int(act[a, x])} is not a module carrier id")]
+        return None, out + [Violation("act-range", (a, x),
+                                      f"act[{a},{x}] = {int(act[a, x])} is not a module carrier id")]
 
     lids = np.arange(nl)
     mids = np.arange(m)
@@ -199,13 +134,13 @@ def module_violations(L: MultiplicativeLattice, leq, act_table,
             out.append(Violation("axiom-1", (int(a), int(b), int(x)),
                                  f"({a} v {b}){x} = {int(lhs[a, b, x])} but {a}{x} v {b}{x} = {int(rhs[a, b, x])}"))
             if not collect_all:
-                return out
+                return None, out
     # (5) == the empty-join case of (1): bottom_L A == bottom_M
     for (x,) in np.argwhere(act[L.bottom] != derived_bottom):
         out.append(Violation("axiom-5", (int(x),),
                              f"bottom * {x} = {int(act[L.bottom, x])}, expected module bottom {derived_bottom}"))
         if not collect_all:
-            return out
+            return None, out
     # (2) binary: a (A v B) == aA v aB
     lhs = act[:, join]
     rhs = join[act[:, :, None], act[:, None, :]]
@@ -214,13 +149,13 @@ def module_violations(L: MultiplicativeLattice, leq, act_table,
             out.append(Violation("axiom-2", (int(a), int(x), int(y)),
                                  f"{a}({x} v {y}) = {int(lhs[a, x, y])} but {a}{x} v {a}{y} = {int(rhs[a, x, y])}"))
             if not collect_all:
-                return out
+                return None, out
     # (2) empty-join case: a bottom_M == bottom_M
     for (a,) in np.argwhere(act[:, derived_bottom] != derived_bottom):
         out.append(Violation("axiom-2-empty", (int(a),),
                              f"{a} * module bottom = {int(act[a, derived_bottom])}, expected {derived_bottom}"))
         if not collect_all:
-            return out
+            return None, out
     # (3): (a b) A == a (b A)
     lhs = act[L.mul_table, :]
     rhs = act[lids[:, None, None], act[None, :, :]]
@@ -228,29 +163,28 @@ def module_violations(L: MultiplicativeLattice, leq, act_table,
         out.append(Violation("axiom-3", (int(a), int(b), int(x)),
                              f"({a}*{b}){x} = {int(lhs[a, b, x])} but {a}({b}{x}) = {int(rhs[a, b, x])}"))
         if not collect_all:
-            return out
+            return None, out
     # (4): top_L A == A
     for (x,) in np.argwhere(act[L.top] != mids):
         out.append(Violation("axiom-4", (int(x),),
                              f"top * {x} = {int(act[L.top, x])}, expected {x}"))
         if not collect_all:
-            return out
+            return None, out
 
     # Seeded random-subset spot checks of the family forms of (1) and (2).
     # Implied by the binary + empty cases on a finite carrier; kept for fidelity.
     rng = random.Random(seed)
     mod_join_all = lambda xs: _reduce_table(join, derived_bottom, xs)
-    lat_join_all = lambda xs: _reduce_table(L.join_table, L.bottom, xs)
     for _ in range(subset_checks):
         subset = rng.sample(range(nl), rng.randint(0, nl))
         x = rng.randrange(m)
-        got = int(act[lat_join_all(subset), x])
+        got = int(act[L.join_all(subset), x])
         want = mod_join_all(int(act[a, x]) for a in subset)
         if got != want:
             out.append(Violation("axiom-1-subset", tuple(sorted(subset)) + (x,),
                                  f"(join {sorted(subset)}){x} = {got}, expected {want}"))
             if not collect_all:
-                return out
+                return None, out
         a = rng.randrange(nl)
         msubset = rng.sample(range(m), rng.randint(0, m))
         got = int(act[a, mod_join_all(msubset)])
@@ -259,8 +193,17 @@ def module_violations(L: MultiplicativeLattice, leq, act_table,
             out.append(Violation("axiom-2-subset", (a,) + tuple(sorted(msubset)),
                                  f"{a}(join {sorted(msubset)}) = {got}, expected {want}"))
             if not collect_all:
-                return out
-    return out
+                return None, out
+    return (leq, join, meet, act, derived_top, derived_bottom), out
+
+
+def module_violations(L: MultiplicativeLattice, leq, act_table,
+                      join_table=None, meet_table=None, top=None, bottom=None,
+                      collect_all: bool = True, subset_checks: int = 200,
+                      seed: int = 0) -> list[Violation]:
+    """Check the lattice-module axioms on raw tables."""
+    return _check_module(L, leq, act_table, join_table, meet_table, top, bottom,
+                         collect_all, subset_checks, seed)[1]
 
 
 def _reduce_table(table: np.ndarray, unit: int, xs) -> int:
@@ -275,14 +218,12 @@ def validate_module(L: MultiplicativeLattice, leq, act_table,
                     labels=None, collect_all: bool = True,
                     subset_checks: int = 200, seed: int = 0) -> LatticeModule:
     """Validate raw module tables over L and return the frozen structure."""
-    violations = module_violations(L, leq, act_table, join_table, meet_table,
-                                   top, bottom, collect_all=collect_all,
-                                   subset_checks=subset_checks, seed=seed)
+    fields, violations = _check_module(L, leq, act_table, join_table, meet_table,
+                                       top, bottom, collect_all, subset_checks, seed)
     if violations:
         raise ValidationError(violations)
-    leq = np.asarray(leq, dtype=bool)
+    leq, join, meet, act, top, bottom = fields
     m = leq.shape[0]
-    join, meet, _ = _derive_join_meet(leq, collect_all=True)
     if labels is not None:
         labels = tuple(str(x) for x in labels)
         if len(labels) != m:
@@ -292,9 +233,9 @@ def validate_module(L: MultiplicativeLattice, leq, act_table,
         leq=_freeze(leq),
         join_table=_freeze(join),
         meet_table=_freeze(meet),
-        act_table=_freeze(np.asarray(act_table, dtype=np.int64)),
-        top=int(np.flatnonzero(leq.all(axis=0))[0]),
-        bottom=int(np.flatnonzero(leq.all(axis=1))[0]),
+        act_table=_freeze(act),
+        top=top,
+        bottom=bottom,
         labels=labels,
     )
 
@@ -303,7 +244,7 @@ def validate_module(L: MultiplicativeLattice, leq, act_table,
 # residuals
 
 
-@_cached
+@_memo
 def residual_ml_table(M: LatticeModule) -> np.ndarray:
     """Entry [N, a] is (N:a) in M: the join of all X with a X <= N."""
     m, nl = M.element_count, M.lattice.element_count
@@ -320,7 +261,7 @@ def residual_ml(M: LatticeModule, N: int, a: int) -> int:
     return int(residual_ml_table(M)[N, a])
 
 
-@_cached
+@_memo
 def residual_mm_table(M: LatticeModule) -> np.ndarray:
     """Entry [A, B] is (A:B) in L: the join of all x with x B <= A."""
     m = M.element_count
@@ -338,7 +279,7 @@ def residual_mm(M: LatticeModule, A: int, B: int) -> int:
     return int(residual_mm_table(M)[A, B])
 
 
-@_cached
+@_memo
 def stable_act_top_table(M: LatticeModule) -> np.ndarray:
     """Entry [a] is (stable power of a) acting on I_M."""
     from .lattice import _stable_power_table
@@ -354,7 +295,7 @@ def stable_act_top_table(M: LatticeModule) -> np.ndarray:
 # checks the two routes agree on every instance.
 
 
-@_cached
+@_memo
 def prime_elements(M: LatticeModule) -> tuple[int, ...]:
     """Ids of the prime elements of M, in ascending order."""
     L = M.lattice
@@ -375,7 +316,7 @@ def prime_elements(M: LatticeModule) -> tuple[int, ...]:
     return tuple(out)
 
 
-@_cached
+@_memo
 def maximal_elements(M: LatticeModule) -> tuple[int, ...]:
     out = []
     for n in M.proper_elements():
@@ -402,7 +343,7 @@ def variety_l(M: LatticeModule, N: int) -> tuple[int, ...]:
     return tuple(p for p in L.elements() if flags[p].prime and L.le(r, p))
 
 
-@_cached
+@_memo
 def _rad_table(M: LatticeModule) -> np.ndarray:
     primes = prime_elements(M)
     out = np.full(M.element_count, -1, dtype=np.int64)
@@ -481,7 +422,7 @@ def is_principal_m(M: LatticeModule, N: int) -> bool:
     return is_meet_principal_m(M, N) and is_join_principal_m(M, N)
 
 
-@_cached
+@_memo
 def _principal_elements_m(M: LatticeModule) -> tuple[int, ...]:
     return tuple(n for n in M.elements() if is_principal_m(M, n))
 

@@ -151,3 +151,15 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["gen", "zn-cubes", "3"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [("validate",), ("classify", "--all"), ("verify",)],
+                         ids=lambda argv: argv[0])
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.mlat"
+    path.write_bytes(b"mlat 1\nlattice\nelements 1\nlabel 0 caf\xe9\n")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"{path}: not valid UTF-8 (invalid continuation byte at byte 37)" in err

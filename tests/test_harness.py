@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from latmod import (
@@ -190,3 +193,42 @@ def test_bundle_constant():
     assert set(BUNDLE) == {"pg-lattice", "faithful", "multiplication-module",
                            "pg-module", "top-compact"}
     assert AUTO_HYPOTHESES == {"top-compact", "compactly-generated"}
+
+
+@pytest.mark.parametrize("flag, check_id", [
+    ("classical_prime", "thm-join-meet-condition-classical-prime"),
+    ("pseudo_classical_primary", "thm-residual-primary-implies-pcp"),
+])
+def test_replay_non_flag_antecedent(inst12, flag, check_id):
+    # the antecedents "join-meet-condition" and "residuals-primary" are not
+    # classifier flags, so replay re-runs the check kernel
+    with inject_classifier_fault(flag):
+        result = run_check(inst12, registry()[check_id])
+        assert result.status == "fail"
+        for violation in result.violations:
+            assert replay_violation(inst12, check_id, violation)
+
+
+def test_fault_leaves_classification_memo_alone(inst12):
+    clean = classify_all(inst12.module)
+    with inject_classifier_fault("prime"):
+        faulted = classify_all(inst12.module)
+        assert faulted is not clean and faulted is not classify_all(inst12.module)
+        assert [c.prime for c in faulted.values()] != [c.prime for c in clean.values()]
+    assert classify_all(inst12.module) is clean
+
+
+def test_structures_freed_after_use():
+    # Derived tables are memoized on the structure they come from, so nothing
+    # keeps a dropped module or its lattice alive.
+    builds = [(gen_zn_self_module, n) for n in range(2, 13)]
+    builds += [(gen_zn_square_module, n) for n in (2, 3, 4, 5)]
+    refs = []
+    for build, n in builds:
+        module = build(n)
+        classify_all(module)
+        assert run_suite([make_instance(f"{build.__name__}-{n}", module)]).ok()
+        refs += [weakref.ref(module), weakref.ref(module.lattice)]
+        del module
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
