@@ -106,12 +106,22 @@ def cmd_validate(args) -> int:
     return 0
 
 
+class _InvalidFile(ValueError):
+    """An instance file that parses but fails validation (exit status 1)."""
+
+
 def _load_instance(path: str):
-    spec = InstanceSpec(family="file", path=path)
+    """The module instance in an MLAT file.  Parse errors (``ParseError``) and
+    validation errors (``_InvalidFile``) are raised with messages that name
+    the file."""
     try:
-        name, lattice, module = spec.build()
+        name, _, module = InstanceSpec(family="file", path=path).build()
     except UnicodeDecodeError as exc:
         raise ParseError(_not_utf8(path, exc)) from None
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    except ValidationError as exc:
+        raise _InvalidFile(f"{path}: invalid instance: {exc}") from None
     if module is None:
         raise ParseError(f"{path} has no module block; classification and "
                          "verification need a module instance")
@@ -121,12 +131,10 @@ def _load_instance(path: str):
 def cmd_classify(args) -> int:
     try:
         instance = _load_instance(args.path)
-    except OSError as exc:
+    except (OSError, ParseError) as exc:
         return _usage_error(str(exc))
-    except ParseError as exc:
-        return _usage_error(str(exc))
-    except ValidationError as exc:
-        print(f"{args.path}: invalid instance: {exc}", file=sys.stderr)
+    except _InvalidFile as exc:
+        print(exc, file=sys.stderr)
         return 1
     module = instance.module
     started = time.perf_counter()
@@ -219,12 +227,10 @@ def cmd_verify(args) -> int:
                 instances.append(make_instance(name, module))
         for path in args.paths:
             instances.append(_load_instance(path))
-    except OSError as exc:
+    except (OSError, ParseError) as exc:
         return _usage_error(str(exc))
-    except ParseError as exc:
-        return _usage_error(str(exc))
-    except ValidationError as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
+    except _InvalidFile as exc:
+        print(exc, file=sys.stderr)
         return 1
     if not instances:
         return _usage_error("nothing to verify: pass instance files or --family")

@@ -15,6 +15,15 @@ The statements are theorems of the underlying theory, so on a validated
 instance every failure indicates an implementation bug; each failure carries
 a witness that can be replayed against the classifiers in isolation
 (:func:`replay_violation`).
+
+Each statement shape is written once: an equivalence of named sides
+(:func:`_equivalence`, with recurring sides named in ``_SIDES``), an
+implication between classes (:func:`_implication`; the implication figure is
+``ARROWS``), and one parametrised kernel per family of statements that differ
+only in a flag (chains, rad(N) prime, a residual prime, q I_M flagged).  The
+rest (identities, bounds, chain conditions) are plain loops.  Every entry
+registers through :func:`_check`, which rejects duplicate ids and unknown
+hypotheses.
 """
 
 from __future__ import annotations
@@ -22,8 +31,8 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable
 
 from .classify import FLAG_NAMES, classify_all
@@ -233,18 +242,9 @@ class Ctx:
         """All 2- and 3-element chains of flagged elements, plus sampled longer ones."""
         M = self.M
         ids = self.flagged(flag)
-        chains: list[tuple[int, ...]] = []
-        for a in ids:
-            for b in ids:
-                if a != b and M.le(a, b):
-                    chains.append((a, b))
-        for a in ids:
-            for b in ids:
-                if a == b or not M.le(a, b):
-                    continue
-                for c in ids:
-                    if c not in (a, b) and M.le(b, c):
-                        chains.append((a, b, c))
+        pairs = [(a, b) for a in ids for b in ids if a != b and M.le(a, b)]
+        chains: list[tuple[int, ...]] = pairs + [
+            (a, b, c) for a, b in pairs for c in ids if c not in (a, b) and M.le(b, c)]
         rng = self.rng(tag)
         seen = set()
         for _ in range(self.chain_samples):
@@ -261,25 +261,22 @@ class Ctx:
                     chains.append(chain)
         return chains
 
-    def mlabel(self, n: int) -> str:
-        return self.M.label(n)
-
-    def llabel(self, a: int) -> str:
-        return self.L.label(a)
-
 
 def _v(kind: str, **detail) -> dict:
     out = {"kind": kind}
     for key, value in detail.items():
-        if isinstance(value, bool) or value is None or isinstance(value, str):
+        if isinstance(value, (bool, str, dict)) or value is None:
             out[key] = value
         elif isinstance(value, (list, tuple)):
             out[key] = [int(x) for x in value]
-        elif isinstance(value, dict):
-            out[key] = value
         else:
             out[key] = int(value)
     return out
+
+
+def _violation_at(ctx: Ctx, kind: str, n: int, **detail) -> dict:
+    """A violation witnessed by the module element n: kind, element, label, detail."""
+    return _v(kind, element=n, label=ctx.M.label(n), **detail)
 
 
 _REGISTRY: dict[str, TheoremCheck] = {}
@@ -301,6 +298,123 @@ def _check(check_id: str, description: str, hypotheses: tuple[str, ...] = (),
 
 
 # ---------------------------------------------------------------------------
+# statement shapes
+
+
+def _equivalence(ctx: Ctx, sides_of: Callable, domain=None, guard=None, witness=None,
+                 agreed=None):
+    """Equivalence: the named boolean sides ``sides_of(n)`` agree for every n in
+    ``domain`` (default: the proper elements).
+
+    Optional hooks: ``guard(n)`` returns a violation that replaces the
+    comparison for n (a precondition of the sides failed), ``witness(n)`` adds
+    a ``witness`` field to a disagreement, and ``agreed(n, sides)`` returns a
+    further violation when the sides agree.
+    """
+    domain = ctx.propers if domain is None else domain
+    viols = []
+    for n in domain:
+        if guard is not None and (stop := guard(n)) is not None:
+            viols.append(stop)
+            continue
+        sides = sides_of(n)
+        if len(set(sides.values())) > 1:
+            extra = {} if witness is None else {"witness": witness(n)}
+            viols.append(_violation_at(ctx, "equivalence", n, sides=sides, **extra))
+        elif agreed is not None and (more := agreed(n, sides)) is not None:
+            viols.append(more)
+    return len(domain), viols
+
+
+# Sides shared by several equivalences; any other side name is the classifier
+# flag it spells with dashes.
+_SIDES: dict[str, Callable[[Ctx, int], bool]] = {
+    "residual-prime": lambda ctx, n: bool(ctx.lflags[ctx.res_top(n)].prime),
+    "residual-primary": lambda ctx, n: bool(ctx.lflags[ctx.res_top(n)].primary),
+    "primary-generator": lambda ctx, n: any(            # N = q I_M for a primary q
+        ctx.lflags[q].primary and ctx.M.act(q, ctx.M.top) == n for q in ctx.L.elements()),
+    "primary-and-classical-prime":
+        lambda ctx, n: ctx.cls[n].primary and ctx.cls[n].classical_prime,
+}
+
+
+def _named_equivalence(ctx: Ctx, *names: str):
+    """Equivalence of named sides, each from ``_SIDES`` or a classifier flag."""
+    def sides(n):
+        return {name: _SIDES[name](ctx, n) if name in _SIDES
+                else ctx.cls[n].flag(name.replace("-", "_")) for name in names}
+    return _equivalence(ctx, sides)
+
+
+def _implication(ctx: Ctx, domain, antecedent: str, consequent: str, dashed: bool = False):
+    """Implication: every n in ``domain`` (the elements satisfying
+    ``antecedent``) carries the classifier flag ``consequent``."""
+    viols = [_violation_at(ctx, "flag-implication", n, antecedent=antecedent,
+                           consequent=consequent, dashed=dashed)
+             for n in domain if not ctx.cls[n].flag(consequent)]
+    return len(domain), viols
+
+
+def _definition_loop(ctx: Ctx, n: int, bound: int) -> bool:
+    """Plain-loop evaluation over all triples of: abK <= N forces aK <= N or
+    bK <= bound.  With bound = N this is the classical prime definition, with
+    bound = rad(N) the pseudo-classical primary one."""
+    M, L = ctx.M, ctx.L
+    for a in L.elements():
+        for b in L.elements():
+            ab = L.mul(a, b)
+            for k in M.elements():
+                if M.le(M.act(ab, k), n) and not M.le(M.act(a, k), n) \
+                        and not M.le(M.act(b, k), bound):
+                    return False
+    return True
+
+
+def _chain_kernel(ctx: Ctx, flag: str):
+    chains = ctx.chains_of(flag, f"chain-{flag}")
+    viols = []
+    for chain in chains:
+        for which, value in (("meet", ctx.M.meet_all(chain)), ("join", ctx.M.join_all(chain))):
+            if value == ctx.M.top or not ctx.cls[value].flag(flag):
+                viols.append(_v("chain", chain=chain, bound=which, value=value, flag=flag,
+                                label=", ".join(ctx.M.label(x) for x in chain)))
+    return len(chains), viols
+
+
+def _rad_prime_kernel(ctx: Ctx, flag: str):
+    """rad(N) is a prime element of M for every N carrying ``flag``."""
+    domain = ctx.flagged(flag)
+    viols = []
+    for n in domain:
+        r = ctx.rad(n)
+        if r == ctx.M.top or not ctx.cls[r].prime:
+            viols.append(_violation_at(ctx, "rad-flag", n, rad=r, expected="prime"))
+    return len(domain), viols
+
+
+def _residual_prime_kernel(ctx: Ctx, flag: str, residual: Callable[[int], int]):
+    """``residual(N)``, e.g. (N:I_M), is a prime element of L for every N carrying ``flag``."""
+    domain = ctx.flagged(flag)
+    viols = [_violation_at(ctx, "residual-flag", n, residual=residual(n))
+             for n in domain if not ctx.lflags[residual(n)].prime]
+    return len(domain), viols
+
+
+def _action_kernel(ctx: Ctx, lflag: str, flag: str):
+    """q I_M is proper and carries ``flag`` for every proper q in L carrying ``lflag``."""
+    M = ctx.M
+    domain = [q for q in ctx.propers_l if getattr(ctx.lflags[q], lflag)]
+    viols = []
+    for q in domain:
+        n = M.act(q, M.top)
+        if n == M.top:
+            viols.append(_v("action-proper", q=q, label=ctx.L.label(q)))
+        elif not ctx.cls[n].flag(flag):
+            viols.append(_v("action-flag", q=q, element=n, label=M.label(n), expected=flag))
+    return len(domain), viols
+
+
+# ---------------------------------------------------------------------------
 # implication figure
 
 ARROWS = (
@@ -316,39 +430,25 @@ ARROWS = (
 )
 
 
-def _arrow_violation(ctx: Ctx, n: int, src: str, dst: str, dashed: bool) -> dict:
-    return _v("flag-implication", element=n, label=ctx.mlabel(n),
-              antecedent=src, consequent=dst, dashed=dashed)
-
-
 @_check("fig1-implications",
         "all nine implication arrows between element classes hold for every proper N")
 def _k_fig1(ctx: Ctx):
     viols = []
     for n in ctx.propers:
-        c = ctx.cls[n]
         for src, dst, dashed in ARROWS:
-            if c.flag(src) and not c.flag(dst):
-                viols.append(_arrow_violation(ctx, n, src, dst, dashed))
+            if ctx.cls[n].flag(src):
+                viols += _implication(ctx, (n,), src, dst, dashed)[1]
     return len(ctx.propers), viols
 
 
-def _register_arrows():
-    for src, dst, dashed in ARROWS:
-        cid = f"fig1-{src}-implies-{dst}".replace("_", "-")
-        desc = f"every {src.replace('_', ' ')} element is {dst.replace('_', ' ')}"
-
-        def kernel(ctx: Ctx, _s=src, _d=dst, _dash=dashed):
-            domain = ctx.flagged(_s)
-            viols = [_arrow_violation(ctx, n, _s, _d, _dash)
-                     for n in domain if not ctx.cls[n].flag(_d)]
-            return len(domain), viols
-
-        _REGISTRY[cid] = TheoremCheck(id=cid, description=desc, hypotheses=(),
-                                      kernel=kernel, dashed=dashed)
+def _arrow_kernel(ctx: Ctx, src: str, dst: str, dashed: bool):
+    return _implication(ctx, ctx.flagged(src), src, dst, dashed)
 
 
-_register_arrows()
+for _src, _dst, _dashed in ARROWS:
+    _check(f"fig1-{_src}-implies-{_dst}".replace("_", "-"),
+           f"every {_src.replace('_', ' ')} element is {_dst.replace('_', ' ')}",
+           dashed=_dashed)(partial(_arrow_kernel, src=_src, dst=_dst, dashed=_dashed))
 
 
 # ---------------------------------------------------------------------------
@@ -364,24 +464,20 @@ def _k_sqrt_meet(ctx: Ctx):
             rhs = L.meet(int(ctx.sqrts[a]), int(ctx.sqrts[b]))
             if lhs != rhs:
                 viols.append(_v("lattice-equality", pair=(a, b), lhs=lhs, rhs=rhs,
-                                label=f"{ctx.llabel(a)}, {ctx.llabel(b)}"))
+                                label=f"{L.label(a)}, {L.label(b)}"))
     return L.element_count ** 2, viols
 
 
 @_check("thm-prime-rad-fixed", "rad(N) = N for every prime element N")
 def _k_prime_rad_fixed(ctx: Ctx):
     domain = ctx.flagged("prime")
-    viols = [_v("rad-value", element=n, label=ctx.mlabel(n), rad=ctx.rad(n))
+    viols = [_violation_at(ctx, "rad-value", n, rad=ctx.rad(n))
              for n in domain if ctx.rad(n) != n]
     return len(domain), viols
 
 
-@_check("thm-prime-residual-prime", "(N:I_M) is a prime element of L for every prime N")
-def _k_prime_residual_prime(ctx: Ctx):
-    domain = ctx.flagged("prime")
-    viols = [_v("residual-flag", element=n, label=ctx.mlabel(n), residual=ctx.res_top(n))
-             for n in domain if not ctx.lflags[ctx.res_top(n)].prime]
-    return len(domain), viols
+_check("thm-prime-residual-prime", "(N:I_M) is a prime element of L for every prime N")(
+    lambda ctx: _residual_prime_kernel(ctx, "prime", ctx.res_top))
 
 
 @_check("thm-radical-primary-pseudo-primary",
@@ -389,11 +485,7 @@ def _k_prime_residual_prime(ctx: Ctx):
 def _k_radical_primary(ctx: Ctx):
     domain = [n for n in ctx.propers
               if ctx.cls[n].radical_element and ctx.cls[n].primary]
-    viols = [_v("flag-implication", element=n, label=ctx.mlabel(n),
-                antecedent="radical_element+primary", consequent="pseudo_primary",
-                dashed=False)
-             for n in domain if not ctx.cls[n].pseudo_primary]
-    return len(domain), viols
+    return _implication(ctx, domain, "radical_element+primary", "pseudo_primary")
 
 
 @_check("lem-sqrt-residual-below-rad-residual",
@@ -404,40 +496,22 @@ def _k_sqrt_res_below(ctx: Ctx):
         s = ctx.sqrt_res_top(n)
         r = int(ctx.res_mm[ctx.rad(n), ctx.M.top])
         if not ctx.L.le(s, r):
-            viols.append(_v("lattice-leq", element=n, label=ctx.mlabel(n), lhs=s, rhs=r))
+            viols.append(_violation_at(ctx, "lattice-leq", n, lhs=s, rhs=r))
     return len(ctx.propers), viols
 
 
-@_check("thm-semiprime-iff-residual-prime",
-        "N is semiprime iff (N:I_M) is a prime element of L")
-def _k_semiprime_iff(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
-        sides = {"semiprime": ctx.cls[n].semiprime,
-                 "residual-prime": bool(ctx.lflags[ctx.res_top(n)].prime)}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+_check("thm-semiprime-iff-residual-prime",
+       "N is semiprime iff (N:I_M) is a prime element of L")(
+    lambda ctx: _named_equivalence(ctx, "semiprime", "residual-prime"))
 
 
-@_check("cor-prime-iff-primary-classical-prime",
-        "N is prime iff N is both primary and classical prime")
-def _k_prime_iff_primary_cp(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
-        c = ctx.cls[n]
-        sides = {"prime": c.prime, "primary-and-classical-prime": c.primary and c.classical_prime}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+_check("cor-prime-iff-primary-classical-prime",
+       "N is prime iff N is both primary and classical prime")(
+    lambda ctx: _named_equivalence(ctx, "prime", "primary-and-classical-prime"))
 
 
-@_check("cor-maximal-classical-prime", "every maximal element of M is classical prime")
-def _k_maximal_cp(ctx: Ctx):
-    domain = ctx.flagged("maximal")
-    viols = [_arrow_violation(ctx, n, "maximal", "classical_prime", False)
-             for n in domain if not ctx.cls[n].classical_prime]
-    return len(domain), viols
+_check("cor-maximal-classical-prime", "every maximal element of M is classical prime")(
+    lambda ctx: _implication(ctx, ctx.flagged("maximal"), "maximal", "classical_prime"))
 
 
 @_check("prop-rad-idempotent", "rad(rad(N)) = rad(N) for every proper N")
@@ -446,15 +520,20 @@ def _k_rad_idempotent(ctx: Ctx):
     for n in ctx.propers:
         r = ctx.rad(n)
         if r == ctx.M.top or ctx.rad(r) != r:
-            viols.append(_v("rad-value", element=n, label=ctx.mlabel(n), rad=r))
+            viols.append(_violation_at(ctx, "rad-value", n, rad=r))
     return len(ctx.propers), viols
+
+
+def _rad_is_top(ctx: Ctx, n: int) -> dict | None:
+    """The violation "rad(N) is the top", or None when rad(N) is proper."""
+    r = ctx.rad(n)
+    return _violation_at(ctx, "rad-value", n, rad=r) if r == ctx.M.top else None
 
 
 @_check("prop-variety-nonempty",
         "every proper N lies below a prime element (rad(N) is proper)")
 def _k_variety_nonempty(ctx: Ctx):
-    viols = [_v("rad-value", element=n, label=ctx.mlabel(n), rad=ctx.rad(n))
-             for n in ctx.propers if ctx.rad(n) == ctx.M.top]
+    viols = [v for v in (_rad_is_top(ctx, n) for n in ctx.propers) if v is not None]
     return len(ctx.propers), viols
 
 
@@ -465,25 +544,19 @@ def _k_variety_nonempty(ctx: Ctx):
 @_check("thm-classical-prime-residuals-prime",
         "N is classical prime iff (N:K) is prime in L for every K not<= N")
 def _k_cp_residuals(ctx: Ctx):
-    M, viols = ctx.M, []
-    for n in ctx.propers:
-        outside = [k for k in M.elements() if not M.le(k, n)]
-        bad = next((k for k in outside if not ctx.lflags[int(ctx.res_mm[n, k])].prime), None)
-        sides = {"classical-prime": ctx.cls[n].classical_prime,
-                 "residuals-prime": bad is None}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides,
-                            witness=(bad,) if bad is not None else None))
-    return len(ctx.propers), viols
+    M = ctx.M
+    def nonprime_residual(n):       # the first K not<= N with (N:K) not prime, as (K,)
+        k = next((k for k in M.elements() if not M.le(k, n)
+                  and not ctx.lflags[int(ctx.res_mm[n, k])].prime), None)
+        return None if k is None else (k,)
+    return _equivalence(ctx, lambda n: {"classical-prime": ctx.cls[n].classical_prime,
+                                        "residuals-prime": nonprime_residual(n) is None},
+                        witness=nonprime_residual)
 
 
-@_check("thm-classical-prime-residual-top-prime",
-        "(N:I_M) is prime in L for every classical prime N")
-def _k_cp_residual_top(ctx: Ctx):
-    domain = ctx.flagged("classical_prime")
-    viols = [_v("residual-flag", element=n, label=ctx.mlabel(n), residual=ctx.res_top(n))
-             for n in domain if not ctx.lflags[ctx.res_top(n)].prime]
-    return len(domain), viols
+_check("thm-classical-prime-residual-top-prime",
+       "(N:I_M) is prime in L for every classical prime N")(
+    lambda ctx: _residual_prime_kernel(ctx, "classical_prime", ctx.res_top))
 
 
 @_check("thm-classical-prime-residual-shift",
@@ -495,12 +568,10 @@ def _k_cp_residual_shift(ctx: Ctx):
         for r in ctx.propers_l:
             for k in ctx.propers:
                 rk = M.act(r, k)
-                if M.le(rk, n):
-                    continue
-                if int(ctx.res_mm[n, k]) != int(ctx.res_mm[n, rk]):
-                    viols.append(_v("residual-equality", element=n, label=ctx.mlabel(n),
-                                    r=r, K=k,
-                                    lhs=int(ctx.res_mm[n, k]), rhs=int(ctx.res_mm[n, rk])))
+                if not M.le(rk, n) and int(ctx.res_mm[n, k]) != int(ctx.res_mm[n, rk]):
+                    viols.append(_violation_at(ctx, "residual-equality", n, r=r, K=k,
+                                               lhs=int(ctx.res_mm[n, k]),
+                                               rhs=int(ctx.res_mm[n, rk])))
     return len(domain), viols
 
 
@@ -514,106 +585,74 @@ def _k_cp_residual_chain(ctx: Ctx):
         residuals = sorted({int(ctx.res_mm[n, k]) for k in M.elements() if not M.le(k, n)})
         for r in residuals:
             if not ctx.lflags[r].prime:
-                viols.append(_v("residual-flag", element=n, label=ctx.mlabel(n), residual=r))
+                viols.append(_violation_at(ctx, "residual-flag", n, residual=r))
         for i, a in enumerate(residuals):
             for b in residuals[i + 1:]:
                 if not (ctx.L.le(a, b) or ctx.L.le(b, a)):
-                    viols.append(_v("not-a-chain", element=n, label=ctx.mlabel(n), pair=(a, b)))
+                    viols.append(_violation_at(ctx, "not-a-chain", n, pair=(a, b)))
     return len(domain), viols
-
-
-def _cp_definition_loop(ctx: Ctx, n: int) -> bool:
-    """Plain-loop evaluation of the classical prime condition over all triples."""
-    M, L = ctx.M, ctx.L
-    for a in L.elements():
-        for b in L.elements():
-            ab = L.mul(a, b)
-            for k in M.elements():
-                if M.le(M.act(ab, k), n) and not M.le(M.act(a, k), n) \
-                        and not M.le(M.act(b, k), n):
-                    return False
-    return True
 
 
 @_check("equiv-classical-prime-cg",
         "classical prime iff (N:ab) = (N:a) or (N:ab) = (N:b) for all a, b "
         "iff the definition quantified over compact elements", CG)
 def _k_cp_cg(ctx: Ctx):
-    L, viols = ctx.L, []
-    for n in ctx.propers:
-        residual_split = all(
+    L = ctx.L
+    def residual_split(n):
+        return all(
             int(ctx.res_ml[n, L.mul(a, b)]) in (int(ctx.res_ml[n, a]), int(ctx.res_ml[n, b]))
             for a in L.elements() for b in L.elements())
-        sides = {"definition": ctx.cls[n].classical_prime,
-                 "residual-split": residual_split,
-                 "compact-definition": _cp_definition_loop(ctx, n)}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+    return _equivalence(ctx, lambda n: {"definition": ctx.cls[n].classical_prime,
+                                        "residual-split": residual_split(n),
+                                        "compact-definition": _definition_loop(ctx, n, n)})
 
 
 @_check("thm-join-meet-condition-classical-prime",
         "if (N:X) != (N:Y) always forces N = (N v X) ^ (N v Y), then N is classical prime")
 def _k_join_meet_condition(ctx: Ctx):
     M = ctx.M
-    domain = []
-    for n in ctx.propers:
-        hyp = all(
-            int(ctx.res_mm[n, x]) == int(ctx.res_mm[n, y])
-            or M.meet(M.join(n, x), M.join(n, y)) == n
-            for x in M.elements() for y in M.elements())
-        if hyp:
-            domain.append(n)
-    viols = [_v("flag-implication", element=n, label=ctx.mlabel(n),
-                antecedent="join-meet-condition", consequent="classical_prime", dashed=False)
-             for n in domain if not ctx.cls[n].classical_prime]
-    return len(domain), viols
+    domain = [n for n in ctx.propers if all(
+        int(ctx.res_mm[n, x]) == int(ctx.res_mm[n, y])
+        or M.meet(M.join(n, x), M.join(n, y)) == n
+        for x in M.elements() for y in M.elements())]
+    return _implication(ctx, domain, "join-meet-condition", "classical_prime")
 
 
-@_check("chain-classical-prime",
-        "meets and joins of chains of classical prime elements are classical prime")
-def _k_chain_cp(ctx: Ctx):
-    return _chain_kernel(ctx, "classical_prime")
+_check("chain-classical-prime",
+       "meets and joins of chains of classical prime elements are classical prime")(
+    lambda ctx: _chain_kernel(ctx, "classical_prime"))
 
 
 @_check("equiv-classical-prime-mult",
         "classical prime iff (N:B) = (N:I_M) for proper B > N iff (N:X) = (N:I_M) "
         "for X not<= N iff N = (N:a) for proper a > (N:I_M)", MULT)
 def _k_cp_mult(ctx: Ctx):
-    M, L, viols = ctx.M, ctx.L, []
-    for n in ctx.propers:
+    M, L = ctx.M, ctx.L
+    def sides(n):
         rt = ctx.res_top(n)
-        above = all(int(ctx.res_mm[n, b]) == rt
-                    for b in ctx.propers if M.le(n, b) and b != n)
-        outside = all(int(ctx.res_mm[n, x]) == rt
-                      for x in M.elements() if not M.le(x, n))
-        residual_fixed = all(int(ctx.res_ml[n, a]) == n
-                             for a in ctx.propers_l if L.le(rt, a) and a != rt)
-        sides = {"definition": ctx.cls[n].classical_prime, "residual-above": above,
-                 "residual-outside": outside, "residual-fixed": residual_fixed}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+        return {
+            "definition": ctx.cls[n].classical_prime,
+            "residual-above": all(int(ctx.res_mm[n, b]) == rt
+                                  for b in ctx.propers if M.le(n, b) and b != n),
+            "residual-outside": all(int(ctx.res_mm[n, x]) == rt
+                                    for x in M.elements() if not M.le(x, n)),
+            "residual-fixed": all(int(ctx.res_ml[n, a]) == n
+                                  for a in ctx.propers_l if L.le(rt, a) and a != rt),
+        }
+    return _equivalence(ctx, sides)
 
 
 @_check("cor-classical-prime-zero-residuals",
         "(O_M:B) = 0 for every proper B != O_M when O_M is classical prime",
         ("faithful", "multiplication-module"))
 def _k_cp_zero_residuals(ctx: Ctx):
-    M = ctx.M
-    bottom = M.bottom
+    M, bottom = ctx.M, ctx.M.bottom
     if bottom == M.top or not ctx.cls[bottom].classical_prime:
         return 0, []
-    viols = []
-    count = 0
-    for b in ctx.propers:
-        if b == bottom:
-            continue
-        count += 1
-        if int(ctx.res_mm[bottom, b]) != ctx.L.bottom:
-            viols.append(_v("residual-flag", element=bottom, label=ctx.mlabel(bottom),
-                            B=b, residual=int(ctx.res_mm[bottom, b])))
-    return count, viols
+    domain = [b for b in ctx.propers if b != bottom]
+    viols = [_violation_at(ctx, "residual-flag", bottom, B=b, residual=int(ctx.res_mm[bottom, b]))
+             for b in domain if int(ctx.res_mm[bottom, b]) != ctx.L.bottom]
+    return len(domain), viols
 
 
 @_check("equiv-classical-prime-residual-product",
@@ -623,9 +662,8 @@ def _k_cp_residual_product(ctx: Ctx):
     # A, B, K must range over the whole carrier: restricting them to proper
     # elements makes the criterion strictly weaker than the definition
     # (zn-self-12, element (6), with K = I_M separates the two).
-    L, M, viols = ctx.L, ctx.M, []
-    for n in ctx.propers:
-        ok = True
+    L, M = ctx.L, ctx.M
+    def residual_product(n):
         for k in M.elements():
             nk = int(ctx.res_mm[n, k])
             for a in M.elements():
@@ -633,41 +671,20 @@ def _k_cp_residual_product(ctx: Ctx):
                 for b in M.elements():
                     bk = int(ctx.res_mm[b, k])
                     if L.le(L.mul(ak, bk), nk) and not L.le(ak, nk) and not L.le(bk, nk):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        sides = {"definition": ctx.cls[n].classical_prime, "residual-product": ok}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+                        return False
+        return True
+    return _equivalence(ctx, lambda n: {"definition": ctx.cls[n].classical_prime,
+                                        "residual-product": residual_product(n)})
 
 
-@_check("thm-prime-iff-classical-prime",
-        "N is prime iff N is classical prime", MULT)
-def _k_prime_iff_cp(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
-        sides = {"prime": ctx.cls[n].prime, "classical-prime": ctx.cls[n].classical_prime}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+_check("thm-prime-iff-classical-prime",
+       "N is prime iff N is classical prime", MULT)(
+    lambda ctx: _named_equivalence(ctx, "prime", "classical-prime"))
 
 
-@_check("cor-prime-4way",
-        "prime iff classical prime iff semiprime iff (N:I_M) prime in L", MULT)
-def _k_prime_4way(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
-        c = ctx.cls[n]
-        sides = {"prime": c.prime, "classical-prime": c.classical_prime,
-                 "semiprime": c.semiprime,
-                 "residual-prime": bool(ctx.lflags[ctx.res_top(n)].prime)}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+_check("cor-prime-4way",
+       "prime iff classical prime iff semiprime iff (N:I_M) prime in L", MULT)(
+    lambda ctx: _named_equivalence(ctx, "prime", "classical-prime", "semiprime", "residual-prime"))
 
 
 # ---------------------------------------------------------------------------
@@ -689,51 +706,45 @@ def _pp_definition_loop(ctx: Ctx, n: int) -> bool:
         "iff (N:a) <= rad(N) for every proper a > (N:I_M) "
         "iff the definition quantified over compact elements", CG)
 def _k_pp_cg(ctx: Ctx):
-    M, L, viols = ctx.M, ctx.L, []
-    for n in ctx.propers:
+    M, L = ctx.M, ctx.L
+    def sides(n):
         rt, rd = ctx.res_top(n), ctx.rad(n)
-        residual_fixed = all(int(ctx.res_mm[n, x]) == rt
-                             for x in ctx.propers if not M.le(x, rd))
-        residual_bound = all(M.le(int(ctx.res_ml[n, a]), rd)
-                             for a in ctx.propers_l if L.le(rt, a) and a != rt)
-        sides = {"definition": ctx.cls[n].pseudo_primary,
-                 "residual-fixed": residual_fixed,
-                 "residual-bound": residual_bound,
-                 "compact-definition": _pp_definition_loop(ctx, n)}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+        return {
+            "definition": ctx.cls[n].pseudo_primary,
+            "residual-fixed": all(int(ctx.res_mm[n, x]) == rt
+                                  for x in ctx.propers if not M.le(x, rd)),
+            "residual-bound": all(M.le(int(ctx.res_ml[n, a]), rd)
+                                  for a in ctx.propers_l if L.le(rt, a) and a != rt),
+            "compact-definition": _pp_definition_loop(ctx, n),
+        }
+    return _equivalence(ctx, sides)
 
 
-@_check("chain-pseudo-primary",
-        "meets and joins of chains of pseudo-primary elements are pseudo-primary", BUNDLE)
-def _k_chain_pp(ctx: Ctx):
-    return _chain_kernel(ctx, "pseudo_primary")
+_check("chain-pseudo-primary",
+       "meets and joins of chains of pseudo-primary elements are pseudo-primary", BUNDLE)(
+    lambda ctx: _chain_kernel(ctx, "pseudo_primary"))
 
 
 @_check("lem-rad-meet",
         "rad(A ^ B) = rad(A) ^ rad(B) for proper A, B, plus sampled larger families",
         BUNDLE)
 def _k_rad_meet(ctx: Ctx):
-    M, viols = ctx.M, []
-    count = 0
+    M, viols, count = ctx.M, [], 0
     for a in ctx.propers:
         for b in ctx.propers:
             count += 1
             if ctx.rad(M.meet(a, b)) != M.meet(ctx.rad(a), ctx.rad(b)):
                 viols.append(_v("rad-meet", pair=(a, b),
-                                label=f"{ctx.mlabel(a)}, {ctx.mlabel(b)}"))
+                                label=f"{M.label(a)}, {M.label(b)}"))
     rng = ctx.rng("lem-rad-meet")
-    for _ in range(50):
-        if len(ctx.propers) < 2:
-            break
+    for _ in range(50 if len(ctx.propers) >= 2 else 0):
         family = rng.sample(ctx.propers, rng.randint(2, len(ctx.propers)))
         count += 1
         lhs = ctx.rad(M.meet_all(family))
         rhs = M.meet_all(ctx.rad(x) for x in family)
         if lhs != rhs:
             viols.append(_v("rad-meet", family=sorted(family), lhs=lhs, rhs=rhs,
-                            label=", ".join(ctx.mlabel(x) for x in sorted(family))))
+                            label=", ".join(M.label(x) for x in sorted(family))))
     return count, viols
 
 
@@ -744,8 +755,7 @@ def _k_rad_eq(ctx: Ctx):
         lhs = int(ctx.res_mm[ctx.rad(n), ctx.M.top])
         rhs = ctx.sqrt_res_top(n)
         if lhs != rhs:
-            viols.append(_v("lattice-equality", element=n, label=ctx.mlabel(n),
-                            lhs=lhs, rhs=rhs))
+            viols.append(_violation_at(ctx, "lattice-equality", n, lhs=lhs, rhs=rhs))
     return len(ctx.propers), viols
 
 
@@ -756,21 +766,13 @@ def _k_rad_action(ctx: Ctx):
     for n in ctx.propers:
         want = M.act(ctx.sqrt_res_top(n), M.top)
         if ctx.rad(n) != want:
-            viols.append(_v("rad-value", element=n, label=ctx.mlabel(n),
-                            rad=ctx.rad(n), expected=want))
+            viols.append(_violation_at(ctx, "rad-value", n, rad=ctx.rad(n), expected=want))
     return len(ctx.propers), viols
 
 
-@_check("lem-prime-iff-residual-prime",
-        "N is prime iff (N:I_M) is prime in L", MULT)
-def _k_prime_iff_residual(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
-        sides = {"prime": ctx.cls[n].prime,
-                 "residual-prime": bool(ctx.lflags[ctx.res_top(n)].prime)}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+_check("lem-prime-iff-residual-prime",
+       "N is prime iff (N:I_M) is prime in L", MULT)(
+    lambda ctx: _named_equivalence(ctx, "prime", "residual-prime"))
 
 
 @_check("thm-proper-action-proper",
@@ -779,103 +781,46 @@ def _k_proper_action(ctx: Ctx):
     M, viols = ctx.M, []
     for q in ctx.propers_l:
         if M.act(q, M.top) == M.top:
-            viols.append(_v("action-proper", q=q, label=ctx.llabel(q)))
+            viols.append(_v("action-proper", q=q, label=ctx.L.label(q)))
     return len(ctx.propers_l), viols
 
 
-def _action_of(ctx: Ctx, q: int) -> int:
-    return ctx.M.act(q, ctx.M.top)
+_check("lem-primary-action-primary",
+       "q I_M is a primary element of M for every proper primary q in L", BUNDLE)(
+    lambda ctx: _action_kernel(ctx, "primary", "primary"))
 
 
-def _primary_action_kernel(ctx: Ctx, flag: str):
-    domain = [q for q in ctx.propers_l if ctx.lflags[q].primary]
-    viols = []
-    for q in domain:
-        n = _action_of(ctx, q)
-        if n == ctx.M.top:
-            viols.append(_v("action-proper", q=q, label=ctx.llabel(q)))
-        elif not ctx.cls[n].flag(flag):
-            viols.append(_v("action-flag", q=q, element=n, label=ctx.mlabel(n),
-                            expected=flag))
-    return len(domain), viols
+_check("lem-primary-action-pseudo-primary",
+       "q I_M is a pseudo-primary element of M for every proper primary q in L", BUNDLE)(
+    lambda ctx: _action_kernel(ctx, "primary", "pseudo_primary"))
 
 
-@_check("lem-primary-action-primary",
-        "q I_M is a primary element of M for every proper primary q in L", BUNDLE)
-def _k_primary_action_primary(ctx: Ctx):
-    return _primary_action_kernel(ctx, "primary")
+_check("lem-primary-action-pseudo-classical-primary",
+       "q I_M is a pseudo-classical primary element of M for every proper primary q in L",
+       BUNDLE)(
+    lambda ctx: _action_kernel(ctx, "primary", "pseudo_classical_primary"))
 
 
-@_check("lem-primary-action-pseudo-primary",
-        "q I_M is a pseudo-primary element of M for every proper primary q in L", BUNDLE)
-def _k_primary_action_pp(ctx: Ctx):
-    return _primary_action_kernel(ctx, "pseudo_primary")
+_check("lem-prime-action-prime",
+       "q I_M is a prime element of M for every proper prime q in L", BUNDLE)(
+    lambda ctx: _action_kernel(ctx, "prime", "prime"))
 
 
-@_check("lem-primary-action-pseudo-classical-primary",
-        "q I_M is a pseudo-classical primary element of M for every proper primary q in L",
-        BUNDLE)
-def _k_primary_action_pcp(ctx: Ctx):
-    return _primary_action_kernel(ctx, "pseudo_classical_primary")
+_check("equiv-pseudo-primary-4way",
+       "pseudo-primary iff (N:I_M) primary in L iff N = q I_M for some primary q "
+       "iff primary", BUNDLE)(
+    lambda ctx: _named_equivalence(ctx, "pseudo-primary", "residual-primary",
+                                   "primary-generator", "primary"))
 
 
-@_check("lem-prime-action-prime",
-        "q I_M is a prime element of M for every proper prime q in L", BUNDLE)
-def _k_prime_action_prime(ctx: Ctx):
-    domain = [q for q in ctx.propers_l if ctx.lflags[q].prime]
-    viols = []
-    for q in domain:
-        n = _action_of(ctx, q)
-        if n == ctx.M.top:
-            viols.append(_v("action-proper", q=q, label=ctx.llabel(q)))
-        elif not ctx.cls[n].prime:
-            viols.append(_v("action-flag", q=q, element=n, label=ctx.mlabel(n),
-                            expected="prime"))
-    return len(domain), viols
+_check("cor-pseudo-primary-sqrt-prime",
+       "sqrt(N:I_M) is prime in L for every pseudo-primary N", BUNDLE)(
+    lambda ctx: _residual_prime_kernel(ctx, "pseudo_primary", ctx.sqrt_res_top))
 
 
-def _exists_primary_generator(ctx: Ctx, n: int) -> bool:
-    return any(ctx.lflags[q].primary and _action_of(ctx, q) == n
-               for q in ctx.L.elements())
-
-
-@_check("equiv-pseudo-primary-4way",
-        "pseudo-primary iff (N:I_M) primary in L iff N = q I_M for some primary q "
-        "iff primary", BUNDLE)
-def _k_pp_4way(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
-        c = ctx.cls[n]
-        sides = {"pseudo-primary": c.pseudo_primary,
-                 "residual-primary": bool(ctx.lflags[ctx.res_top(n)].primary),
-                 "primary-generator": _exists_primary_generator(ctx, n),
-                 "primary": c.primary}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
-
-
-@_check("cor-pseudo-primary-sqrt-prime",
-        "sqrt(N:I_M) is prime in L for every pseudo-primary N", BUNDLE)
-def _k_pp_sqrt_prime(ctx: Ctx):
-    domain = ctx.flagged("pseudo_primary")
-    viols = [_v("residual-flag", element=n, label=ctx.mlabel(n),
-                residual=ctx.sqrt_res_top(n))
-             for n in domain if not ctx.lflags[ctx.sqrt_res_top(n)].prime]
-    return len(domain), viols
-
-
-@_check("thm-pseudo-primary-rad-prime",
-        "rad(N) is a prime element of M for every pseudo-primary N", BUNDLE)
-def _k_pp_rad_prime(ctx: Ctx):
-    domain = ctx.flagged("pseudo_primary")
-    viols = []
-    for n in domain:
-        r = ctx.rad(n)
-        if r == ctx.M.top or not ctx.cls[r].prime:
-            viols.append(_v("rad-flag", element=n, label=ctx.mlabel(n), rad=r,
-                            expected="prime"))
-    return len(domain), viols
+_check("thm-pseudo-primary-rad-prime",
+       "rad(N) is a prime element of M for every pseudo-primary N", BUNDLE)(
+    lambda ctx: _rad_prime_kernel(ctx, "pseudo_primary"))
 
 
 @_check("thm-pseudo-primary-residual-prime-converse",
@@ -883,38 +828,34 @@ def _k_pp_rad_prime(ctx: Ctx):
 def _k_pp_converse(ctx: Ctx):
     domain = [n for n in ctx.flagged("pseudo_primary")
               if ctx.lflags[ctx.res_top(n)].prime]
-    viols = [_arrow_violation(ctx, n, "pseudo_primary", "prime", False)
-             for n in domain if not ctx.cls[n].prime]
-    return len(domain), viols
+    return _implication(ctx, domain, "pseudo_primary", "prime")
+
+
+def _p_joins(ctx: Ctx) -> list[tuple[int, int, int]]:
+    """(N, p, N v p I_M) for every p-pseudo-primary N."""
+    M = ctx.M
+    return [(n, p, M.join(n, M.act(p, M.top))) for n in ctx.propers
+            if (p := ctx.cls[n].p_pseudo_primary) is not None]
 
 
 @_check("thm-p-pseudo-primary-join",
         "N v p I_M equals rad(N) and is prime, for p-pseudo-primary N with p = sqrt(N:I_M)",
         BUNDLE)
 def _k_ppp_join(ctx: Ctx):
-    M, viols = ctx.M, []
-    domain = [n for n in ctx.propers if ctx.cls[n].p_pseudo_primary is not None]
-    for n in domain:
-        p = ctx.cls[n].p_pseudo_primary
-        j = M.join(n, M.act(p, M.top))
-        r = ctx.rad(n)
-        if j == M.top or not ctx.cls[j].prime or j != r or not ctx.cls[r].prime:
-            viols.append(_v("p-join", element=n, label=ctx.mlabel(n), p=p, join=j, rad=r))
-    return len(domain), viols
+    joins, cls, top = _p_joins(ctx), ctx.cls, ctx.M.top
+    viols = [_violation_at(ctx, "p-join", n, p=p, join=j, rad=ctx.rad(n))
+             for n, p, j in joins
+             if j == top or not cls[j].prime or j != ctx.rad(n) or not cls[ctx.rad(n)].prime]
+    return len(joins), viols
 
 
 @_check("cor-rad-join-p",
         "rad(N) = rad(N v p I_M) for p-pseudo-primary N with p = sqrt(N:I_M)", BUNDLE)
 def _k_rad_join_p(ctx: Ctx):
-    M, viols = ctx.M, []
-    domain = [n for n in ctx.propers if ctx.cls[n].p_pseudo_primary is not None]
-    for n in domain:
-        p = ctx.cls[n].p_pseudo_primary
-        j = M.join(n, M.act(p, M.top))
-        if j == M.top or ctx.rad(n) != ctx.rad(j):
-            viols.append(_v("p-join", element=n, label=ctx.mlabel(n), p=p, join=j,
-                            rad=ctx.rad(n)))
-    return len(domain), viols
+    joins = _p_joins(ctx)
+    viols = [_violation_at(ctx, "p-join", n, p=p, join=j, rad=ctx.rad(n))
+             for n, p, j in joins if j == ctx.M.top or ctx.rad(n) != ctx.rad(j)]
+    return len(joins), viols
 
 
 def _rad_attachment_sides(ctx: Ctx, n: int) -> dict:
@@ -937,34 +878,24 @@ def _rad_attachment_sides(ctx: Ctx, n: int) -> dict:
         "N p-pseudo-primary iff rad(N) p-prime iff rad(N) p-primary iff rad(N) "
         "p-pseudo-primary, with the attached primes agreeing", BUNDLE)
 def _k_rad_attachments(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
-        sides = _rad_attachment_sides(ctx, n)
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-            continue
-        if sides.get("p-pseudo-primary"):
-            r = ctx.rad(n)
-            ps = {int(ctx.cls[n].p_pseudo_primary),
-                  int(ctx.res_mm[r, ctx.M.top]),
-                  int(ctx.sqrts[int(ctx.res_mm[r, ctx.M.top])])}
-            if len(ps) > 1:
-                viols.append(_v("attachment-mismatch", element=n, label=ctx.mlabel(n),
-                                primes=sorted(ps)))
-    return len(ctx.propers), viols
+    def attachment_mismatch(n, sides):
+        if not sides.get("p-pseudo-primary"):
+            return None
+        rt = int(ctx.res_mm[ctx.rad(n), ctx.M.top])
+        primes = {int(ctx.cls[n].p_pseudo_primary), rt, int(ctx.sqrts[rt])}
+        if len(primes) == 1:
+            return None
+        return _violation_at(ctx, "attachment-mismatch", n, primes=sorted(primes))
+    return _equivalence(ctx, lambda n: _rad_attachment_sides(ctx, n),
+                        agreed=attachment_mismatch)
 
 
 @_check("cor-rad-attachments-pseudo-primary",
         "for pseudo-primary N: rad(N) p-prime iff p-primary iff p-pseudo-primary", BUNDLE)
 def _k_rad_attachments_pp(ctx: Ctx):
-    domain = ctx.flagged("pseudo_primary")
-    viols = []
-    for n in domain:
-        sides = _rad_attachment_sides(ctx, n)
-        sides.pop("p-pseudo-primary", None)
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(domain), viols
+    return _equivalence(ctx, lambda n: {
+        name: value for name, value in _rad_attachment_sides(ctx, n).items()
+        if name != "p-pseudo-primary"}, domain=ctx.flagged("pseudo_primary"))
 
 
 @_check("thm-pseudo-primary-residual-chain",
@@ -980,17 +911,17 @@ def _k_pp_residual_chain(ctx: Ctx):
         for k in outside:
             r = int(ctx.res_mm[n, k])
             if not ctx.lflags[r].primary:
-                viols.append(_v("residual-flag", element=n, label=ctx.mlabel(n), K=k,
-                                residual=r, expected="primary"))
+                viols.append(_violation_at(ctx, "residual-flag", n, K=k, residual=r,
+                                           expected="primary"))
             sqrts.add(int(ctx.sqrts[r]))
         sq = sorted(sqrts)
         for i, a in enumerate(sq):
             if not ctx.lflags[a].prime:
-                viols.append(_v("residual-flag", element=n, label=ctx.mlabel(n), residual=a,
-                                expected="prime"))
+                viols.append(_violation_at(ctx, "residual-flag", n, residual=a,
+                                           expected="prime"))
             for b in sq[i + 1:]:
                 if not (ctx.L.le(a, b) or ctx.L.le(b, a)):
-                    viols.append(_v("not-a-chain", element=n, label=ctx.mlabel(n), pair=(a, b)))
+                    viols.append(_violation_at(ctx, "not-a-chain", n, pair=(a, b)))
     return len(domain), viols
 
 
@@ -1001,15 +932,14 @@ def _k_pp_residual_chain(ctx: Ctx):
 @_check("lem-saturation-below-rad",
         "S_p(N) <= rad(N) for pseudo-primary N and every prime p above (N:I_M)")
 def _k_saturation_below(ctx: Ctx):
-    M, viols = ctx.M, []
-    count = 0
+    M, viols, count = ctx.M, [], 0
     for n in ctx.flagged("pseudo_primary"):
         for p in variety_l(M, n):
             count += 1
             s = saturation(M, n, p)
             if not M.le(s, ctx.rad(n)):
-                viols.append(_v("saturation", element=n, label=ctx.mlabel(n), p=p,
-                                saturation=s, rad=ctx.rad(n)))
+                viols.append(_violation_at(ctx, "saturation", n, p=p, saturation=s,
+                                           rad=ctx.rad(n)))
     return count, viols
 
 
@@ -1017,8 +947,7 @@ def _k_saturation_below(ctx: Ctx):
         "if N is pseudo-primary and S_p(N) is prime for some prime p above (N:I_M), "
         "then rad(N) is prime")
 def _k_saturation_prime(ctx: Ctx):
-    M, viols = ctx.M, []
-    count = 0
+    M, viols, count = ctx.M, [], 0
     for n in ctx.flagged("pseudo_primary"):
         for p in variety_l(M, n):
             s = saturation(M, n, p)
@@ -1027,42 +956,20 @@ def _k_saturation_prime(ctx: Ctx):
             count += 1
             r = ctx.rad(n)
             if r == M.top or not ctx.cls[r].prime:
-                viols.append(_v("rad-flag", element=n, label=ctx.mlabel(n), p=p, rad=r,
-                                expected="prime"))
+                viols.append(_violation_at(ctx, "rad-flag", n, p=p, rad=r, expected="prime"))
     return count, viols
 
 
 @_check("thm-rad-pseudo-primary-iff-prime",
         "rad(N) is pseudo-primary iff rad(N) is prime, for every proper N")
 def _k_rad_pp_iff_prime(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
-        r = ctx.rad(n)
-        if r == ctx.M.top:
-            viols.append(_v("rad-value", element=n, label=ctx.mlabel(n), rad=r))
-            continue
-        sides = {"rad-pseudo-primary": ctx.cls[r].pseudo_primary,
-                 "rad-prime": ctx.cls[r].prime}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+    return _equivalence(ctx, lambda n: {"rad-pseudo-primary": ctx.cls[ctx.rad(n)].pseudo_primary,
+                                        "rad-prime": ctx.cls[ctx.rad(n)].prime},
+                        guard=lambda n: _rad_is_top(ctx, n))
 
 
 # ---------------------------------------------------------------------------
 # pseudo-classical primary
-
-
-def _pcp_definition_loop(ctx: Ctx, n: int) -> bool:
-    M, L = ctx.M, ctx.L
-    rd = ctx.rad(n)
-    for a in L.elements():
-        for b in L.elements():
-            ab = L.mul(a, b)
-            for k in M.elements():
-                if M.le(M.act(ab, k), n) and not M.le(M.act(a, k), n) \
-                        and not M.le(M.act(b, k), rd):
-                    return False
-    return True
 
 
 @_check("equiv-pseudo-classical-primary-cg",
@@ -1073,109 +980,72 @@ def _k_pcp_cg(ctx: Ctx):
     # X must range over the whole carrier: with X restricted to proper
     # elements the shift criterion is strictly weaker than the definition
     # (zn-self-12, element (6), with X = I_M separates the two).
-    M, viols = ctx.M, []
-    for n in ctx.propers:
+    M = ctx.M
+    def residual_shift(n):
         rd = ctx.rad(n)
-        shift = True
         for r in ctx.propers_l:
             for x in M.elements():
                 if M.le(x, n):
                     continue
                 rx = M.act(r, x)
-                if M.le(rx, rd):
-                    continue
-                if int(ctx.res_mm[n, x]) != int(ctx.res_mm[n, rx]):
-                    shift = False
-                    break
-            if not shift:
-                break
-        sides = {"definition": ctx.cls[n].pseudo_classical_primary,
-                 "residual-shift": shift,
-                 "compact-definition": _pcp_definition_loop(ctx, n)}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+                if not M.le(rx, rd) and int(ctx.res_mm[n, x]) != int(ctx.res_mm[n, rx]):
+                    return False
+        return True
+    return _equivalence(ctx, lambda n: {
+        "definition": ctx.cls[n].pseudo_classical_primary,
+        "residual-shift": residual_shift(n),
+        "compact-definition": _definition_loop(ctx, n, ctx.rad(n))})
 
 
-@_check("equiv-pseudo-classical-primary-4way",
-        "pseudo-classical primary iff (N:I_M) primary in L iff N = q I_M for some "
-        "primary q iff primary", BUNDLE)
-def _k_pcp_4way(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
-        c = ctx.cls[n]
-        sides = {"pseudo-classical-primary": c.pseudo_classical_primary,
-                 "residual-primary": bool(ctx.lflags[ctx.res_top(n)].primary),
-                 "primary-generator": _exists_primary_generator(ctx, n),
-                 "primary": c.primary}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+_check("equiv-pseudo-classical-primary-4way",
+       "pseudo-classical primary iff (N:I_M) primary in L iff N = q I_M for some "
+       "primary q iff primary", BUNDLE)(
+    lambda ctx: _named_equivalence(ctx, "pseudo-classical-primary", "residual-primary",
+                                   "primary-generator", "primary"))
 
 
-@_check("cor-pseudo-classical-primary-5way",
-        "pseudo-primary iff pseudo-classical primary iff (N:I_M) primary iff "
-        "N = q I_M for primary q iff primary", BUNDLE)
-def _k_pcp_5way(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
-        c = ctx.cls[n]
-        sides = {"pseudo-primary": c.pseudo_primary,
-                 "pseudo-classical-primary": c.pseudo_classical_primary,
-                 "residual-primary": bool(ctx.lflags[ctx.res_top(n)].primary),
-                 "primary-generator": _exists_primary_generator(ctx, n),
-                 "primary": c.primary}
-        if len(set(sides.values())) > 1:
-            viols.append(_v("equivalence", element=n, label=ctx.mlabel(n), sides=sides))
-    return len(ctx.propers), viols
+_check("cor-pseudo-classical-primary-5way",
+       "pseudo-primary iff pseudo-classical primary iff (N:I_M) primary iff "
+       "N = q I_M for primary q iff primary", BUNDLE)(
+    lambda ctx: _named_equivalence(ctx, "pseudo-primary", "pseudo-classical-primary",
+                                   "residual-primary", "primary-generator", "primary"))
 
 
-@_check("thm-pseudo-classical-primary-rad-prime",
-        "rad(N) is a prime element of M for every pseudo-classical primary N", BUNDLE)
-def _k_pcp_rad_prime(ctx: Ctx):
-    domain = ctx.flagged("pseudo_classical_primary")
-    viols = []
-    for n in domain:
-        r = ctx.rad(n)
-        if r == ctx.M.top or not ctx.cls[r].prime:
-            viols.append(_v("rad-flag", element=n, label=ctx.mlabel(n), rad=r,
-                            expected="prime"))
-    return len(domain), viols
+_check("thm-pseudo-classical-primary-rad-prime",
+       "rad(N) is a prime element of M for every pseudo-classical primary N", BUNDLE)(
+    lambda ctx: _rad_prime_kernel(ctx, "pseudo_classical_primary"))
 
 
-@_check("chain-pseudo-classical-primary",
-        "meets and joins of chains of pseudo-classical primary elements are "
-        "pseudo-classical primary", BUNDLE)
-def _k_chain_pcp(ctx: Ctx):
-    return _chain_kernel(ctx, "pseudo_classical_primary")
+_check("chain-pseudo-classical-primary",
+       "meets and joins of chains of pseudo-classical primary elements are "
+       "pseudo-classical primary", BUNDLE)(
+    lambda ctx: _chain_kernel(ctx, "pseudo_classical_primary"))
 
 
 @_check("lem-prime-residual-bound",
         "(Q:K) is prime and sqrt(X:K) <= (Q:K), for prime Q, X <= Q and proper K not<= Q")
 def _k_prime_residual_bound(ctx: Ctx):
-    M, viols = ctx.M, []
-    count = 0
+    M, viols, count = ctx.M, [], 0
     for q in ctx.flagged("prime"):
         ks = [k for k in ctx.propers if not M.le(k, q)]
         xs = [x for x in M.elements() if M.le(x, q)]
         for k in ks:
             qk = int(ctx.res_mm[q, k])
             if not ctx.lflags[qk].prime:
-                viols.append(_v("residual-flag", element=q, label=ctx.mlabel(q), K=k,
-                                residual=qk, expected="prime"))
+                viols.append(_violation_at(ctx, "residual-flag", q, K=k, residual=qk,
+                                           expected="prime"))
             for x in xs:
                 count += 1
-                if not ctx.L.le(int(ctx.sqrts[int(ctx.res_mm[x, k])]), qk):
-                    viols.append(_v("lattice-leq", element=q, label=ctx.mlabel(q), X=x, K=k,
-                                    lhs=int(ctx.sqrts[int(ctx.res_mm[x, k])]), rhs=qk))
+                lhs = int(ctx.sqrts[int(ctx.res_mm[x, k])])
+                if not ctx.L.le(lhs, qk):
+                    viols.append(_violation_at(ctx, "lattice-leq", q, X=x, K=k, lhs=lhs, rhs=qk))
     return count, viols
 
 
 @_check("lem-sqrt-residual-rad-bound",
         "sqrt(N:K) <= (rad(N):K) for proper N and proper K not<= N")
 def _k_sqrt_residual_rad(ctx: Ctx):
-    M, viols = ctx.M, []
-    count = 0
+    M, viols, count = ctx.M, [], 0
     for n in ctx.propers:
         rd = ctx.rad(n)
         for k in ctx.propers:
@@ -1185,8 +1055,7 @@ def _k_sqrt_residual_rad(ctx: Ctx):
             lhs = int(ctx.sqrts[int(ctx.res_mm[n, k])])
             rhs = int(ctx.res_mm[rd, k])
             if not ctx.L.le(lhs, rhs):
-                viols.append(_v("lattice-leq", element=n, label=ctx.mlabel(n), K=k,
-                                lhs=lhs, rhs=rhs))
+                viols.append(_violation_at(ctx, "lattice-leq", n, K=k, lhs=lhs, rhs=rhs))
     return count, viols
 
 
@@ -1198,20 +1067,15 @@ def _k_residual_primary_pcp(ctx: Ctx):
     domain = [n for n in ctx.propers
               if all(ctx.lflags[int(ctx.res_mm[n, k])].primary
                      for k in M.elements() if not M.le(k, n))]
-    viols = [_v("flag-implication", element=n, label=ctx.mlabel(n),
-                antecedent="residuals-primary", consequent="pseudo_classical_primary",
-                dashed=False)
-             for n in domain if not ctx.cls[n].pseudo_classical_primary]
-    return len(domain), viols
+    return _implication(ctx, domain, "residuals-primary", "pseudo_classical_primary")
 
 
 @_check("lem-sqrt-action-bound",
         "sqrt(q) Y <= sqrt(q) I_M <= rad(q I_M) for proper q with q I_M proper", BUNDLE)
 def _k_sqrt_action_bound(ctx: Ctx):
-    M, viols = ctx.M, []
-    count = 0
+    M, viols, count = ctx.M, [], 0
     for q in ctx.propers_l:
-        n = _action_of(ctx, q)
+        n = M.act(q, M.top)
         if n == M.top:
             continue
         s = int(ctx.sqrts[q])
@@ -1220,21 +1084,9 @@ def _k_sqrt_action_bound(ctx: Ctx):
         for y in M.elements():
             count += 1
             if not M.le(M.act(s, y), stop) or not M.le(stop, rd):
-                viols.append(_v("action-bound", q=q, Y=y, label=ctx.llabel(q),
+                viols.append(_v("action-bound", q=q, Y=y, label=ctx.L.label(q),
                                 action=M.act(s, y), top_action=stop, rad=rd))
     return count, viols
-
-
-def _chain_kernel(ctx: Ctx, flag: str):
-    chains = ctx.chains_of(flag, f"chain-{flag}")
-    viols = []
-    for chain in chains:
-        for which, value in (("meet", ctx.M.meet_all(chain)), ("join", ctx.M.join_all(chain))):
-            if value == ctx.M.top or not ctx.cls[value].flag(flag):
-                viols.append(_v("chain", chain=chain, bound=which, value=value,
-                                flag=flag,
-                                label=", ".join(ctx.mlabel(x) for x in chain)))
-    return len(chains), viols
 
 
 # ---------------------------------------------------------------------------
@@ -1259,12 +1111,10 @@ def list_checks() -> list[dict]:
 def _select(checks) -> list[TheoremCheck]:
     if checks == "all" or checks is None:
         return list(_REGISTRY.values())
-    out = []
     for cid in checks:
         if cid not in _REGISTRY:
             raise KeyError(f"unknown check id {cid!r}")
-        out.append(_REGISTRY[cid])
-    return out
+    return [_REGISTRY[cid] for cid in checks]
 
 
 def instance_hypotheses(M: LatticeModule) -> dict[str, bool]:
@@ -1277,20 +1127,11 @@ def run_check(instance: Instance, check: TheoremCheck, seed: int = 0,
     hyps = hypotheses if hypotheses is not None else instance_hypotheses(instance.module)
     start = time.perf_counter()
     unmet = [h for h in check.hypotheses if not hyps[h]]
-    if unmet:
-        return CheckResult(instance=instance.name, check_id=check.id, status="skipped",
-                           evaluated=0, violations=[],
-                           skip_reason="hypotheses unmet: " + ", ".join(unmet),
-                           dashed=check.dashed,
-                           seconds=time.perf_counter() - start)
-    ctx = Ctx(instance, seed=seed, chain_samples=chain_samples)
-    evaluated, violations = check.kernel(ctx)
-    if evaluated == 0:
-        status, reason = "skipped", "vacuous quantification"
-    elif violations:
-        status, reason = "fail", None
-    else:
-        status, reason = "pass", None
+    evaluated, violations, reason = 0, [], "hypotheses unmet: " + ", ".join(unmet)
+    if not unmet:
+        evaluated, violations = check.kernel(Ctx(instance, seed=seed, chain_samples=chain_samples))
+        reason = "vacuous quantification" if evaluated == 0 else None
+    status = "skipped" if reason else "fail" if violations else "pass"
     return CheckResult(instance=instance.name, check_id=check.id, status=status,
                        evaluated=int(evaluated), violations=violations,
                        skip_reason=reason, dashed=check.dashed,

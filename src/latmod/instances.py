@@ -382,6 +382,17 @@ def _build_block(block: _Block, rows: int | None) -> dict:
     if block.count is None:
         raise ParseError(f"{block.kind} block has no elements declaration", block.lineno)
     n = block.count
+    height = n if rows is None else rows
+    # Every cell id is already bounds-checked, so the table is total exactly
+    # when it has height * n cells.  Checking that before allocating anything
+    # keeps memory bounded by the input: an "elements 1000000000" line with a
+    # few cells is rejected here instead of allocating n x n arrays.
+    if len(block.cells) != height * n:
+        i, j = next((i, j) for i in range(height) for j in range(n)
+                    if (i, j) not in block.cells)
+        stmt = "mul" if block.kind == "lattice" else "act"
+        raise ParseError(
+            f"non-total {stmt} table: missing entry for ({i}, {j})", block.lineno)
     leq = np.eye(n, dtype=bool)
     for i, j in block.leq_pairs:
         leq[i, j] = True
@@ -391,16 +402,9 @@ def _build_block(block: _Block, rows: int | None) -> dict:
         if (closed == leq).all():
             break
         leq = closed
-    width = n
-    height = n if rows is None else rows
-    stmt = "mul" if block.kind == "lattice" else "act"
-    table = np.full((height, width), -1, dtype=np.int64)
+    table = np.empty((height, n), dtype=np.int64)
     for (i, j), v in block.cells.items():
         table[i, j] = v
-    if (table < 0).any():
-        i, j = map(int, np.argwhere(table < 0)[0])
-        raise ParseError(
-            f"non-total {stmt} table: missing entry for ({i}, {j})", block.lineno)
     labels = None
     if block.labels:
         labels = tuple(block.labels.get(i, str(i)) for i in range(n))

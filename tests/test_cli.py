@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,14 @@ def test_validate_parse_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 2
     assert "non-total" in err
+
+
+def test_validate_huge_element_count(tmp_path, capsys):
+    path = tmp_path / "huge.mlat"
+    path.write_text("mlat 1\nlattice\nelements 1000000000\nmul 0 0 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err == f"{path}: non-total mul table: missing entry for (0, 1) (line 2)\n"
 
 
 def test_classify_label(tmp_path, capsys):
@@ -163,3 +172,27 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, argv):
     assert out == ""
     assert err.count("\n") == 1
     assert f"{path}: not valid UTF-8 (invalid continuation byte at byte 37)" in err
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_load_errors_name_the_file(capsys, command):
+    good = str(FIXTURES / "v02_two_chain_module.mlat")
+    bad_header = str(FIXTURES / "e01_bad_header.mlat")
+    invalid = str(FIXTURES / "e13_axiom_identity.mlat")
+
+    def run(path):
+        # verify loads a good file first, so only the path tells which file failed
+        argv = ["classify", path, "--all"] if command == "classify" else ["verify", good, path]
+        return run_cli(capsys, *argv)
+
+    code, out, err = run(bad_header)
+    assert code == 2 and out == ""
+    assert err == f"error: {bad_header}: expected version header 'mlat 1' (line 1, column 1)\n"
+
+    code, out, err = run(invalid)
+    assert code == 1 and out == ""
+    assert err.startswith(f"{invalid}: invalid instance: 1 axiom violation(s): ")
+    assert err.count("\n") == 1

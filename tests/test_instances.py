@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -209,3 +210,24 @@ def test_label_with_spaces_preserved():
     L, _ = parse_instance((FIXTURES / "v03_comments_blank.mlat").read_text(encoding="utf-8"))
     assert L.labels == ("the zero element", "the one element")
     assert "label 0 the zero element" in serialize_instance(L)
+
+
+TWO_CHAIN = "lattice\nelements 2\nleq 0 1\nmul 0 0 0\nmul 0 1 0\nmul 1 0 0\nmul 1 1 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mlat 1\nlattice\nelements 1000000000\nmul 0 0 0\n",
+     "non-total mul table: missing entry for (0, 1) (line 2)"),
+    (f"mlat 1\n{TWO_CHAIN}module\nelements 1000000000\nact 0 0 0\n",
+     "non-total act table: missing entry for (0, 1) (line 9)"),
+], ids=["lattice", "module"])
+def test_huge_element_count_rejected_without_allocating(text, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    assert peak < 1 << 20
