@@ -13,7 +13,7 @@ flag failure.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,17 +59,17 @@ FLAG_NAMES = (
 )
 
 # Test-only fault injection: (flag name, element ids or None for all).
-# When active, the named predicate's verdict is inverted; flipped verdicts
-# carry no witness.  Used to exercise the failure-reporting paths.
+# Read only by classify_all, which reports the named flag inverted.  Used to
+# exercise the failure-reporting paths.
 _FAULT: tuple[str, frozenset[int] | None] | None = None
 
 
 @contextmanager
 def inject_classifier_fault(flag: str, elements=None):
-    """Invert one classifier's verdict for the duration of the context.
+    """Invert ``flag`` in what :func:`classify_all` and :func:`classify` report
+    for ``elements`` (default: all), for the duration of the context.
 
-    No derived table depends on a verdict, so no memo is touched: while the
-    fault is active, :func:`classify_all` builds a fresh result on every call.
+    The ``is_*`` predicates, :func:`p_attachments` and the memo are unaffected.
     """
     global _FAULT
     if flag not in FLAG_NAMES:
@@ -80,14 +80,6 @@ def inject_classifier_fault(flag: str, elements=None):
         yield
     finally:
         _FAULT = previous
-
-
-def _faulted(flag: str, element: int, value: bool, witness):
-    if _FAULT is not None:
-        name, targets = _FAULT
-        if name == flag and (targets is None or element in targets):
-            return (not value), None
-    return value, witness
 
 
 def _require_proper(M: LatticeModule, N: int) -> None:
@@ -107,7 +99,7 @@ def is_prime_m(M: LatticeModule, N: int):
     act_le = M.leq[M.act_table, N]
     atop_le = M.leq[M.act_table[:, M.top], N]
     w = _first(act_le & ~below[None, :] & ~atop_le[:, None])
-    return _faulted("prime", N, w is None, w)
+    return w is None, w
 
 
 def is_primary_m(M: LatticeModule, N: int):
@@ -117,7 +109,7 @@ def is_primary_m(M: LatticeModule, N: int):
     act_le = M.leq[M.act_table, N]
     stable_le = M.leq[stable_act_top_table(M), N]
     w = _first(act_le & ~below[None, :] & ~stable_le[:, None])
-    return _faulted("primary", N, w is None, w)
+    return w is None, w
 
 
 def is_semiprime(M: LatticeModule, N: int):
@@ -127,7 +119,7 @@ def is_semiprime(M: LatticeModule, N: int):
     ab_top_le = M.leq[M.act_table[L.mul_table, M.top], N]
     atop_le = M.leq[M.act_table[:, M.top], N]
     w = _first(ab_top_le & ~atop_le[:, None] & ~atop_le[None, :])
-    return _faulted("semiprime", N, w is None, w)
+    return w is None, w
 
 
 def is_radical_element(M: LatticeModule, N: int):
@@ -136,7 +128,7 @@ def is_radical_element(M: LatticeModule, N: int):
     r = int(residual_mm_table(M)[N, M.top])
     s = int(sqrt_table(M.lattice)[r])
     ok = r == s
-    return _faulted("radical_element", N, ok, None if ok else (r, s))
+    return ok, (None if ok else (r, s))
 
 
 def _abk_le(M: LatticeModule, N: int) -> np.ndarray:
@@ -152,7 +144,7 @@ def is_classical_prime(M: LatticeModule, N: int):
     _require_proper(M, N)
     ak_le = M.leq[M.act_table, N]
     w = _first(_abk_le(M, N) & ~ak_le[:, None, :] & ~ak_le[None, :, :])
-    return _faulted("classical_prime", N, w is None, w)
+    return w is None, w
 
 
 def is_two_absorbing(M: LatticeModule, N: int):
@@ -163,7 +155,7 @@ def is_two_absorbing(M: LatticeModule, N: int):
     ab_le = L.leq[L.mul_table, r]
     ak_le = M.leq[M.act_table, N]
     w = _first(_abk_le(M, N) & ~ab_le[:, :, None] & ~ak_le[:, None, :] & ~ak_le[None, :, :])
-    return _faulted("two_absorbing", N, w is None, w)
+    return w is None, w
 
 
 def is_pseudo_primary(M: LatticeModule, N: int):
@@ -175,7 +167,7 @@ def is_pseudo_primary(M: LatticeModule, N: int):
     a_ok = L.leq[:, r]
     x_ok = M.leq[:, rad(M, N)]
     w = _first(act_le & ~a_ok[:, None] & ~x_ok[None, :])
-    return _faulted("pseudo_primary", N, w is None, w)
+    return w is None, w
 
 
 def is_pseudo_classical_primary(M: LatticeModule, N: int):
@@ -184,7 +176,7 @@ def is_pseudo_classical_primary(M: LatticeModule, N: int):
     ak_le = M.leq[M.act_table, N]
     bk_rad_le = M.leq[M.act_table, rad(M, N)]
     w = _first(_abk_le(M, N) & ~ak_le[:, None, :] & ~bk_rad_le[None, :, :])
-    return _faulted("pseudo_classical_primary", N, w is None, w)
+    return w is None, w
 
 
 @dataclass(frozen=True)
@@ -282,10 +274,23 @@ def classify(M: LatticeModule, N: int) -> Classification:
 
 
 def classify_all(M: LatticeModule) -> dict[int, Classification]:
-    """Classification of every proper element; memoized on M unless a fault is injected."""
-    if _FAULT is not None:
-        return _classification_table.__wrapped__(M)
-    return _classification_table(M)
+    """Classification of every proper element, memoized on M; under
+    :func:`inject_classifier_fault`, a new dict with the fault applied."""
+    table = _classification_table(M)
+    if _FAULT is None:
+        return table
+    flag, targets = _FAULT
+    lflags = lattice_flags(M.lattice)
+    return {n: _inverted(c, flag, lflags) if targets is None or n in targets else c
+            for n, c in table.items()}
+
+
+def _inverted(c: Classification, flag: str, lflags) -> Classification:
+    """``c`` with ``flag`` inverted, its witness dropped, attachments recomputed."""
+    c = replace(c, **{flag: not c.flag(flag)},
+                witnesses={k: w for k, w in c.witnesses.items() if k != flag})
+    return replace(c, **vars(_attachments(lflags, c.residual_top, c.sqrt_residual_top,
+                                          c.prime, c.primary, c.pseudo_primary)))
 
 
 @_memo
@@ -309,8 +314,7 @@ def _classification_table(M: LatticeModule) -> dict[int, Classification]:
             "pseudo_classical_primary": is_pseudo_classical_primary(M, n),
         }
         flags = {k: v[0] for k, v in checks.items()}
-        witnesses = {k: v[1] for k, v in checks.items() if not v[0] and v[1] is not None}
-        maximal, _ = _faulted("maximal", n, n in maximals, None)
+        witnesses = {k: v[1] for k, v in checks.items() if not v[0]}
         r = int(R[n, M.top])
         s = int(sqrts[r])
         minimal_over = tuple(
@@ -320,7 +324,7 @@ def _classification_table(M: LatticeModule) -> dict[int, Classification]:
             element=n,
             label=M.label(n),
             proper=True,
-            maximal=maximal,
+            maximal=n in maximals,
             residual_top=r,
             sqrt_residual_top=s,
             rad=rad(M, n),

@@ -56,10 +56,17 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
     return f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
 
 
+class _OutputError(Exception):
+    """The ``-o`` output file cannot be written (exit status 2)."""
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutputError(str(exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -213,6 +220,8 @@ def cmd_verify(args) -> int:
             print(f"{entry['id']}{dashed}\n    {entry['description']}\n    hypotheses: {hyps}")
         return 0
 
+    if args.max_n is not None and args.family not in ("zn-self", "zn-square"):
+        return _usage_error("--max-n applies only to --family zn-self or zn-square")
     cap = _square_cap()
     instances = []
     try:
@@ -239,6 +248,8 @@ def cmd_verify(args) -> int:
         selection = "all"
     else:
         selection = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not selection:
+            return _usage_error(f"--checks {args.checks!r} names no check")
         known = registry()
         for cid in selection:
             if cid not in known:
@@ -315,7 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _OutputError as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

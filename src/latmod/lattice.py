@@ -177,32 +177,26 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _order_violations(leq: np.ndarray, collect_all: bool) -> list[Violation]:
+def _order_violations(leq: np.ndarray) -> list[Violation]:
     n = leq.shape[0]
     out = []
     for i in range(n):
         if not leq[i, i]:
             out.append(Violation("order-reflexive", (i,), f"{i} <= {i} fails"))
-            if not collect_all:
-                return out
     anti = leq & leq.T & ~np.eye(n, dtype=bool)
     for i, j in np.argwhere(anti):
         if i < j:
             out.append(Violation("order-antisymmetric", (int(i), int(j)),
                                  f"{i} <= {j} and {j} <= {i} with {i} != {j}"))
-            if not collect_all:
-                return out
     reach = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
     for i, j in np.argwhere(reach & ~leq):
         k = int(np.flatnonzero(leq[i] & leq[:, j])[0])
         out.append(Violation("order-transitive", (int(i), k, int(j)),
                              f"{i} <= {k} <= {j} but not {i} <= {j}"))
-        if not collect_all:
-            return out
     return out
 
 
-def _derive_join_meet(leq: np.ndarray, collect_all: bool):
+def _derive_join_meet(leq: np.ndarray):
     """Least upper bounds / greatest lower bounds from the order alone."""
     n = leq.shape[0]
     join = np.full((n, n), -1, dtype=np.int64)
@@ -218,8 +212,6 @@ def _derive_join_meet(leq: np.ndarray, collect_all: bool):
                     lub = int(ups[least][0])
             if lub < 0:
                 out.append(Violation("order-lub", (i, j), f"elements {i}, {j} have no least upper bound"))
-                if not collect_all:
-                    return None, None, out
             join[i, j] = join[j, i] = lub
             downs = np.flatnonzero(leq[:, i] & leq[:, j])
             glb = -1
@@ -229,11 +221,7 @@ def _derive_join_meet(leq: np.ndarray, collect_all: bool):
                     glb = int(downs[greatest][0])
             if glb < 0:
                 out.append(Violation("order-glb", (i, j), f"elements {i}, {j} have no greatest lower bound"))
-                if not collect_all:
-                    return None, None, out
             meet[i, j] = meet[j, i] = glb
-    if out:
-        return None, None, out
     return join, meet, out
 
 
@@ -248,17 +236,16 @@ def _coerce_square(table, n: int, name: str):
     return arr, []
 
 
-def _lattice_order(leq: np.ndarray, join_table, meet_table, top, bottom,
-                   collect_all: bool):
+def _lattice_order(leq: np.ndarray, join_table, meet_table, top, bottom):
     """Order axioms, derived join/meet cross-checked against supplied tables, top/bottom.
 
     Returns ``((join, meet, top, bottom), violations)``, or ``(None,
     violations)`` when checking must stop there.
     """
-    out = _order_violations(leq, collect_all)
+    out = _order_violations(leq)
     if out:
         return None, out
-    join, meet, out = _derive_join_meet(leq, collect_all)
+    join, meet, out = _derive_join_meet(leq)
     if out:
         return None, out
     n = leq.shape[0]
@@ -272,8 +259,6 @@ def _lattice_order(leq: np.ndarray, join_table, meet_table, top, bottom,
             out.append(Violation(f"{name}-table", (int(i), int(j)),
                                  f"supplied {name}[{i},{j}] = {int(supplied[i, j])}, "
                                  f"order gives {int(derived[i, j])}"))
-            if not collect_all:
-                return None, out
 
     derived_top = int(np.flatnonzero(leq.all(axis=0))[0])
     derived_bottom = int(np.flatnonzero(leq.all(axis=1))[0])
@@ -281,12 +266,10 @@ def _lattice_order(leq: np.ndarray, join_table, meet_table, top, bottom,
         out.append(Violation("top", (int(top),), f"declared top {top}, order gives {derived_top}"))
     if bottom is not None and int(bottom) != derived_bottom:
         out.append(Violation("bottom", (int(bottom),), f"declared bottom {bottom}, order gives {derived_bottom}"))
-    if out and not collect_all:
-        return None, out
     return (join, meet, derived_top, derived_bottom), out
 
 
-def _check_lattice(leq, mul_table, join_table, meet_table, top, bottom, collect_all: bool):
+def _check_lattice(leq, mul_table, join_table, meet_table, top, bottom):
     """:func:`lattice_violations`, plus ``(leq, join, meet, mul, top, bottom)`` when valid."""
     leq = np.asarray(leq, dtype=bool)
     if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
@@ -295,7 +278,7 @@ def _check_lattice(leq, mul_table, join_table, meet_table, top, bottom, collect_
     if n == 0:
         return None, [Violation("order-shape", (), "carrier must be nonempty")]
 
-    order, out = _lattice_order(leq, join_table, meet_table, top, bottom, collect_all)
+    order, out = _lattice_order(leq, join_table, meet_table, top, bottom)
     if order is None:
         return None, out
     join, meet, derived_top, derived_bottom = order
@@ -309,58 +292,46 @@ def _check_lattice(leq, mul_table, join_table, meet_table, top, bottom, collect_
         if i < j:
             out.append(Violation("mul-commutative", (int(i), int(j)),
                                  f"{i}*{j} = {int(mul[i, j])} but {j}*{i} = {int(mul[j, i])}"))
-            if not collect_all:
-                return None, out
     for (a,) in np.argwhere(mul[derived_top] != ids):
         out.append(Violation("mul-identity", (int(a),),
                              f"top * {a} = {int(mul[derived_top, a])}, expected {a}"))
-        if not collect_all:
-            return None, out
     for (a,) in np.argwhere(mul[:, derived_top] != ids):
         if mul[derived_top, a] == a:  # avoid duplicating the symmetric report
             out.append(Violation("mul-identity", (int(a),),
                                  f"{a} * top = {int(mul[a, derived_top])}, expected {a}"))
-            if not collect_all:
-                return None, out
     assoc_lhs = mul[mul, :]
     assoc_rhs = mul[ids[:, None, None], mul[None, :, :]]
     for a, b, c in np.argwhere(assoc_lhs != assoc_rhs):
         out.append(Violation("mul-associative", (int(a), int(b), int(c)),
                              f"({a}*{b})*{c} = {int(assoc_lhs[a, b, c])} but {a}*({b}*{c}) = {int(assoc_rhs[a, b, c])}"))
-        if not collect_all:
-            return None, out
     dist_lhs = mul[ids[:, None, None], join[None, :, :]]
     dist_rhs = join[mul[:, :, None], mul[:, None, :]]
     for a, b, c in np.argwhere(dist_lhs != dist_rhs):
         out.append(Violation("mul-join-distributive", (int(a), int(b), int(c)),
                              f"{a}*({b} v {c}) = {int(dist_lhs[a, b, c])} but "
                              f"{a}*{b} v {a}*{c} = {int(dist_rhs[a, b, c])}"))
-        if not collect_all:
-            return None, out
     return (leq, join, meet, mul, derived_top, derived_bottom), out
 
 
 def lattice_violations(leq, mul_table, join_table=None, meet_table=None,
-                       top=None, bottom=None, collect_all: bool = True) -> list[Violation]:
+                       top=None, bottom=None) -> list[Violation]:
     """Check the multiplicative-lattice axioms on raw tables.
 
-    Returns every violation found (or just the first when
-    ``collect_all=False``), each naming the axiom and a witness tuple.
+    Returns every violation found, each naming the axiom and a witness tuple;
+    checking stops only at an invalid order, a missing lub/glb or a malformed table.
     """
-    return _check_lattice(leq, mul_table, join_table, meet_table, top, bottom, collect_all)[1]
+    return _check_lattice(leq, mul_table, join_table, meet_table, top, bottom)[1]
 
 
 def validate_lattice(leq, mul_table, join_table=None, meet_table=None,
-                     top=None, bottom=None, labels=None,
-                     collect_all: bool = True) -> MultiplicativeLattice:
+                     top=None, bottom=None, labels=None) -> MultiplicativeLattice:
     """Validate raw tables and return the frozen structure.
 
     Join/meet tables may be supplied (they are cross-checked against the
     order) or omitted (they are derived).  Raises :class:`ValidationError`
     carrying the violation report otherwise.
     """
-    fields, violations = _check_lattice(leq, mul_table, join_table, meet_table,
-                                        top, bottom, collect_all)
+    fields, violations = _check_lattice(leq, mul_table, join_table, meet_table, top, bottom)
     if violations:
         raise ValidationError(violations)
     leq, join, meet, mul, top, bottom = fields

@@ -100,7 +100,7 @@ class ElementContext:
 
 
 def _check_module(L: MultiplicativeLattice, leq, act_table, join_table, meet_table,
-                  top, bottom, collect_all: bool, subset_checks: int, seed: int):
+                  top, bottom):
     """:func:`module_violations`, plus ``(leq, join, meet, act, top, bottom)`` when valid."""
     leq = np.asarray(leq, dtype=bool)
     if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
@@ -109,7 +109,7 @@ def _check_module(L: MultiplicativeLattice, leq, act_table, join_table, meet_tab
     if m == 0:
         return None, [Violation("order-shape", (), "module carrier must be nonempty")]
 
-    order, out = _lattice_order(leq, join_table, meet_table, top, bottom, collect_all)
+    order, out = _lattice_order(leq, join_table, meet_table, top, bottom)
     if order is None:
         return None, out
     join, meet, derived_top, derived_bottom = order
@@ -133,14 +133,10 @@ def _check_module(L: MultiplicativeLattice, leq, act_table, join_table, meet_tab
         if a <= b:
             out.append(Violation("axiom-1", (int(a), int(b), int(x)),
                                  f"({a} v {b}){x} = {int(lhs[a, b, x])} but {a}{x} v {b}{x} = {int(rhs[a, b, x])}"))
-            if not collect_all:
-                return None, out
     # (5) == the empty-join case of (1): bottom_L A == bottom_M
     for (x,) in np.argwhere(act[L.bottom] != derived_bottom):
         out.append(Violation("axiom-5", (int(x),),
                              f"bottom * {x} = {int(act[L.bottom, x])}, expected module bottom {derived_bottom}"))
-        if not collect_all:
-            return None, out
     # (2) binary: a (A v B) == aA v aB
     lhs = act[:, join]
     rhs = join[act[:, :, None], act[:, None, :]]
@@ -148,34 +144,27 @@ def _check_module(L: MultiplicativeLattice, leq, act_table, join_table, meet_tab
         if x <= y:
             out.append(Violation("axiom-2", (int(a), int(x), int(y)),
                                  f"{a}({x} v {y}) = {int(lhs[a, x, y])} but {a}{x} v {a}{y} = {int(rhs[a, x, y])}"))
-            if not collect_all:
-                return None, out
     # (2) empty-join case: a bottom_M == bottom_M
     for (a,) in np.argwhere(act[:, derived_bottom] != derived_bottom):
         out.append(Violation("axiom-2-empty", (int(a),),
                              f"{a} * module bottom = {int(act[a, derived_bottom])}, expected {derived_bottom}"))
-        if not collect_all:
-            return None, out
     # (3): (a b) A == a (b A)
     lhs = act[L.mul_table, :]
     rhs = act[lids[:, None, None], act[None, :, :]]
     for a, b, x in np.argwhere(lhs != rhs):
         out.append(Violation("axiom-3", (int(a), int(b), int(x)),
                              f"({a}*{b}){x} = {int(lhs[a, b, x])} but {a}({b}{x}) = {int(rhs[a, b, x])}"))
-        if not collect_all:
-            return None, out
     # (4): top_L A == A
     for (x,) in np.argwhere(act[L.top] != mids):
         out.append(Violation("axiom-4", (int(x),),
                              f"top * {x} = {int(act[L.top, x])}, expected {x}"))
-        if not collect_all:
-            return None, out
 
-    # Seeded random-subset spot checks of the family forms of (1) and (2).
-    # Implied by the binary + empty cases on a finite carrier; kept for fidelity.
-    rng = random.Random(seed)
+    # Spot checks of the family forms of (1) and (2) on 200 random subsets from
+    # a fixed seed.  Implied by the binary + empty cases on a finite carrier;
+    # kept for fidelity.
+    rng = random.Random(0)
     mod_join_all = lambda xs: _reduce_table(join, derived_bottom, xs)
-    for _ in range(subset_checks):
+    for _ in range(200):
         subset = rng.sample(range(nl), rng.randint(0, nl))
         x = rng.randrange(m)
         got = int(act[L.join_all(subset), x])
@@ -183,8 +172,6 @@ def _check_module(L: MultiplicativeLattice, leq, act_table, join_table, meet_tab
         if got != want:
             out.append(Violation("axiom-1-subset", tuple(sorted(subset)) + (x,),
                                  f"(join {sorted(subset)}){x} = {got}, expected {want}"))
-            if not collect_all:
-                return None, out
         a = rng.randrange(nl)
         msubset = rng.sample(range(m), rng.randint(0, m))
         got = int(act[a, mod_join_all(msubset)])
@@ -192,18 +179,13 @@ def _check_module(L: MultiplicativeLattice, leq, act_table, join_table, meet_tab
         if got != want:
             out.append(Violation("axiom-2-subset", (a,) + tuple(sorted(msubset)),
                                  f"{a}(join {sorted(msubset)}) = {got}, expected {want}"))
-            if not collect_all:
-                return None, out
     return (leq, join, meet, act, derived_top, derived_bottom), out
 
 
 def module_violations(L: MultiplicativeLattice, leq, act_table,
-                      join_table=None, meet_table=None, top=None, bottom=None,
-                      collect_all: bool = True, subset_checks: int = 200,
-                      seed: int = 0) -> list[Violation]:
-    """Check the lattice-module axioms on raw tables."""
-    return _check_module(L, leq, act_table, join_table, meet_table, top, bottom,
-                         collect_all, subset_checks, seed)[1]
+                      join_table=None, meet_table=None, top=None, bottom=None) -> list[Violation]:
+    """Check the lattice-module axioms on raw tables and return every violation found."""
+    return _check_module(L, leq, act_table, join_table, meet_table, top, bottom)[1]
 
 
 def _reduce_table(table: np.ndarray, unit: int, xs) -> int:
@@ -215,11 +197,9 @@ def _reduce_table(table: np.ndarray, unit: int, xs) -> int:
 
 def validate_module(L: MultiplicativeLattice, leq, act_table,
                     join_table=None, meet_table=None, top=None, bottom=None,
-                    labels=None, collect_all: bool = True,
-                    subset_checks: int = 200, seed: int = 0) -> LatticeModule:
+                    labels=None) -> LatticeModule:
     """Validate raw module tables over L and return the frozen structure."""
-    fields, violations = _check_module(L, leq, act_table, join_table, meet_table,
-                                       top, bottom, collect_all, subset_checks, seed)
+    fields, violations = _check_module(L, leq, act_table, join_table, meet_table, top, bottom)
     if violations:
         raise ValidationError(violations)
     leq, join, meet, act, top, bottom = fields

@@ -196,3 +196,34 @@ def test_load_errors_name_the_file(capsys, command):
     assert code == 1 and out == ""
     assert err.startswith(f"{invalid}: invalid instance: 1 axiom violation(s): ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "zn-self", "6"),
+    ("classify", str(FIXTURES / "v02_two_chain_module.mlat"), "--all"),
+    ("verify", str(FIXTURES / "v02_two_chain_module.mlat"), "--checks", "fig1-implications"),
+], ids=lambda argv: argv[0])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, *argv, "-o", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("checks", [",", " , "])
+def test_verify_empty_check_selection(capsys, checks):
+    code, out, err = run_cli(capsys, "verify", "--family", "zn-self", "--max-n", "3",
+                             "--checks", checks)
+    assert code == 2 and out == ""
+    assert err == f"error: --checks {checks!r} names no check\n"
+
+
+@pytest.mark.parametrize("selection", [
+    ("--family", "default"),
+    (str(FIXTURES / "v02_two_chain_module.mlat"),),
+], ids=["default-family", "no-family"])
+def test_verify_max_n_needs_generated_family(capsys, selection):
+    code, out, err = run_cli(capsys, "verify", *selection, "--max-n", "3")
+    assert code == 2 and out == ""
+    assert err == "error: --max-n applies only to --family zn-self or zn-square\n"

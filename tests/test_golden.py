@@ -15,7 +15,7 @@ import json
 import pytest
 
 from latmod import gen_zn_self_module, inject_classifier_fault
-from latmod.classify import FLAG_NAMES
+from latmod.classify import FLAG_NAMES, classify_all
 from latmod.cli import main
 from latmod.harness import make_instance, run_suite
 
@@ -33,6 +33,9 @@ FAULTED_SHA256 = {
     "pseudo_classical_primary":
         "7269956470378fac63736d9b54bf5eaefc79ed02b37b56e6aaadd7a7a8aa3c87",
 }
+# Recorded at a6ab2a8: one digest over every flag, each inverted on every
+# other proper element, pinning the faulted reports and classifications.
+TARGETED_FAULT_SHA256 = "d8d32c9aaa59f501bd0bc7744762b141664264caab4df5a4cc65d5e17455c976"
 
 
 def _sha256(text: str) -> str:
@@ -70,3 +73,13 @@ def test_faulted_suite_pinned(zn_self_12, flag):
         report = run_suite([zn_self_12]).as_dict()
     # insertion order, not sort_keys: the key order of every violation is pinned too
     assert _sha256(json.dumps(report)) == FAULTED_SHA256[flag]
+
+
+def test_targeted_faults_pinned(zn_self_12):
+    M = zn_self_12.module
+    digest = hashlib.sha256()
+    for flag in FLAG_NAMES:
+        with inject_classifier_fault(flag, elements=list(M.proper_elements())[::2]):
+            digest.update(json.dumps(run_suite([zn_self_12]).as_dict()).encode())
+            digest.update(json.dumps([c.as_dict() for c in classify_all(M).values()]).encode())
+    assert digest.hexdigest() == TARGETED_FAULT_SHA256

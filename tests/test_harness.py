@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 
 import pytest
@@ -10,7 +11,7 @@ from latmod import (
     l_element_flags,
     residual_mm,
 )
-from latmod.classify import classify_all, is_pseudo_classical_primary
+from latmod.classify import classify_all, is_prime_m, is_pseudo_classical_primary
 from latmod.harness import (
     AUTO_HYPOTHESES,
     BUNDLE,
@@ -232,3 +233,28 @@ def test_structures_freed_after_use():
         del module
     gc.collect()
     assert [ref for ref in refs if ref() is not None] == []
+
+
+def test_fault_reads_the_one_classification(monkeypatch):
+    # ``latmod.classify`` is the classify function; the submodule is patched
+    # through sys.modules
+    classify_module = sys.modules["latmod.classify"]
+    calls = []
+    predicate = classify_module.is_classical_prime
+
+    def counted(M, n):
+        calls.append(n)
+        return predicate(M, n)
+
+    monkeypatch.setattr(classify_module, "is_classical_prime", counted)
+    inst = make_instance("zn-square-4", gen_zn_square_module(4))
+    M = inst.module
+    with inject_classifier_fault("pseudo_primary"):
+        assert not run_suite([inst]).ok()
+    assert run_suite([inst]).ok()
+    assert sorted(calls) == list(M.proper_elements())
+
+    clean = [is_prime_m(M, n) for n in M.proper_elements()]
+    with inject_classifier_fault("prime"):
+        assert [is_prime_m(M, n) for n in M.proper_elements()] == clean
+        assert [c.prime for c in classify_all(M).values()] == [not v for v, _ in clean]
