@@ -196,32 +196,49 @@ def _order_violations(leq: np.ndarray) -> list[Violation]:
     return out
 
 
-def _derive_join_meet(leq: np.ndarray):
-    """Least upper bounds / greatest lower bounds from the order alone."""
-    n = leq.shape[0]
-    join = np.full((n, n), -1, dtype=np.int64)
-    meet = np.full((n, n), -1, dtype=np.int64)
-    out = []
+def _least_common_bounds(above: np.ndarray):
+    """For each row i, the least member of ``above[i] & above[j]`` for every
+    j >= i, or -1 where that set has no least member.
+
+    ``above[x]`` is the set of elements at or above x in a partial order.  A
+    least member lies below every other member, so its down-set is strictly
+    the smallest in the set: it is the first member met when the carrier is
+    scanned by increasing down-set size, and that first member is least iff
+    the whole set lies in its own ``above`` row.  Each row is one numpy pass
+    with O(n^2) extra memory, never an (n, n, n) tensor.
+    """
+    n = above.shape[0]
+    scan = np.argsort(above.sum(axis=0))
+    above = above[:, scan]
     for i in range(n):
-        for j in range(i, n):
-            ups = np.flatnonzero(leq[i] & leq[j])
-            lub = -1
-            if ups.size:
-                least = leq[np.ix_(ups, ups)].all(axis=1)
-                if least.sum() == 1:
-                    lub = int(ups[least][0])
-            if lub < 0:
-                out.append(Violation("order-lub", (i, j), f"elements {i}, {j} have no least upper bound"))
-            join[i, j] = join[j, i] = lub
-            downs = np.flatnonzero(leq[:, i] & leq[:, j])
-            glb = -1
-            if downs.size:
-                greatest = leq[np.ix_(downs, downs)].all(axis=0)
-                if greatest.sum() == 1:
-                    glb = int(downs[greatest][0])
-            if glb < 0:
-                out.append(Violation("order-glb", (i, j), f"elements {i}, {j} have no greatest lower bound"))
-            meet[i, j] = meet[j, i] = glb
+        common = above[i] & above[i:]
+        first = common.argmax(axis=1)
+        least = scan[first]
+        found = common.any(axis=1) & ~(common & ~above[least]).any(axis=1)
+        yield np.where(found, least, -1)
+
+
+def _derive_join_meet(leq: np.ndarray):
+    """Least upper bounds / greatest lower bounds from the order alone.
+
+    join[i, j] is the least member of up(i) & up(j), and meet[i, j] the
+    greatest member of down(i) & down(j), i.e. the least one in the reversed
+    order ``leq.T`` (:func:`_least_common_bounds`).  A missing one is reported
+    for i ascending, then j, order-lub before order-glb.
+    """
+    n = leq.shape[0]
+    join = np.empty((n, n), dtype=np.int64)
+    meet = np.empty((n, n), dtype=np.int64)
+    out = []
+    rows = zip(_least_common_bounds(leq), _least_common_bounds(leq.T))
+    for i, (lubs, glbs) in enumerate(rows):
+        join[i, i:] = join[i:, i] = lubs
+        meet[i, i:] = meet[i:, i] = glbs
+        for j in np.flatnonzero((lubs < 0) | (glbs < 0)) + i:
+            if join[i, j] < 0:
+                out.append(Violation("order-lub", (i, int(j)), f"elements {i}, {j} have no least upper bound"))
+            if meet[i, j] < 0:
+                out.append(Violation("order-glb", (i, int(j)), f"elements {i}, {j} have no greatest lower bound"))
     return join, meet, out
 
 
@@ -254,7 +271,7 @@ def _lattice_order(leq: np.ndarray, join_table, meet_table, top, bottom):
             continue
         supplied, errs = _coerce_square(table, n, name)
         if errs:
-            return None, errs
+            return None, out + errs
         for i, j in np.argwhere(supplied != derived):
             out.append(Violation(f"{name}-table", (int(i), int(j)),
                                  f"supplied {name}[{i},{j}] = {int(supplied[i, j])}, "
@@ -355,16 +372,28 @@ def validate_lattice(leq, mul_table, join_table=None, meet_table=None,
 # residuation, powers, radicals
 
 
+def _join_of_members(leq: np.ndarray, is_member) -> np.ndarray:
+    """Joins of a stack of join-closed sets that contain the bottom.
+
+    ``is_member(xs)`` maps an ordering ``xs`` of the carrier of ``leq`` to a
+    boolean array whose last axis runs over ``xs``.  A set closed under
+    binary joins and holding the bottom contains its own join, so its join is
+    its greatest member, whose down-set is strictly the largest in the set.
+    Offering the carrier by decreasing down-set size, ``argmax`` picks that
+    member: one boolean gather and no per-cell join loop.
+    """
+    xs = np.argsort(-leq.sum(axis=0))
+    return _freeze(xs[is_member(xs).argmax(axis=-1)])
+
+
 @_memo
 def residual_table_ll(L: MultiplicativeLattice) -> np.ndarray:
-    """Full residual table: entry [a, b] is (a:b) = join of x with x*b <= a."""
-    n = L.element_count
-    out = np.empty((n, n), dtype=np.int64)
-    for b in range(n):
-        xb = L.mul_table[:, b]
-        for a in range(n):
-            out[a, b] = L.join_all(np.flatnonzero(L.leq[xb, a]))
-    return _freeze(out)
+    """Full residual table: entry [a, b] is (a:b) = join of x with x*b <= a.
+
+    {x : x*b <= a} holds the bottom and is join-closed by join-distributivity.
+    """
+    # [a, b, x] = b*x <= a
+    return _join_of_members(L.leq, lambda xs: L.leq.T[:, L.mul_table[:, xs]])
 
 
 def residual_ll(L: MultiplicativeLattice, a: int, b: int) -> int:
@@ -394,12 +423,13 @@ def stable_power(L: MultiplicativeLattice, a: int) -> int:
 
 @_memo
 def sqrt_table(L: MultiplicativeLattice) -> np.ndarray:
+    """Entry [a] is sqrt(a), the join of x with stable_power(x) <= a.
+
+    That set holds the bottom and is join-closed: (x v y)^2k <= x^k v y^k.
+    """
     stable = _stable_power_table(L)
-    n = L.element_count
-    out = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        out[a] = L.join_all(np.flatnonzero(L.leq[stable, a]))
-    return _freeze(out)
+    # [a, x] = stable_power(x) <= a
+    return _join_of_members(L.leq, lambda xs: L.leq.T[:, stable[xs]])
 
 
 def sqrt(L: MultiplicativeLattice, a: int) -> int:

@@ -1,6 +1,20 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from latmod import gen_zn_ideal_lattice, gen_zn_self_module, gen_zn_square_module
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 run is reproducible.  Hypothesis still caches the
+# constants it reads from local source files, at collection time; keep that
+# cache in the system temporary directory rather than in .hypothesis/.
+settings.register_profile("latmod", derandomize=True, database=None, deadline=None,
+                          max_examples=200)
+settings.load_profile("latmod")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "latmod-hypothesis")
 
 # filled by tests/test_acceptance.py; printed after the run
 ACCEPTANCE_LINES = []

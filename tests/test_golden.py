@@ -12,12 +12,20 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
-from latmod import gen_zn_self_module, inject_classifier_fault
+from latmod import (
+    gen_zn_ideal_lattice,
+    gen_zn_self_module,
+    gen_zn_square_module,
+    inject_classifier_fault,
+)
 from latmod.classify import FLAG_NAMES, classify_all
 from latmod.cli import main
 from latmod.harness import make_instance, run_suite
+from latmod.lattice import lattice_violations
+from latmod.module import module_violations
 
 LIST_SHA256 = "84d348c8721b9c84bb5a2eca27e2121ff36d2924cbfd944db06202579fc2a5ee"
 DEFAULT_JSON_SHA256 = "0bead606753b2d0cc5f37d027e243509ce5ce7504785a30bf813c50817f0b645"
@@ -36,6 +44,9 @@ FAULTED_SHA256 = {
 # Recorded at a6ab2a8: one digest over every flag, each inverted on every
 # other proper element, pinning the faulted reports and classifications.
 TARGETED_FAULT_SHA256 = "d8d32c9aaa59f501bd0bc7744762b141664264caab4df5a4cc65d5e17455c976"
+# Recorded at 8e88f1d: one digest over the violation lists of a single-cell
+# mutation sweep, pinning the validators' violations, witnesses and order.
+VALIDATOR_SHA256 = "a8b15bb40983c5663c3b8807b31f84f821691fec388f972ed4e3f4fba99c9ca2"
 
 
 def _sha256(text: str) -> str:
@@ -83,3 +94,36 @@ def test_targeted_faults_pinned(zn_self_12):
             digest.update(json.dumps(run_suite([zn_self_12]).as_dict()).encode())
             digest.update(json.dumps([c.as_dict() for c in classify_all(M).values()]).encode())
     assert digest.hexdigest() == TARGETED_FAULT_SHA256
+
+
+def _single_cell_mutants(table, wrong_values):
+    for idx in np.ndindex(table.shape):
+        for value in wrong_values(table[idx]):
+            mutant = table.copy()
+            mutant[idx] = value
+            yield mutant
+
+
+def _validator_sweep():
+    """Violation lists of single-cell mutations: each ``act`` cell moved to the
+    next id and each module ``leq`` cell flipped (zn-self-12, zn-square-3/4);
+    each ``mul`` cell set to every other id and each ``leq`` cell flipped (zn-ideals-12)."""
+    for M in (gen_zn_self_module(12), gen_zn_square_module(3), gen_zn_square_module(4)):
+        m = M.element_count
+        for act in _single_cell_mutants(M.act_table, lambda v: [(v + 1) % m]):
+            yield module_violations(M.lattice, M.leq, act)
+        for leq in _single_cell_mutants(M.leq, lambda v: [not v]):
+            yield module_violations(M.lattice, leq, M.act_table)
+    L = gen_zn_ideal_lattice(12)
+    n = L.element_count
+    for mul in _single_cell_mutants(L.mul_table, lambda v: [w for w in range(n) if w != v]):
+        yield lattice_violations(L.leq, mul)
+    for leq in _single_cell_mutants(L.leq, lambda v: [not v]):
+        yield lattice_violations(leq, L.mul_table)
+
+
+def test_validator_outputs_pinned():
+    digest = hashlib.sha256()
+    for violations in _validator_sweep():
+        digest.update(json.dumps([v.as_dict() for v in violations]).encode())
+    assert digest.hexdigest() == VALIDATOR_SHA256

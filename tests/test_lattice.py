@@ -1,8 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from latmod import (
     ValidationError,
@@ -15,7 +17,7 @@ from latmod import (
     stable_power,
     validate_lattice,
 )
-from latmod.lattice import lattice_violations, sqrt_table
+from latmod.lattice import _derive_join_meet, lattice_violations, sqrt_table
 
 from conftest import label_index
 
@@ -87,6 +89,77 @@ def test_supplied_table_cross_checked(l12):
     with pytest.raises(ValidationError) as err:
         validate_lattice(l12.leq, l12.mul_table, top=l12.bottom)
     assert any(v.axiom == "top" for v in err.value.violations)
+
+
+def test_bad_join_reported_with_malformed_meet(l12):
+    join = l12.join_table.copy()
+    join[1, 2] = 5  # join((2), (3)) is (1), id 0
+    violations = lattice_violations(l12.leq, l12.mul_table, join, l12.meet_table[:5])
+    assert [v.axiom for v in violations] == ["join-table", "meet-shape"]
+
+
+@st.composite
+def partial_orders(draw):
+    """A random order on up to 8 elements: the transitive closure of random
+    pairs i < j, half of them with a bottom and a top adjoined (so lattices
+    come up often), with the carrier ids shuffled."""
+    n = draw(st.integers(1, 8))
+    leq = np.eye(n, dtype=bool)
+    for i, j in itertools.combinations(range(n), 2):
+        leq[i, j] = draw(st.booleans())
+    if draw(st.booleans()):
+        leq[0, :] = leq[:, n - 1] = True
+    for k in range(n):
+        leq |= leq[:, k:k + 1] & leq[k:k + 1, :]
+    perm = draw(st.permutations(range(n)))
+    return leq[np.ix_(perm, perm)]
+
+
+def bound_by_definition(leq, i, j, upper):
+    """The lub (upper) or glb of i and j straight from the definition, or None."""
+    n = len(leq)
+    le = (lambda a, b: leq[a][b]) if upper else (lambda a, b: leq[b][a])
+    bounds = [k for k in range(n) if le(i, k) and le(j, k)]
+    least = [u for u in bounds if all(le(u, k) for k in bounds)]
+    return least[0] if least else None
+
+
+@given(partial_orders())
+def test_lub_glb_against_definition(leq):
+    n = len(leq)
+    join = np.zeros((n, n), dtype=np.int64)
+    meet = np.zeros((n, n), dtype=np.int64)
+    missing = []
+    for i in range(n):
+        for j in range(i, n):
+            for axiom, table, upper in (("order-lub", join, True), ("order-glb", meet, False)):
+                bound = bound_by_definition(leq, i, j, upper)
+                if bound is None:
+                    missing.append((axiom, (i, j)))
+                else:
+                    table[i, j] = table[j, i] = bound
+    violations = lattice_violations(leq, np.zeros((n, n), dtype=np.int64), join, meet)
+    if missing:
+        assert [(v.axiom, v.witness) for v in violations] == missing
+    else:
+        # the derived tables are cross-checked against the supplied ones
+        assert not {"order-lub", "order-glb", "join-table", "meet-table"} & {v.axiom for v in violations}
+
+
+def test_derive_join_meet_memory_bounded():
+    n = 600  # a chain; the j >= i half of a boolean pair tensor would take 108 MB
+    leq = np.triu(np.ones((n, n), dtype=bool))
+    tracemalloc.start()
+    try:
+        join, meet, violations = _derive_join_meet(leq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ids = np.arange(n)
+    assert not violations
+    assert (join == np.maximum.outer(ids, ids)).all()
+    assert (meet == np.minimum.outer(ids, ids)).all()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_mutated_mul_cell_detected(l12):
