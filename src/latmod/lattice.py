@@ -386,6 +386,18 @@ def _join_of_members(leq: np.ndarray, is_member) -> np.ndarray:
     return _freeze(xs[is_member(xs).argmax(axis=-1)])
 
 
+def _least_upper_bounds(leq: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Entry [i] is the join of the family ``members[i]``, a boolean row over
+    the carrier of the lattice order ``leq``; the empty family joins to the bottom.
+
+    The upper bounds of a family hold the top and are meet-closed, so in the
+    reversed order ``leq.T`` they are a join-closed set holding its bottom,
+    whose greatest member there is the least upper bound (:func:`_join_of_members`).
+    One boolean matmul finds them: y is an upper bound iff no member is not below y.
+    """
+    return _join_of_members(leq.T, lambda xs: ~(members @ ~leq[:, xs]))
+
+
 @_memo
 def residual_table_ll(L: MultiplicativeLattice) -> np.ndarray:
     """Full residual table: entry [a, b] is (a:b) = join of x with x*b <= a.

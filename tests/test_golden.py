@@ -10,6 +10,7 @@ nine faults they produce violations in 50 of the 64 checks, of 11 kinds.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -47,6 +48,10 @@ TARGETED_FAULT_SHA256 = "d8d32c9aaa59f501bd0bc7744762b141664264caab4df5a4cc65d5e
 # Recorded at 8e88f1d: one digest over the violation lists of a single-cell
 # mutation sweep, pinning the validators' violations, witnesses and order.
 VALIDATOR_SHA256 = "a8b15bb40983c5663c3b8807b31f84f821691fec388f972ed4e3f4fba99c9ca2"
+# Recorded at 8c5931e: the same digest over every third ``act`` cell of
+# zn-square-10 (4 / 40 elements) moved to the next id, a shape whose subset
+# spot checks the sweep above never draws.
+SQUARE_10_VALIDATOR_SHA256 = "f60589eff3bf5ab5e00390605f8565917edaef5dcf4b340493033d7119683756"
 
 
 def _sha256(text: str) -> str:
@@ -127,3 +132,13 @@ def test_validator_outputs_pinned():
     for violations in _validator_sweep():
         digest.update(json.dumps([v.as_dict() for v in violations]).encode())
     assert digest.hexdigest() == VALIDATOR_SHA256
+
+
+def test_square_10_validator_outputs_pinned():
+    M = gen_zn_square_module(10)
+    m = M.element_count
+    mutants = _single_cell_mutants(M.act_table, lambda v: [(v + 1) % m])
+    digest = hashlib.sha256()
+    for act in itertools.islice(mutants, 0, None, 3):
+        digest.update(json.dumps([v.as_dict() for v in module_violations(M.lattice, M.leq, act)]).encode())
+    assert digest.hexdigest() == SQUARE_10_VALIDATOR_SHA256

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from latmod import (
     ValidationError,
@@ -17,7 +17,7 @@ from latmod import (
     stable_power,
     validate_lattice,
 )
-from latmod.lattice import _derive_join_meet, lattice_violations, sqrt_table
+from latmod.lattice import _derive_join_meet, _least_upper_bounds, lattice_violations, sqrt_table
 
 from conftest import label_index
 
@@ -144,6 +144,23 @@ def test_lub_glb_against_definition(leq):
     else:
         # the derived tables are cross-checked against the supplied ones
         assert not {"order-lub", "order-glb", "join-table", "meet-table"} & {v.axiom for v in violations}
+
+
+@given(partial_orders(), st.data())
+def test_least_upper_bounds_match_join_fold(leq, data):
+    join, _, missing = _derive_join_meet(leq)
+    assume(not missing)
+    n = len(leq)
+    bottom = int(np.flatnonzero(leq.all(axis=1))[0])
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=6))
+    families = np.array([[False] * n] + rows, dtype=bool)  # the empty family first
+    folds = []
+    for family in families:
+        out = bottom
+        for x in np.flatnonzero(family):
+            out = int(join[out, x])
+        folds.append(out)
+    assert _least_upper_bounds(leq, families).tolist() == folds
 
 
 def test_derive_join_meet_memory_bounded():

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from latmod import (
     variety,
     variety_l,
 )
-from latmod.module import module_violations
+from latmod.module import _subset_draws, module_violations
 
 from conftest import label_index
 
@@ -46,6 +48,41 @@ def test_act_mutation_axiom5(m8self):
     violations = module_violations(m8self.lattice, m8self.leq, act)
     axioms = {v.axiom for v in violations}
     assert "axiom-5" in axioms or "axiom-1" in axioms
+
+
+def test_subset_draws_replay_the_seeded_sequence():
+    nl, m = 4, 40
+    draws = _subset_draws(nl, m)
+    assert _subset_draws(nl, m) is draws
+    assert draws.lsets.shape == (200, nl) and draws.msets.shape == (200, m)
+    rng = random.Random(0)
+    for i in range(200):
+        assert np.flatnonzero(draws.lsets[i]).tolist() == sorted(rng.sample(range(nl), rng.randint(0, nl)))
+        assert draws.x[i] == rng.randrange(m)
+        assert draws.a[i] == rng.randrange(nl)
+        assert np.flatnonzero(draws.msets[i]).tolist() == sorted(rng.sample(range(m), rng.randint(0, m)))
+    for arr in draws:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_rejects_keep_draw_cache_bounded():
+    # The draw cache is keyed by shape alone, so rejecting modules of ten
+    # shapes keeps at most 8 plans and no rejected structure alive.
+    _subset_draws.cache_clear()
+    refs = []
+    for n in (2, 4, 6, 16, 12, 64, 24, 36, 48, 60):  # zn-self-n has d(n) elements
+        M = gen_zn_self_module(n)
+        act = M.act_table.copy()
+        act[M.lattice.bottom, M.top] = M.top  # breaks (5), so the spot checks run
+        with pytest.raises(ValidationError):
+            validate_module(M.lattice, M.leq, act)
+        refs += [weakref.ref(M), weakref.ref(M.lattice)]
+        del M
+    info = _subset_draws.cache_info()
+    assert info.misses == 10 and info.currsize <= 8
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 def test_single_element_module(l12):
