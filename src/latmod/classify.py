@@ -88,11 +88,8 @@ def _require_proper(M: LatticeModule, N: int) -> None:
 
 
 def _first(mask: np.ndarray):
-    """The first index where ``mask`` holds, in lexicographic (C) order, or None."""
-    flat = int(mask.argmax())
-    if not mask.flat[flat]:
-        return None
-    return tuple(int(v) for v in np.unravel_index(flat, mask.shape))
+    idx = np.argwhere(mask)
+    return None if idx.size == 0 else tuple(int(v) for v in idx[0])
 
 
 def is_prime_m(M: LatticeModule, N: int):

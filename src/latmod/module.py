@@ -16,8 +16,7 @@ by induction on the size of the family, (join_{i<=k} a_i) A ==
 (join_{i<k} a_i) A v a_k A, and likewise for (2).  Only when one of those
 cases fails does it spot-check the family forms, to name the families the
 failure breaks; when all hold, no subset can fail.  The 200 spot-check
-subsets come from a fixed seed and depend only on the carrier sizes, so they
-are drawn once per shape and all 200 are evaluated in one numpy pass.
+subsets come from a fixed seed and all 200 are evaluated in one numpy pass.
 
 This module also provides the structural operators: residuals in both
 directions, the prime-radical ``rad``, saturation, varieties, and the
@@ -28,8 +27,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -178,36 +175,28 @@ def _check_module(L: MultiplicativeLattice, leq, act_table, join_table, meet_tab
     return (leq, join, meet, act, derived_top, derived_bottom), out
 
 
-class _Draws(NamedTuple):
-    """The spot-check plan: row i is one draw of a family for each axiom."""
-
-    lsets: np.ndarray  # bool (200, nl): the family a_i of L in (1)
-    x: np.ndarray      # int (200,): the A of M it acts on
-    a: np.ndarray      # int (200,): the a of L acting in (2)
-    msets: np.ndarray  # bool (200, m): the family A_i of M in (2)
-
-
-@lru_cache(maxsize=8)
-def _subset_draws(nl: int, m: int) -> _Draws:
+def _subset_draws(nl: int, m: int):
     """The 200 draws of ``random.Random(0)`` for an L of ``nl`` and an M of ``m`` elements.
 
-    The only process-wide state of the validators: it is keyed by two sizes
-    and holds read-only arrays, never a structure, and at most 8 shapes.
+    Returns ``(lsets, x, a, msets)``.  Row i of the bool masks ``lsets``
+    (200 x nl) and ``msets`` (200 x m) is the family a_i of L in (1) and the
+    family A_i of M in (2); ``x[i]`` is the A of (1) and ``a[i]`` the a of (2).
     """
-    count = 200
     rng = random.Random(0)
-    lsets = np.zeros((count, nl), dtype=bool)
-    x = np.empty(count, dtype=np.int64)
-    a = np.empty(count, dtype=np.int64)
-    msets = np.zeros((count, m), dtype=bool)
-    for i in range(count):
-        lsets[i, rng.sample(range(nl), rng.randint(0, nl))] = True
-        x[i] = rng.randrange(m)
-        a[i] = rng.randrange(nl)
-        msets[i, rng.sample(range(m), rng.randint(0, m))] = True
-    for arr in (lsets, x, a, msets):
-        arr.setflags(write=False)
-    return _Draws(lsets, x, a, msets)
+    lrows, x, a, mrows = [], [], [], []
+    for _ in range(200):
+        lrows.append(rng.sample(range(nl), rng.randint(0, nl)))
+        x.append(rng.randrange(m))
+        a.append(rng.randrange(nl))
+        mrows.append(rng.sample(range(m), rng.randint(0, m)))
+    return _masks(lrows, nl), np.array(x), np.array(a), _masks(mrows, m)
+
+
+def _masks(rows, n: int) -> np.ndarray:
+    """Bool (len(rows), n): row i marks the members of ``rows[i]``."""
+    out = np.zeros((len(rows), n), dtype=bool)
+    out.flat[[i * n + j for i, row in enumerate(rows) for j in row]] = True
+    return out
 
 
 def _join_of_images(leq, family, image) -> np.ndarray:
@@ -220,20 +209,20 @@ def _join_of_images(leq, family, image) -> np.ndarray:
 
 def _subset_violations(L: MultiplicativeLattice, act, leq) -> list[Violation]:
     """Family forms of (1) and (2) on the 200 draws of :func:`_subset_draws`."""
-    d = _subset_draws(*act.shape)
-    got1 = act[_least_upper_bounds(L.leq, d.lsets), d.x]
-    want1 = _join_of_images(leq, d.lsets, act[:, d.x].T)
-    got2 = act[d.a, _least_upper_bounds(leq, d.msets)]
-    want2 = _join_of_images(leq, d.msets, act[d.a])
+    lsets, xs, scalars, msets = _subset_draws(*act.shape)
+    got1 = act[_least_upper_bounds(L.leq, lsets), xs]
+    want1 = _join_of_images(leq, lsets, act[:, xs].T)
+    got2 = act[scalars, _least_upper_bounds(leq, msets)]
+    want2 = _join_of_images(leq, msets, act[scalars])
     bad1, bad2 = got1 != want1, got2 != want2
     out = []
     for i in np.flatnonzero(bad1 | bad2):
         if bad1[i]:
-            subset, x = np.flatnonzero(d.lsets[i]).tolist(), int(d.x[i])
+            subset, x = np.flatnonzero(lsets[i]).tolist(), int(xs[i])
             out.append(Violation("axiom-1-subset", (*subset, x),
                                  f"(join {subset}){x} = {got1[i]}, expected {want1[i]}"))
         if bad2[i]:
-            a, msubset = int(d.a[i]), np.flatnonzero(d.msets[i]).tolist()
+            a, msubset = int(scalars[i]), np.flatnonzero(msets[i]).tolist()
             out.append(Violation("axiom-2-subset", (a, *msubset),
                                  f"{a}(join {msubset}) = {got2[i]}, expected {want2[i]}"))
     return out
