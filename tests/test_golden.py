@@ -52,6 +52,21 @@ VALIDATOR_SHA256 = "a8b15bb40983c5663c3b8807b31f84f821691fec388f972ed4e3f4fba99c
 # zn-square-10 (4 / 40 elements) moved to the next id, a shape whose subset
 # spot checks the sweep above never draws.
 SQUARE_10_VALIDATOR_SHA256 = "f60589eff3bf5ab5e00390605f8565917edaef5dcf4b340493033d7119683756"
+# Recorded at ccd8cfe: one digest over the reports of the checks whose
+# residual sides are numpy reductions, on zn-square-6, zn-square-9 and
+# zn-self-60, clean and then under each classifier fault in FLAG_NAMES order.
+REDUCTION_CHECKS = (
+    "thm-classical-prime-residual-shift",
+    "equiv-classical-prime-cg",
+    "thm-join-meet-condition-classical-prime",
+    "equiv-classical-prime-residual-product",
+    "equiv-pseudo-primary-cg",
+    "lem-rad-meet",
+    "lem-saturation-below-rad",
+    "thm-saturation-prime-rad-prime",
+    "equiv-pseudo-classical-primary-cg",
+)
+REDUCTION_SHA256 = "9f843ec68118f8d5491ff52c51e37b8369f6650e3d27527d51d355006bd2941d"
 
 
 def _sha256(text: str) -> str:
@@ -99,6 +114,18 @@ def test_targeted_faults_pinned(zn_self_12):
             digest.update(json.dumps(run_suite([zn_self_12]).as_dict()).encode())
             digest.update(json.dumps([c.as_dict() for c in classify_all(M).values()]).encode())
     assert digest.hexdigest() == TARGETED_FAULT_SHA256
+
+
+def test_reduction_checks_pinned():
+    instances = [make_instance("zn-square-6", gen_zn_square_module(6)),
+                 make_instance("zn-square-9", gen_zn_square_module(9)),
+                 make_instance("zn-self-60", gen_zn_self_module(60))]
+    digest = hashlib.sha256()
+    digest.update(json.dumps(run_suite(instances, checks=REDUCTION_CHECKS).as_dict()).encode())
+    for flag in FLAG_NAMES:
+        with inject_classifier_fault(flag):
+            digest.update(json.dumps(run_suite(instances, checks=REDUCTION_CHECKS).as_dict()).encode())
+    assert digest.hexdigest() == REDUCTION_SHA256
 
 
 def _single_cell_mutants(table, wrong_values):
