@@ -20,10 +20,19 @@ Each statement shape is written once: an equivalence of named sides
 (:func:`_equivalence`, with recurring sides named in ``_SIDES``), an
 implication between classes (:func:`_implication`; the implication figure is
 ``ARROWS``), and one parametrised kernel per family of statements that differ
-only in a flag (chains, rad(N) prime, a residual prime, q I_M flagged).  The
-rest (identities, bounds, chain conditions) are plain loops.  Every entry
-registers through :func:`_check`, which rejects duplicate ids and unknown
-hypotheses.
+only in a flag (chains, rad(N) prime, a residual prime, q I_M flagged).
+
+The quantifier-heavy sides are numpy reductions over the residual tables the
+instance memoizes: residual-split gathers (N:ab) for every N at once,
+residual-product reduces to a per-K table of the residual values that break
+the product criterion, and residual-shift, the join-meet condition and the
+pseudo-primary sides are one mask per N.  The "compact-definition" sides use
+the residuation identity xK <= N iff x <= (N:K), so they quantify the
+definitions over the residual rows of N and never read the classifier's
+action tensors; the plain-loop reference they are tested against lives in
+``tests/test_harness.py``.  The rest (identities, bounds, chain conditions)
+are plain loops.  Every entry registers through :func:`_check`, which
+rejects duplicate ids and unknown hypotheses.
 """
 
 from __future__ import annotations
@@ -35,11 +44,14 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
+import numpy as np
+
 from .classify import FLAG_NAMES, classify_all
 from .instances import DEFAULT_SQUARE_CAP, gen_zn_self_module, gen_zn_square_module, serialize_instance
 from .lattice import is_pg_lattice, lattice_flags, sqrt_table
 from .module import (
     LatticeModule,
+    _rad_table,
     is_faithful,
     is_multiplication_module,
     is_pg_module,
@@ -207,6 +219,11 @@ class Ctx:
         return tuple(self.L.proper_elements())
 
     @cached_property
+    def mul_le(self):
+        """Boolean [a, b, z]: ab <= z in L."""
+        return self.L.leq[self.L.mul_table]
+
+    @cached_property
     def res_mm(self):
         return residual_mm_table(self.M)
 
@@ -355,19 +372,17 @@ def _implication(ctx: Ctx, domain, antecedent: str, consequent: str, dashed: boo
     return len(domain), viols
 
 
-def _definition_loop(ctx: Ctx, n: int, bound: int) -> bool:
-    """Plain-loop evaluation over all triples of: abK <= N forces aK <= N or
-    bK <= bound.  With bound = N this is the classical prime definition, with
-    bound = rad(N) the pseudo-classical primary one."""
-    M, L = ctx.M, ctx.L
-    for a in L.elements():
-        for b in L.elements():
-            ab = L.mul(a, b)
-            for k in M.elements():
-                if M.le(M.act(ab, k), n) and not M.le(M.act(a, k), n) \
-                        and not M.le(M.act(b, k), bound):
-                    return False
-    return True
+def _compact_definition(ctx: Ctx, n: int, bound: int) -> bool:
+    """abK <= N forces aK <= N or bK <= bound, for all a, b in L and K in M.
+
+    Read through residuation, xK <= N iff x <= (N:K), so the quantifier is
+    one [a, b, K] mask over the residual rows of N and bound, not the
+    classifier's action tensors.  With bound = N this is the classical prime
+    definition, with bound = rad(N) the pseudo-classical primary one.
+    """
+    leq, nk, bk = ctx.L.leq, ctx.res_mm[n], ctx.res_mm[bound]
+    bad = ctx.mul_le[:, :, nk] & ~leq[:, nk][:, None, :] & ~leq[:, bk][None, :, :]
+    return not bad.any()
 
 
 def _chain_kernel(ctx: Ctx, flag: str):
@@ -563,15 +578,15 @@ _check("thm-classical-prime-residual-top-prime",
         "(N:K) = (N:rK) for classical prime N and proper r, K with rK not<= N")
 def _k_cp_residual_shift(ctx: Ctx):
     M, viols = ctx.M, []
+    rk = M.act_table                                # [r, K] = rK
     domain = ctx.flagged("classical_prime")
     for n in domain:
-        for r in ctx.propers_l:
-            for k in ctx.propers:
-                rk = M.act(r, k)
-                if not M.le(rk, n) and int(ctx.res_mm[n, k]) != int(ctx.res_mm[n, rk]):
-                    viols.append(_violation_at(ctx, "residual-equality", n, r=r, K=k,
-                                               lhs=int(ctx.res_mm[n, k]),
-                                               rhs=int(ctx.res_mm[n, rk])))
+        row = ctx.res_mm[n]
+        bad = ~M.leq[rk, n] & (row[None, :] != row[rk])
+        bad[ctx.L.top] = bad[:, M.top] = False      # proper r and K only
+        for r, k in np.argwhere(bad):
+            viols.append(_violation_at(ctx, "residual-equality", n, r=r, K=k,
+                                       lhs=row[k], rhs=row[rk[r, k]]))
     return len(domain), viols
 
 
@@ -597,24 +612,22 @@ def _k_cp_residual_chain(ctx: Ctx):
         "classical prime iff (N:ab) = (N:a) or (N:ab) = (N:b) for all a, b "
         "iff the definition quantified over compact elements", CG)
 def _k_cp_cg(ctx: Ctx):
-    L = ctx.L
-    def residual_split(n):
-        return all(
-            int(ctx.res_ml[n, L.mul(a, b)]) in (int(ctx.res_ml[n, a]), int(ctx.res_ml[n, b]))
-            for a in L.elements() for b in L.elements())
+    res = ctx.res_ml                                # [N, a] = (N:a)
+    split = res[:, ctx.L.mul_table]                 # [N, a, b] = (N:ab)
+    residual_split = ((split == res[:, :, None]) | (split == res[:, None, :])).all(axis=(1, 2))
     return _equivalence(ctx, lambda n: {"definition": ctx.cls[n].classical_prime,
-                                        "residual-split": residual_split(n),
-                                        "compact-definition": _definition_loop(ctx, n, n)})
+                                        "residual-split": bool(residual_split[n]),
+                                        "compact-definition": _compact_definition(ctx, n, n)})
 
 
 @_check("thm-join-meet-condition-classical-prime",
         "if (N:X) != (N:Y) always forces N = (N v X) ^ (N v Y), then N is classical prime")
 def _k_join_meet_condition(ctx: Ctx):
     M = ctx.M
-    domain = [n for n in ctx.propers if all(
-        int(ctx.res_mm[n, x]) == int(ctx.res_mm[n, y])
-        or M.meet(M.join(n, x), M.join(n, y)) == n
-        for x in M.elements() for y in M.elements())]
+    def condition(n):                               # over all [X, Y]
+        row, up = ctx.res_mm[n], M.join_table[n]
+        return ((row[:, None] == row[None, :]) | (M.meet_table[np.ix_(up, up)] == n)).all()
+    domain = [n for n in ctx.propers if condition(n)]
     return _implication(ctx, domain, "join-meet-condition", "classical_prime")
 
 
@@ -662,19 +675,20 @@ def _k_cp_residual_product(ctx: Ctx):
     # A, B, K must range over the whole carrier: restricting them to proper
     # elements makes the criterion strictly weaker than the definition
     # (zn-self-12, element (6), with K = I_M separates the two).
-    L, M = ctx.L, ctx.M
-    def residual_product(n):
-        for k in M.elements():
-            nk = int(ctx.res_mm[n, k])
-            for a in M.elements():
-                ak = int(ctx.res_mm[a, k])
-                for b in M.elements():
-                    bk = int(ctx.res_mm[b, k])
-                    if L.le(L.mul(ak, bk), nk) and not L.le(ak, nk) and not L.le(bk, nk):
-                        return False
-        return True
+    #
+    # Only the values u = (A:K), v = (B:K) matter, so per K: taken[K, u] says
+    # u is a value of (.:K), and breaks[K, z] that two of them have uv <= z,
+    # u not<= z and v not<= z.  N fails iff breaks[K, (N:K)] for some K.
+    leq, res, m = ctx.L.leq, ctx.res_mm, ctx.M.element_count
+    l = leq.shape[0]
+    bad_pair = ctx.mul_le & ~leq[:, None, :] & ~leq[None, :, :]        # [u, v, z]
+    taken = np.zeros((m, l), dtype=bool)
+    taken[np.arange(m), res] = True
+    pairs = (taken @ bad_pair.reshape(l, l * l)).reshape(m, l, l)     # [K, v, z]: some taken u
+    breaks = (pairs & taken[:, :, None]).any(axis=1)
+    residual_product = ~breaks[np.arange(m), res].any(axis=1)
     return _equivalence(ctx, lambda n: {"definition": ctx.cls[n].classical_prime,
-                                        "residual-product": residual_product(n)})
+                                        "residual-product": bool(residual_product[n])})
 
 
 _check("thm-prime-iff-classical-prime",
@@ -691,14 +705,12 @@ _check("cor-prime-4way",
 # pseudo-primary
 
 
-def _pp_definition_loop(ctx: Ctx, n: int) -> bool:
-    M, L = ctx.M, ctx.L
-    rt, rd = ctx.res_top(n), ctx.rad(n)
-    for a in L.elements():
-        for x in M.elements():
-            if M.le(M.act(a, x), n) and not L.le(a, rt) and not M.le(x, rd):
-                return False
-    return True
+def _pp_compact_definition(ctx: Ctx, n: int) -> bool:
+    """aX <= N forces a <= (N:I_M) or X <= rad(N), for all a in L and X in M,
+    read through residuation as a <= (N:X): one [a, X] mask."""
+    leq = ctx.L.leq
+    bad = leq[:, ctx.res_mm[n]] & ~leq[:, ctx.res_top(n)][:, None] & ~ctx.M.leq[:, ctx.rad(n)]
+    return not bad.any()
 
 
 @_check("equiv-pseudo-primary-cg",
@@ -707,15 +719,18 @@ def _pp_definition_loop(ctx: Ctx, n: int) -> bool:
         "iff the definition quantified over compact elements", CG)
 def _k_pp_cg(ctx: Ctx):
     M, L = ctx.M, ctx.L
+    proper_m = np.arange(M.element_count) != M.top
+    proper_l = np.arange(L.element_count) != L.top
     def sides(n):
         rt, rd = ctx.res_top(n), ctx.rad(n)
+        outside = proper_m & ~M.leq[:, rd]          # proper X not<= rad(N)
+        above = proper_l & L.leq[rt]                # proper a > (N:I_M)
+        above[rt] = False
         return {
             "definition": ctx.cls[n].pseudo_primary,
-            "residual-fixed": all(int(ctx.res_mm[n, x]) == rt
-                                  for x in ctx.propers if not M.le(x, rd)),
-            "residual-bound": all(M.le(int(ctx.res_ml[n, a]), rd)
-                                  for a in ctx.propers_l if L.le(rt, a) and a != rt),
-            "compact-definition": _pp_definition_loop(ctx, n),
+            "residual-fixed": bool((ctx.res_mm[n, outside] == rt).all()),
+            "residual-bound": bool(M.leq[ctx.res_ml[n, above], rd].all()),
+            "compact-definition": _pp_compact_definition(ctx, n),
         }
     return _equivalence(ctx, sides)
 
@@ -729,13 +744,13 @@ _check("chain-pseudo-primary",
         "rad(A ^ B) = rad(A) ^ rad(B) for proper A, B, plus sampled larger families",
         BUNDLE)
 def _k_rad_meet(ctx: Ctx):
-    M, viols, count = ctx.M, [], 0
-    for a in ctx.propers:
-        for b in ctx.propers:
-            count += 1
-            if ctx.rad(M.meet(a, b)) != M.meet(ctx.rad(a), ctx.rad(b)):
-                viols.append(_v("rad-meet", pair=(a, b),
-                                label=f"{M.label(a)}, {M.label(b)}"))
+    M, rad_of = ctx.M, _rad_table(ctx.M)            # -1 at the top, where rad is undefined
+    ids = np.array(ctx.propers, dtype=np.int64)
+    lhs = rad_of[M.meet_table[np.ix_(ids, ids)]]    # a meet of proper elements is proper
+    rhs = M.meet_table[np.ix_(rad_of[ids], rad_of[ids])]
+    viols = [_v("rad-meet", pair=(ids[i], ids[j]), label=f"{M.label(ids[i])}, {M.label(ids[j])}")
+             for i, j in np.argwhere(lhs != rhs)]
+    count = ids.size ** 2
     rng = ctx.rng("lem-rad-meet")
     for _ in range(50 if len(ctx.propers) >= 2 else 0):
         family = rng.sample(ctx.propers, rng.randint(2, len(ctx.propers)))
@@ -981,20 +996,15 @@ def _k_pcp_cg(ctx: Ctx):
     # elements the shift criterion is strictly weaker than the definition
     # (zn-self-12, element (6), with X = I_M separates the two).
     M = ctx.M
+    rx = M.act_table[list(ctx.propers_l)]           # [r, X] = rX
     def residual_shift(n):
-        rd = ctx.rad(n)
-        for r in ctx.propers_l:
-            for x in M.elements():
-                if M.le(x, n):
-                    continue
-                rx = M.act(r, x)
-                if not M.le(rx, rd) and int(ctx.res_mm[n, x]) != int(ctx.res_mm[n, rx]):
-                    return False
-        return True
+        row = ctx.res_mm[n]
+        bad = ~M.leq[:, n] & ~M.leq[rx, ctx.rad(n)] & (row != row[rx])
+        return not bad.any()
     return _equivalence(ctx, lambda n: {
         "definition": ctx.cls[n].pseudo_classical_primary,
         "residual-shift": residual_shift(n),
-        "compact-definition": _definition_loop(ctx, n, ctx.rad(n))})
+        "compact-definition": _compact_definition(ctx, n, ctx.rad(n))})
 
 
 _check("equiv-pseudo-classical-primary-4way",

@@ -188,7 +188,7 @@ def _order_violations(leq: np.ndarray) -> list[Violation]:
         if i < j:
             out.append(Violation("order-antisymmetric", (int(i), int(j)),
                                  f"{i} <= {j} and {j} <= {i} with {i} != {j}"))
-    reach = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
+    reach = leq @ leq
     for i, j in np.argwhere(reach & ~leq):
         k = int(np.flatnonzero(leq[i] & leq[:, j])[0])
         out.append(Violation("order-transitive", (int(i), k, int(j)),

@@ -390,9 +390,8 @@ def saturation(M: LatticeModule, N: int, p: int) -> int:
         raise ValueError(f"saturation requires a prime element of L, got {L.label(p)}")
     if N == M.top:
         raise ValueError("saturation is defined for proper elements only")
-    cs = np.flatnonzero(~L.leq[:, p])
-    keep = [x for x in M.elements() if bool(M.leq[M.act_table[cs, x], N].any())]
-    return M.join_all(keep)
+    keep = M.leq[M.act_table[~L.leq[:, p]], N].any(axis=0)
+    return int(_least_upper_bounds(M.leq, keep[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ from latmod.classify import classify_all, is_prime_m, is_pseudo_classical_primar
 from latmod.harness import (
     AUTO_HYPOTHESES,
     BUNDLE,
+    Ctx,
+    _compact_definition,
+    _pp_compact_definition,
     check_implication_figure,
     default_instances,
     list_checks,
@@ -24,6 +27,7 @@ from latmod.harness import (
     run_check,
     run_suite,
 )
+from latmod.module import rad
 
 from conftest import label_index
 
@@ -258,3 +262,53 @@ def test_fault_reads_the_one_classification(monkeypatch):
     with inject_classifier_fault("prime"):
         assert [is_prime_m(M, n) for n in M.proper_elements()] == clean
         assert [c.prime for c in classify_all(M).values()] == [not v for v, _ in clean]
+
+
+def _definition_loop(M, n, bound):
+    """Plain-loop evaluation over all triples of: abK <= N forces aK <= N or
+    bK <= bound.  With bound = N this is the classical prime definition, with
+    bound = rad(N) the pseudo-classical primary one."""
+    L = M.lattice
+    for a in L.elements():
+        for b in L.elements():
+            ab = L.mul(a, b)
+            for k in M.elements():
+                if M.le(M.act(ab, k), n) and not M.le(M.act(a, k), n) \
+                        and not M.le(M.act(b, k), bound):
+                    return False
+    return True
+
+
+def _pp_definition_loop(M, n):
+    """Plain-loop evaluation over all pairs of: aX <= N forces a <= (N:I_M) or X <= rad(N)."""
+    L = M.lattice
+    rt, rd = residual_mm(M, n, M.top), rad(M, n)
+    for a in L.elements():
+        for x in M.elements():
+            if M.le(M.act(a, x), n) and not L.le(a, rt) and not M.le(x, rd):
+                return False
+    return True
+
+
+def test_compact_definitions_match_plain_loops():
+    # The "compact-definition" sides read aK <= N as a <= (N:K); the loops
+    # quantify the action itself.
+    instances = default_instances() + [
+        make_instance("zn-square-6", gen_zn_square_module(6)),
+        make_instance("zn-square-9", gen_zn_square_module(9)),
+        make_instance("zn-self-60", gen_zn_self_module(60)),
+    ]
+    seen = set()
+    for inst in instances:
+        M, ctx = inst.module, Ctx(inst)
+        for n in M.proper_elements():
+            for bound in (n, rad(M, n)):
+                holds = _compact_definition(ctx, n, bound)
+                assert holds == _definition_loop(M, n, bound), (inst.name, n, bound)
+                seen.add((bound == n, holds))
+            holds = _pp_compact_definition(ctx, n)
+            assert holds == _pp_definition_loop(M, n), (inst.name, n)
+            seen.add(("pp", holds))
+    # both verdicts occur for each side, so neither could be a constant
+    assert seen == {(True, True), (True, False), (False, True), (False, False),
+                    ("pp", True), ("pp", False)}

@@ -22,6 +22,7 @@ from latmod import (
     variety,
     variety_l,
 )
+from latmod.harness import default_instances
 from latmod.module import _subset_draws, module_violations
 
 from conftest import label_index
@@ -136,6 +137,18 @@ def test_saturation_values(m12self):
     for n in m12self.proper_elements():
         for p in (lidx["(2)"], lidx["(3)"]):
             assert m12self.le(n, saturation(m12self, n, p))
+
+
+def test_saturation_matches_definition():
+    # S_p(N) is the join of every X with cX <= N for some c not<= p
+    for inst in default_instances():
+        M = inst.module
+        L = M.lattice
+        for n in M.proper_elements():
+            for p in variety_l(M, n):
+                keep = [x for x in M.elements()
+                        if any(M.le(M.act(c, x), n) for c in L.elements() if not L.le(c, p))]
+                assert saturation(M, n, p) == M.join_all(keep), (inst.name, n, p)
 
 
 def test_structural_predicates(m8self, m8square):
