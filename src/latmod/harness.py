@@ -577,16 +577,16 @@ _check("thm-classical-prime-residual-top-prime",
 @_check("thm-classical-prime-residual-shift",
         "(N:K) = (N:rK) for classical prime N and proper r, K with rK not<= N")
 def _k_cp_residual_shift(ctx: Ctx):
-    M, viols = ctx.M, []
-    rk = M.act_table                                # [r, K] = rK
+    M = ctx.M
     domain = ctx.flagged("classical_prime")
-    for n in domain:
-        row = ctx.res_mm[n]
-        bad = ~M.leq[rk, n] & (row[None, :] != row[rk])
-        bad[ctx.L.top] = bad[:, M.top] = False      # proper r and K only
-        for r, k in np.argwhere(bad):
-            viols.append(_violation_at(ctx, "residual-equality", n, r=r, K=k,
-                                       lhs=row[k], rhs=row[rk[r, k]]))
+    ids = np.array(domain, dtype=np.int64)
+    rk = M.act_table                                # [r, K] = rK
+    rows = ctx.res_mm[ids]                          # [N, K] = (N:K)
+    bad = ~M.leq[rk[None, :, :], ids[:, None, None]] & (rows[:, None, :] != rows[:, rk])
+    bad[:, ctx.L.top] = bad[:, :, M.top] = False    # proper r and K only
+    viols = [_violation_at(ctx, "residual-equality", domain[i], r=r, K=k,
+                           lhs=rows[i, k], rhs=rows[i, rk[r, k]])
+             for i, r, k in np.argwhere(bad)]
     return len(domain), viols
 
 
