@@ -234,8 +234,14 @@ def cmd_verify(args) -> int:
                     return _usage_error(f"zn-square modulus {n} exceeds the cap {cap}")
                 name, _, module = InstanceSpec(family=args.family, n=n).build(cap=cap)
                 instances.append(make_instance(name, module))
+        origin = {instance.name: f"--family {args.family}" for instance in instances}
         for path in args.paths:
-            instances.append(_load_instance(path))
+            instance = _load_instance(path)
+            if instance.name in origin:
+                return _usage_error(f"{origin[instance.name]} and {path} both give "
+                                    f"an instance named {instance.name!r}")
+            origin[instance.name] = path
+            instances.append(instance)
     except (OSError, ParseError) as exc:
         return _usage_error(str(exc))
     except _InvalidFile as exc:
@@ -259,7 +265,7 @@ def cmd_verify(args) -> int:
     payload = {
         "schema": REPORT_SCHEMA,
         "tool_version": __version__,
-        **report.as_dict(include_timings=False),
+        **report.as_dict(),
     }
     if args.format == "json":
         _emit(_json_dumps(payload), args.output)

@@ -125,6 +125,10 @@ BUNDLE = ("pg-lattice", "faithful", "multiplication-module", "pg-module", "top-c
 MULT = ("multiplication-module",)
 CG = ("compactly-generated",)
 
+# Random chains of flagged elements drawn per chain-* check, on top of every
+# 2- and 3-element chain.
+_CHAIN_SAMPLES = 100
+
 
 @dataclass(frozen=True)
 class TheoremCheck:
@@ -154,8 +158,9 @@ class CheckResult:
     dashed: bool = False
     seconds: float = 0.0
 
-    def as_dict(self, include_timings: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        """The report entry; ``seconds`` is left out to keep reports deterministic."""
+        return {
             "instance": self.instance,
             "check": self.check_id,
             "status": self.status,
@@ -164,9 +169,6 @@ class CheckResult:
             "skip_reason": self.skip_reason,
             "dashed": self.dashed,
         }
-        if include_timings:
-            out["seconds"] = round(self.seconds, 6)
-        return out
 
 
 @dataclass
@@ -187,11 +189,11 @@ class TheoremReport:
     def failures(self) -> list[CheckResult]:
         return [r for r in self.results if r.status == "fail"]
 
-    def as_dict(self, include_timings: bool = False) -> dict:
+    def as_dict(self) -> dict:
         return {
             "seed": self.seed,
             "instances": self.instances,
-            "results": [r.as_dict(include_timings) for r in self.results],
+            "results": [r.as_dict() for r in self.results],
             "summary": self.counts(),
         }
 
@@ -199,12 +201,11 @@ class TheoremReport:
 class Ctx:
     """Per-instance evaluation context sharing classifications and residuals."""
 
-    def __init__(self, instance: Instance, seed: int = 0, chain_samples: int = 100):
+    def __init__(self, instance: Instance, seed: int = 0):
         self.instance = instance
         self.M = instance.module
         self.L = self.M.lattice
         self.seed = seed
-        self.chain_samples = chain_samples
 
     @cached_property
     def cls(self):
@@ -264,7 +265,7 @@ class Ctx:
             (a, b, c) for a, b in pairs for c in ids if c not in (a, b) and M.le(b, c)]
         rng = self.rng(tag)
         seen = set()
-        for _ in range(self.chain_samples):
+        for _ in range(_CHAIN_SAMPLES):
             pool = list(ids)
             rng.shuffle(pool)
             chain: list[int] = []
@@ -1132,14 +1133,13 @@ def instance_hypotheses(M: LatticeModule) -> dict[str, bool]:
 
 
 def run_check(instance: Instance, check: TheoremCheck, seed: int = 0,
-              chain_samples: int = 100,
               hypotheses: dict[str, bool] | None = None) -> CheckResult:
     hyps = hypotheses if hypotheses is not None else instance_hypotheses(instance.module)
     start = time.perf_counter()
     unmet = [h for h in check.hypotheses if not hyps[h]]
     evaluated, violations, reason = 0, [], "hypotheses unmet: " + ", ".join(unmet)
     if not unmet:
-        evaluated, violations = check.kernel(Ctx(instance, seed=seed, chain_samples=chain_samples))
+        evaluated, violations = check.kernel(Ctx(instance, seed=seed))
         reason = "vacuous quantification" if evaluated == 0 else None
     status = "skipped" if reason else "fail" if violations else "pass"
     return CheckResult(instance=instance.name, check_id=check.id, status=status,
@@ -1148,17 +1148,20 @@ def run_check(instance: Instance, check: TheoremCheck, seed: int = 0,
                        seconds=time.perf_counter() - start)
 
 
-def run_suite(instances, checks="all", seed: int = 0,
-              chain_samples: int = 100) -> TheoremReport:
+def run_suite(instances, checks="all", seed: int = 0) -> TheoremReport:
     """Evaluate the selected checks on every instance.
 
     Results are ordered by (instance name, check id) regardless of evaluation
-    order, so reports are deterministic for fixed inputs and seed.
+    order, so reports are deterministic for fixed inputs and seed.  Raises
+    ``ValueError`` when two instances share a name, since the report keys
+    both by that name.
     """
     selected = _select(checks)
     results = []
     info = {}
     for instance in instances:
+        if instance.name in info:
+            raise ValueError(f"two instances are named {instance.name!r}")
         hyps = instance_hypotheses(instance.module)
         info[instance.name] = {
             "fingerprint": instance.fingerprint,
@@ -1168,8 +1171,7 @@ def run_suite(instances, checks="all", seed: int = 0,
                            for name, value in hyps.items()},
         }
         for check in selected:
-            results.append(run_check(instance, check, seed=seed,
-                                     chain_samples=chain_samples, hypotheses=hyps))
+            results.append(run_check(instance, check, seed=seed, hypotheses=hyps))
     results.sort(key=lambda r: (r.instance, r.check_id))
     return TheoremReport(results=results, instances=info, seed=seed)
 

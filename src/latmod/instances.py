@@ -21,16 +21,17 @@ statements::
     act <a> <A> <B>     module block: a A = B, required for every pair
     label <i> <text>    optional display label
 
-Join and meet are always derived from the closed order; a file is rejected
-if some pair has no least upper or greatest lower bound.  Serialization is
-canonical: structurally identical instances produce identical bytes.
+Join and meet are always derived from the closed order, never supplied, in
+files and generators alike; a file is rejected if some pair has no least
+upper or greatest lower bound.  Serialization is canonical: structurally
+identical instances produce identical bytes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -72,18 +73,13 @@ def gen_zn_ideal_lattice(n: int) -> MultiplicativeLattice:
     index = {d: i for i, d in enumerate(divs)}
     k = len(divs)
     leq = np.zeros((k, k), dtype=bool)
-    join = np.zeros((k, k), dtype=np.int64)
-    meet = np.zeros((k, k), dtype=np.int64)
     mul = np.zeros((k, k), dtype=np.int64)
     for i, d in enumerate(divs):
         for j, e in enumerate(divs):
             leq[i, j] = d % e == 0          # dZ_n is contained in eZ_n iff e | d
-            join[i, j] = index[gcd(d, e)]   # ideal sum
-            meet[i, j] = index[lcm(d, e)]   # intersection; lcm divides n here
             mul[i, j] = index[gcd(d * e, n)]
     return validate_lattice(
-        leq, mul, join_table=join, meet_table=meet,
-        top=index[1], bottom=index[n],
+        leq, mul, top=index[1], bottom=index[n],
         labels=[_ideal_label(d, n) for d in divs],
     )
 
@@ -91,11 +87,7 @@ def gen_zn_ideal_lattice(n: int) -> MultiplicativeLattice:
 def gen_zn_self_module(n: int) -> LatticeModule:
     """The ideal lattice of Z_n acting on itself by the ideal product."""
     L = gen_zn_ideal_lattice(n)
-    return validate_module(
-        L, L.leq, L.mul_table,
-        join_table=L.join_table, meet_table=L.meet_table,
-        top=L.top, bottom=L.bottom, labels=L.labels,
-    )
+    return validate_module(L, L.leq, L.mul_table, top=L.top, bottom=L.bottom, labels=L.labels)
 
 
 def _span(gens, n: int) -> frozenset:
@@ -191,7 +183,7 @@ class InstanceSpec:
 def _covers(leq: np.ndarray) -> list[tuple[int, int]]:
     n = leq.shape[0]
     lt = leq & ~np.eye(n, dtype=bool)
-    between = (lt.astype(np.int64) @ lt.astype(np.int64)) > 0
+    between = lt @ lt
     return [(int(i), int(j)) for i, j in np.argwhere(lt & ~between)]
 
 
@@ -398,7 +390,7 @@ def _build_block(block: _Block, rows: int | None) -> dict:
         leq[i, j] = True
     # reflexive-transitive closure
     while True:
-        closed = leq | ((leq.astype(np.int64) @ leq.astype(np.int64)) > 0)
+        closed = leq | (leq @ leq)
         if (closed == leq).all():
             break
         leq = closed

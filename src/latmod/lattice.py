@@ -7,8 +7,10 @@ element is compact, and power chains a >= a^2 >= a^3 ... stabilize within
 ``element_count`` steps.  Elements are integer ids ``0..element_count-1``;
 the order and every operation are dense numpy tables.
 
-``validate_lattice`` checks all axioms on raw tables and reports violations
-with witnesses; every operation below assumes a validated structure.
+``validate_lattice`` checks all axioms on raw tables (the order and the
+multiplication) and reports violations with witnesses; join and meet are
+always derived from the order, which determines them.  Every operation below
+assumes a validated structure.
 """
 
 from __future__ import annotations
@@ -242,19 +244,8 @@ def _derive_join_meet(leq: np.ndarray):
     return join, meet, out
 
 
-def _coerce_square(table, n: int, name: str):
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.shape != (n, n):
-        return None, [Violation(f"{name}-shape", (), f"{name} table must be {n}x{n}, got {arr.shape}")]
-    if ((arr < 0) | (arr >= n)).any():
-        i, j = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
-        return None, [Violation(f"{name}-range", (i, j),
-                                f"{name}[{i},{j}] = {int(arr[i, j])} is not a carrier id")]
-    return arr, []
-
-
-def _lattice_order(leq: np.ndarray, join_table, meet_table, top, bottom):
-    """Order axioms, derived join/meet cross-checked against supplied tables, top/bottom.
+def _lattice_order(leq: np.ndarray, top, bottom):
+    """Order axioms, join/meet derived from the order, declared top/bottom.
 
     Returns ``((join, meet, top, bottom), violations)``, or ``(None,
     violations)`` when checking must stop there.
@@ -265,18 +256,6 @@ def _lattice_order(leq: np.ndarray, join_table, meet_table, top, bottom):
     join, meet, out = _derive_join_meet(leq)
     if out:
         return None, out
-    n = leq.shape[0]
-    for name, derived, table in (("join", join, join_table), ("meet", meet, meet_table)):
-        if table is None:
-            continue
-        supplied, errs = _coerce_square(table, n, name)
-        if errs:
-            return None, out + errs
-        for i, j in np.argwhere(supplied != derived):
-            out.append(Violation(f"{name}-table", (int(i), int(j)),
-                                 f"supplied {name}[{i},{j}] = {int(supplied[i, j])}, "
-                                 f"order gives {int(derived[i, j])}"))
-
     derived_top = int(np.flatnonzero(leq.all(axis=0))[0])
     derived_bottom = int(np.flatnonzero(leq.all(axis=1))[0])
     if top is not None and int(top) != derived_top:
@@ -286,7 +265,7 @@ def _lattice_order(leq: np.ndarray, join_table, meet_table, top, bottom):
     return (join, meet, derived_top, derived_bottom), out
 
 
-def _check_lattice(leq, mul_table, join_table, meet_table, top, bottom):
+def _check_lattice(leq, mul_table, top, bottom):
     """:func:`lattice_violations`, plus ``(leq, join, meet, mul, top, bottom)`` when valid."""
     leq = np.asarray(leq, dtype=bool)
     if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
@@ -295,14 +274,18 @@ def _check_lattice(leq, mul_table, join_table, meet_table, top, bottom):
     if n == 0:
         return None, [Violation("order-shape", (), "carrier must be nonempty")]
 
-    order, out = _lattice_order(leq, join_table, meet_table, top, bottom)
+    order, out = _lattice_order(leq, top, bottom)
     if order is None:
         return None, out
     join, meet, derived_top, derived_bottom = order
 
-    mul, errs = _coerce_square(mul_table, n, "mul")
-    if errs:
-        return None, out + errs
+    mul = np.asarray(mul_table, dtype=np.int64)
+    if mul.shape != (n, n):
+        return None, out + [Violation("mul-shape", (), f"mul table must be {n}x{n}, got {mul.shape}")]
+    if ((mul < 0) | (mul >= n)).any():
+        i, j = map(int, np.argwhere((mul < 0) | (mul >= n))[0])
+        return None, out + [Violation("mul-range", (i, j),
+                                      f"mul[{i},{j}] = {int(mul[i, j])} is not a carrier id")]
 
     ids = np.arange(n)
     for i, j in np.argwhere(mul != mul.T):
@@ -330,25 +313,22 @@ def _check_lattice(leq, mul_table, join_table, meet_table, top, bottom):
     return (leq, join, meet, mul, derived_top, derived_bottom), out
 
 
-def lattice_violations(leq, mul_table, join_table=None, meet_table=None,
-                       top=None, bottom=None) -> list[Violation]:
+def lattice_violations(leq, mul_table, top=None, bottom=None) -> list[Violation]:
     """Check the multiplicative-lattice axioms on raw tables.
 
     Returns every violation found, each naming the axiom and a witness tuple;
     checking stops only at an invalid order, a missing lub/glb or a malformed table.
     """
-    return _check_lattice(leq, mul_table, join_table, meet_table, top, bottom)[1]
+    return _check_lattice(leq, mul_table, top, bottom)[1]
 
 
-def validate_lattice(leq, mul_table, join_table=None, meet_table=None,
-                     top=None, bottom=None, labels=None) -> MultiplicativeLattice:
+def validate_lattice(leq, mul_table, top=None, bottom=None, labels=None) -> MultiplicativeLattice:
     """Validate raw tables and return the frozen structure.
 
-    Join/meet tables may be supplied (they are cross-checked against the
-    order) or omitted (they are derived).  Raises :class:`ValidationError`
-    carrying the violation report otherwise.
+    Join and meet are derived from the order.  Raises :class:`ValidationError`
+    carrying the violation report when an axiom fails.
     """
-    fields, violations = _check_lattice(leq, mul_table, join_table, meet_table, top, bottom)
+    fields, violations = _check_lattice(leq, mul_table, top, bottom)
     if violations:
         raise ValidationError(violations)
     leq, join, meet, mul, top, bottom = fields
@@ -453,27 +433,45 @@ def sqrt(L: MultiplicativeLattice, a: int) -> int:
 # element predicates
 
 
+# Each notion below is written once over raw tables, for a module X over L
+# with action ``act`` (nl, m) and residuals (A:B) = ``res[A, B]`` in L; L is
+# such a module over itself, acting by ``mul_table`` with ``residual_table_ll``.
+
+
+def _meet_principal(l_meet, meet, act, res, e: int) -> bool:
+    """(b ^ (B:e)) e == be ^ B for all b in L, B in X; ``l_meet``/``meet`` are
+    the meet tables of L and X."""
+    return bool((act[l_meet[:, res[:, e]], e] == meet[act[:, e]]).all())
+
+
+def _join_principal(l_join, join, act, res, e: int) -> bool:
+    """b v (B:e) == ((be v B) : e) for all b in L, B in X; ``l_join``/``join``
+    are the join tables of L and X."""
+    return bool((l_join[:, res[:, e]] == res[join[act[:, e]], e]).all())
+
+
+def _principally_generated(leq: np.ndarray, principal) -> bool:
+    """Every element of the order ``leq`` is the join of the ``principal`` ids below it."""
+    gens = np.zeros(leq.shape[0], dtype=bool)
+    gens[list(principal)] = True
+    joins = _least_upper_bounds(leq, leq.T & gens)    # [x, e] = e <= x, e principal
+    return bool((joins == np.arange(leq.shape[0])).all())
+
+
+def _coatoms(leq: np.ndarray) -> np.ndarray:
+    """Bool mask of the maximal elements: those with exactly one element, the
+    top, strictly above them."""
+    return leq.sum(axis=1) == 2
+
+
 def is_meet_principal_l(L: MultiplicativeLattice, e: int) -> bool:
     """a ^ (b*e) == ((a:e) ^ b) * e for all a, b."""
-    n = L.element_count
-    R = residual_table_ll(L)
-    ids = np.arange(n)
-    be = L.mul_table[:, e]
-    lhs = L.meet_table[:, be]                                   # [a, b] = a ^ (b*e)
-    inner = L.meet_table[R[:, e][:, None], ids[None, :]]        # [a, b] = (a:e) ^ b
-    rhs = L.mul_table[inner, e]
-    return bool((lhs == rhs).all())
+    return _meet_principal(L.meet_table, L.meet_table, L.mul_table, residual_table_ll(L), e)
 
 
 def is_join_principal_l(L: MultiplicativeLattice, e: int) -> bool:
     """((a*e) v b) : e == (b:e) v a for all a, b."""
-    n = L.element_count
-    R = residual_table_ll(L)
-    ids = np.arange(n)
-    ae = L.mul_table[:, e]
-    lhs = R[L.join_table[ae[:, None], ids[None, :]], e]         # [a, b] = ((a*e) v b):e
-    rhs = L.join_table[ids[:, None], R[:, e][None, :]]          # [a, b] = a v (b:e)
-    return bool((lhs == rhs).all())
+    return _join_principal(L.join_table, L.join_table, L.mul_table, residual_table_ll(L), e)
 
 
 def is_principal_l(L: MultiplicativeLattice, e: int) -> bool:
@@ -487,6 +485,7 @@ def lattice_flags(L: MultiplicativeLattice) -> tuple[LElementFlags, ...]:
     stable = _stable_power_table(L)
     sqrts = sqrt_table(L)
     principal = [is_principal_l(L, e) for e in range(n)]
+    maximal = _coatoms(L.leq)
     flags = []
     for a in range(n):
         proper = a != L.top
@@ -495,11 +494,9 @@ def lattice_flags(L: MultiplicativeLattice) -> tuple[LElementFlags, ...]:
         prime = proper and not (prod_below & ~below[:, None] & ~below[None, :]).any()
         stab_below = L.leq[stable, a]
         primary = proper and not (prod_below & ~below[:, None] & ~stab_below[None, :]).any()
-        ups = np.flatnonzero(L.leq[a] & (np.arange(n) != a))
-        maximal = proper and ups.size == 1 and int(ups[0]) == L.top
         flags.append(LElementFlags(
             element=a, proper=proper, prime=bool(prime), primary=bool(primary),
-            maximal=maximal, principal=principal[a], compact=True, sqrt=int(sqrts[a]),
+            maximal=bool(maximal[a]), principal=principal[a], compact=True, sqrt=int(sqrts[a]),
         ))
     return tuple(flags)
 
@@ -516,9 +513,4 @@ def is_p_primary_l(L: MultiplicativeLattice, q: int, p: int) -> bool:
 
 def is_pg_lattice(L: MultiplicativeLattice) -> bool:
     """Every element is the join of the principal elements below it."""
-    flags = lattice_flags(L)
-    principal = [f.element for f in flags if f.principal]
-    for x in L.elements():
-        if L.join_all(e for e in principal if L.le(e, x)) != x:
-            return False
-    return True
+    return _principally_generated(L.leq, [f.element for f in lattice_flags(L) if f.principal])

@@ -35,11 +35,15 @@ from .lattice import (
     ValidationError,
     Violation,
     _FiniteLattice,
+    _coatoms,
     _freeze,
     _join_of_members,
+    _join_principal,
     _lattice_order,
     _least_upper_bounds,
+    _meet_principal,
     _memo,
+    _principally_generated,
     lattice_flags,
 )
 
@@ -105,8 +109,7 @@ class ElementContext:
 # validation
 
 
-def _check_module(L: MultiplicativeLattice, leq, act_table, join_table, meet_table,
-                  top, bottom):
+def _check_module(L: MultiplicativeLattice, leq, act_table, top, bottom):
     """:func:`module_violations`, plus ``(leq, join, meet, act, top, bottom)`` when valid."""
     leq = np.asarray(leq, dtype=bool)
     if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
@@ -115,7 +118,7 @@ def _check_module(L: MultiplicativeLattice, leq, act_table, join_table, meet_tab
     if m == 0:
         return None, [Violation("order-shape", (), "module carrier must be nonempty")]
 
-    order, out = _lattice_order(leq, join_table, meet_table, top, bottom)
+    order, out = _lattice_order(leq, top, bottom)
     if order is None:
         return None, out
     join, meet, derived_top, derived_bottom = order
@@ -229,16 +232,18 @@ def _subset_violations(L: MultiplicativeLattice, act, leq) -> list[Violation]:
 
 
 def module_violations(L: MultiplicativeLattice, leq, act_table,
-                      join_table=None, meet_table=None, top=None, bottom=None) -> list[Violation]:
+                      top=None, bottom=None) -> list[Violation]:
     """Check the lattice-module axioms on raw tables and return every violation found."""
-    return _check_module(L, leq, act_table, join_table, meet_table, top, bottom)[1]
+    return _check_module(L, leq, act_table, top, bottom)[1]
 
 
 def validate_module(L: MultiplicativeLattice, leq, act_table,
-                    join_table=None, meet_table=None, top=None, bottom=None,
-                    labels=None) -> LatticeModule:
-    """Validate raw module tables over L and return the frozen structure."""
-    fields, violations = _check_module(L, leq, act_table, join_table, meet_table, top, bottom)
+                    top=None, bottom=None, labels=None) -> LatticeModule:
+    """Validate raw module tables over L and return the frozen structure.
+
+    Join and meet are derived from the order.
+    """
+    fields, violations = _check_module(L, leq, act_table, top, bottom)
     if violations:
         raise ValidationError(violations)
     leq, join, meet, act, top, bottom = fields
@@ -332,12 +337,7 @@ def prime_elements(M: LatticeModule) -> tuple[int, ...]:
 
 @_memo
 def maximal_elements(M: LatticeModule) -> tuple[int, ...]:
-    out = []
-    for n in M.proper_elements():
-        ups = np.flatnonzero(M.leq[n] & (np.arange(M.element_count) != n))
-        if ups.size == 1 and int(ups[0]) == M.top:
-            out.append(n)
-    return tuple(out)
+    return tuple(np.flatnonzero(_coatoms(M.leq)).tolist())
 
 
 def variety(M: LatticeModule, N: int) -> tuple[int, ...]:
@@ -359,11 +359,12 @@ def variety_l(M: LatticeModule, N: int) -> tuple[int, ...]:
 
 @_memo
 def _rad_table(M: LatticeModule) -> np.ndarray:
-    primes = prime_elements(M)
-    out = np.full(M.element_count, -1, dtype=np.int64)
-    for n in M.proper_elements():
-        out[n] = M.meet_all(p for p in primes if M.le(n, p))
-    return _freeze(out)
+    """Entry [N] is rad(N), and -1 at the top, where rad is undefined."""
+    prime = np.zeros(M.element_count, dtype=bool)
+    prime[list(prime_elements(M))] = True
+    # a meet in M.leq is a join in the reversed order M.leq.T
+    meets = _least_upper_bounds(M.leq.T, M.leq & prime)    # [N, p] = N <= p, p prime
+    return _freeze(np.where(np.arange(M.element_count) == M.top, -1, meets))
 
 
 def rad(M: LatticeModule, N: int) -> int:
@@ -411,24 +412,14 @@ def is_multiplication_module(M: LatticeModule) -> bool:
 
 def is_meet_principal_m(M: LatticeModule, N: int) -> bool:
     """(b ^ (B:N)) N == bN ^ B for all b in L, B in M."""
-    L = M.lattice
-    R = residual_mm_table(M)
-    nl, m = L.element_count, M.element_count
-    inner = L.meet_table[np.arange(nl)[:, None], R[:, N][None, :]]   # [b, B] = b ^ (B:N)
-    lhs = M.act_table[inner, N]
-    rhs = M.meet_table[M.act_table[:, N][:, None], np.arange(m)[None, :]]
-    return bool((lhs == rhs).all())
+    return _meet_principal(M.lattice.meet_table, M.meet_table, M.act_table,
+                           residual_mm_table(M), N)
 
 
 def is_join_principal_m(M: LatticeModule, N: int) -> bool:
     """b v (B:N) == ((bN v B) : N) for all b in L, B in M."""
-    L = M.lattice
-    R = residual_mm_table(M)
-    nl, m = L.element_count, M.element_count
-    lhs = L.join_table[np.arange(nl)[:, None], R[:, N][None, :]]     # [b, B] = b v (B:N)
-    bnb = M.join_table[M.act_table[:, N][:, None], np.arange(m)[None, :]]
-    rhs = R[bnb, N]
-    return bool((lhs == rhs).all())
+    return _join_principal(M.lattice.join_table, M.join_table, M.act_table,
+                           residual_mm_table(M), N)
 
 
 def is_principal_m(M: LatticeModule, N: int) -> bool:
@@ -442,8 +433,4 @@ def _principal_elements_m(M: LatticeModule) -> tuple[int, ...]:
 
 def is_pg_module(M: LatticeModule) -> bool:
     """Every element is the join of the principal elements below it."""
-    principal = _principal_elements_m(M)
-    for x in M.elements():
-        if M.join_all(e for e in principal if M.le(e, x)) != x:
-            return False
-    return True
+    return _principally_generated(M.leq, _principal_elements_m(M))

@@ -227,3 +227,20 @@ def test_verify_max_n_needs_generated_family(capsys, selection):
     code, out, err = run_cli(capsys, "verify", *selection, "--max-n", "3")
     assert code == 2 and out == ""
     assert err == "error: --max-n applies only to --family zn-self or zn-square\n"
+
+
+def test_verify_rejects_two_instances_with_one_name(tmp_path, capsys):
+    fixture = (FIXTURES / "v02_two_chain_module.mlat").read_text()
+    a, b = tmp_path / "a" / "x.mlat", tmp_path / "b" / "x.mlat"
+    for path in (a, b):
+        path.parent.mkdir()
+        path.write_text(fixture)
+    code, out, err = run_cli(capsys, "verify", str(a), str(b), "--format", "json")
+    assert code == 2 and out == ""
+    assert err == f"error: {a} and {b} both give an instance named 'x'\n"
+
+    clash = tmp_path / "zn-self-3.mlat"
+    run_cli(capsys, "gen", "zn-self", "3", "-o", str(clash))
+    code, out, err = run_cli(capsys, "verify", "--family", "zn-self", "--max-n", "3", str(clash))
+    assert code == 2 and out == ""
+    assert err == f"error: --family zn-self and {clash} both give an instance named 'zn-self-3'\n"

@@ -106,6 +106,11 @@ def test_implication_figure(inst12, inst8sq):
     assert result.status == "skipped" and result.skip_reason == "vacuous quantification"
 
 
+def test_suite_rejects_two_instances_with_one_name(inst12):
+    with pytest.raises(ValueError, match="'zn-self-12'"):
+        run_suite([inst12, inst12], checks=["fig1-implications"])
+
+
 def test_unknown_check_rejected(inst12):
     with pytest.raises(KeyError):
         run_suite([inst12], checks=["no-such-check"])
@@ -189,7 +194,7 @@ def test_pcp_sufficient_condition_needs_unrestricted_residuals(inst12):
 def test_chain_checks_sample_longer_chains():
     # zn-self-16 is a chain of primary ideals: plenty of pseudo-primary chains
     inst = make_instance("zn-self-16", gen_zn_self_module(16))
-    result = run_check(inst, registry()["chain-pseudo-primary"], chain_samples=50)
+    result = run_check(inst, registry()["chain-pseudo-primary"])
     assert result.status == "pass"
     assert result.evaluated > 0
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,16 @@ def test_zn8_chain(l8):
     # (1) > (2) > (4) > (0)
     assert l8.le(idx["(0)"], idx["(4)"]) and l8.le(idx["(4)"], idx["(2)"])
     assert l8.label(sqrt(l8, idx["(4)"])) == "(2)"
+
+
+def test_zn_ideal_join_meet_are_gcd_lcm():
+    # the order alone gives the ideal sum (gcd) as join and the intersection (lcm) as meet
+    for n in range(1, 121):
+        L = gen_zn_ideal_lattice(n)
+        divs = divisors(n)
+        index = {d: i for i, d in enumerate(divs)}
+        assert L.join_table.tolist() == [[index[gcd(d, e)] for e in divs] for d in divs], n
+        assert L.meet_table.tolist() == [[index[lcm(d, e)] for e in divs] for d in divs], n
 
 
 def test_generators_are_pg_with_principal_elements():
