@@ -17,9 +17,7 @@ import time
 from . import __version__
 from .classify import FLAG_NAMES, classify_all
 from .harness import (
-    AUTO_HYPOTHESES,
     default_instances,
-    instance_hypotheses,
     list_checks,
     make_instance,
     registry,

@@ -8,6 +8,7 @@ nine faults they produce violations in 50 of the 64 checks, of 11 kinds.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -25,8 +26,8 @@ from latmod import (
 from latmod.classify import FLAG_NAMES, classify_all
 from latmod.cli import main
 from latmod.harness import make_instance, run_suite
-from latmod.lattice import lattice_violations
-from latmod.module import module_violations
+from latmod.lattice import lattice_flags, lattice_violations
+from latmod.module import module_violations, prime_elements
 
 LIST_SHA256 = "84d348c8721b9c84bb5a2eca27e2121ff36d2924cbfd944db06202579fc2a5ee"
 DEFAULT_JSON_SHA256 = "0bead606753b2d0cc5f37d027e243509ce5ce7504785a30bf813c50817f0b645"
@@ -67,6 +68,10 @@ REDUCTION_CHECKS = (
     "equiv-pseudo-classical-primary-cg",
 )
 REDUCTION_SHA256 = "9f843ec68118f8d5491ff52c51e37b8369f6650e3d27527d51d355006bd2941d"
+# Recorded at a6ac9bd: one digest over the classifications, witnesses
+# included, and prime elements of zn-square 2-16 and zn-self 60/360/720, then
+# the lattice flags of zn-ideals 1-120.
+CLASSIFICATIONS_SHA256 = "62e20d5bac75fbec0a0f5bf14b707fc42b9e97487e24c3b7da350074ec7fd983"
 
 
 def _sha256(text: str) -> str:
@@ -140,6 +145,19 @@ def test_reduction_checks_pinned():
         with inject_classifier_fault(flag):
             digest.update(json.dumps(run_suite(instances, checks=REDUCTION_CHECKS).as_dict()).encode())
     assert digest.hexdigest() == REDUCTION_SHA256
+
+
+def test_classifications_pinned():
+    modules = [gen_zn_square_module(n) for n in range(2, 17)]
+    modules += [gen_zn_self_module(n) for n in (60, 360, 720)]
+    digest = hashlib.sha256()
+    for M in modules:
+        digest.update(json.dumps([c.as_dict() for c in classify_all(M).values()]).encode())
+        digest.update(json.dumps(prime_elements(M)).encode())
+    for n in range(1, 121):
+        flags = lattice_flags(gen_zn_ideal_lattice(n))
+        digest.update(json.dumps([dataclasses.astuple(f) for f in flags]).encode())
+    assert digest.hexdigest() == CLASSIFICATIONS_SHA256
 
 
 def _single_cell_mutants(table, wrong_values):
