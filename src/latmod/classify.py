@@ -17,14 +17,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lattice import _memo, lattice_flags, sqrt_table
+from .lattice import _memo, _pair_violations, _stable_power_table, lattice_flags, sqrt_table
 from .module import (
     LatticeModule,
+    _require_id,
     maximal_elements,
     prime_elements,
     rad,
     residual_mm_table,
-    stable_act_top_table,
 )
 
 __all__ = [
@@ -83,33 +83,40 @@ def inject_classifier_fault(flag: str, elements=None):
 
 
 def _require_proper(M: LatticeModule, N: int) -> None:
-    if N == M.top:
-        raise ValueError(f"{M.label(N)} is not a proper element")
+    _require_id(M, N, f"{M.label(M.top)} is not a proper element")
 
 
-def _first(mask: np.ndarray):
-    idx = np.argwhere(mask)
-    return None if idx.size == 0 else tuple(int(v) for v in idx[0])
+def _verdict(violations: np.ndarray):
+    """``(flag, witness)``: the flag holds iff no tuple is marked, and the
+    witness is the lexicographically first marked index."""
+    i = int(violations.argmax())
+    if not violations.flat[i]:
+        return True, None
+    return False, tuple(int(v) for v in np.unravel_index(i, violations.shape))
+
+
+def _triple_violations(M: LatticeModule, N: int, bound: int) -> np.ndarray:
+    """Bool [a, b, K]: (ab)K <= N with aK not<= N and bK not<= ``bound``.
+
+    N is classical prime when no triple is marked with bound N, and
+    pseudo-classical primary with bound rad(N).
+    """
+    act_le = M.leq[M.act_table, N]              # [a, K]: aK <= N
+    bound_le = M.leq[M.act_table, bound]
+    return act_le[M.lattice.mul_table] & ~act_le[:, None, :] & ~bound_le[None, :, :]
 
 
 def is_prime_m(M: LatticeModule, N: int):
     """aX <= N implies X <= N or a I_M <= N; witness is a violating (a, X)."""
     _require_proper(M, N)
-    below = M.leq[:, N]
-    act_le = M.leq[M.act_table, N]
-    atop_le = M.leq[M.act_table[:, M.top], N]
-    w = _first(act_le & ~below[None, :] & ~atop_le[:, None])
-    return w is None, w
+    return _verdict(_pair_violations(M.leq, M.act_table, M.top, N, N))
 
 
 def is_primary_m(M: LatticeModule, N: int):
     """aX <= N implies X <= N or a^k I_M <= N for some k; witness (a, X)."""
     _require_proper(M, N)
-    below = M.leq[:, N]
-    act_le = M.leq[M.act_table, N]
-    stable_le = M.leq[stable_act_top_table(M), N]
-    w = _first(act_le & ~below[None, :] & ~stable_le[:, None])
-    return w is None, w
+    stable = _stable_power_table(M.lattice)
+    return _verdict(_pair_violations(M.leq, M.act_table, M.top, N, N, stable))
 
 
 def is_semiprime(M: LatticeModule, N: int):
@@ -118,8 +125,7 @@ def is_semiprime(M: LatticeModule, N: int):
     L = M.lattice
     ab_top_le = M.leq[M.act_table[L.mul_table, M.top], N]
     atop_le = M.leq[M.act_table[:, M.top], N]
-    w = _first(ab_top_le & ~atop_le[:, None] & ~atop_le[None, :])
-    return w is None, w
+    return _verdict(ab_top_le & ~atop_le[:, None] & ~atop_le[None, :])
 
 
 def is_radical_element(M: LatticeModule, N: int):
@@ -131,52 +137,29 @@ def is_radical_element(M: LatticeModule, N: int):
     return ok, (None if ok else (r, s))
 
 
-def _abk_le(M: LatticeModule, N: int) -> np.ndarray:
-    """Boolean tensor [a, b, K]: (ab)K <= N."""
-    L = M.lattice
-    m = M.element_count
-    abk = M.act_table[L.mul_table[:, :, None], np.arange(m)[None, None, :]]
-    return M.leq[abk, N]
-
-
 def is_classical_prime(M: LatticeModule, N: int):
     """abK <= N implies aK <= N or bK <= N; witness (a, b, K)."""
     _require_proper(M, N)
-    ak_le = M.leq[M.act_table, N]
-    w = _first(_abk_le(M, N) & ~ak_le[:, None, :] & ~ak_le[None, :, :])
-    return w is None, w
+    return _verdict(_triple_violations(M, N, N))
 
 
 def is_two_absorbing(M: LatticeModule, N: int):
-    """abK <= N implies ab <= (N:I_M) or aK <= N or bK <= N; witness (a, b, K)."""
+    """abK <= N implies ab I_M <= N or aK <= N or bK <= N; witness (a, b, K)."""
     _require_proper(M, N)
-    L = M.lattice
-    r = int(residual_mm_table(M)[N, M.top])
-    ab_le = L.leq[L.mul_table, r]
-    ak_le = M.leq[M.act_table, N]
-    w = _first(_abk_le(M, N) & ~ab_le[:, :, None] & ~ak_le[:, None, :] & ~ak_le[None, :, :])
-    return w is None, w
+    ab_top_le = M.leq[M.act_table[M.lattice.mul_table, M.top], N]
+    return _verdict(_triple_violations(M, N, N) & ~ab_top_le[:, :, None])
 
 
 def is_pseudo_primary(M: LatticeModule, N: int):
     """aX <= N implies a <= (N:I_M) or X <= rad(N); witness (a, X)."""
     _require_proper(M, N)
-    L = M.lattice
-    r = int(residual_mm_table(M)[N, M.top])
-    act_le = M.leq[M.act_table, N]
-    a_ok = L.leq[:, r]
-    x_ok = M.leq[:, rad(M, N)]
-    w = _first(act_le & ~a_ok[:, None] & ~x_ok[None, :])
-    return w is None, w
+    return _verdict(_pair_violations(M.leq, M.act_table, M.top, N, rad(M, N)))
 
 
 def is_pseudo_classical_primary(M: LatticeModule, N: int):
     """abK <= N implies aK <= N or bK <= rad(N); witness (a, b, K)."""
     _require_proper(M, N)
-    ak_le = M.leq[M.act_table, N]
-    bk_rad_le = M.leq[M.act_table, rad(M, N)]
-    w = _first(_abk_le(M, N) & ~ak_le[:, None, :] & ~bk_rad_le[None, :, :])
-    return w is None, w
+    return _verdict(_triple_violations(M, N, rad(M, N)))
 
 
 @dataclass(frozen=True)

@@ -450,6 +450,17 @@ def _join_principal(l_join, join, act, res, e: int) -> bool:
     return bool((l_join[:, res[:, e]] == res[join[act[:, e]], e]).all())
 
 
+def _pair_violations(leq, act, top: int, n: int, bound: int, powers=slice(None)) -> np.ndarray:
+    """Bool [a, X]: aX <= n, X not<= ``bound`` and a^k top not<= n, where a^k is
+    ``powers[a]``: a itself by default, or the stable power of a.
+
+    n is prime when no pair is marked with bound n and a^k = a, primary with
+    bound n and the stable powers, and pseudo-primary with bound rad(n) and
+    a^k = a, since a <= (n:top) iff a top <= n.
+    """
+    return leq[act, n] & ~leq[:, bound] & ~leq[act[powers, top], n][:, None]
+
+
 def _principally_generated(leq: np.ndarray, principal) -> bool:
     """Every element of the order ``leq`` is the join of the ``principal`` ids below it."""
     gens = np.zeros(leq.shape[0], dtype=bool)
@@ -489,13 +500,10 @@ def lattice_flags(L: MultiplicativeLattice) -> tuple[LElementFlags, ...]:
     flags = []
     for a in range(n):
         proper = a != L.top
-        below = L.leq[:, a]
-        prod_below = L.leq[L.mul_table, a]
-        prime = proper and not (prod_below & ~below[:, None] & ~below[None, :]).any()
-        stab_below = L.leq[stable, a]
-        primary = proper and not (prod_below & ~below[:, None] & ~stab_below[None, :]).any()
+        prime = proper and not _pair_violations(L.leq, L.mul_table, L.top, a, a).any()
+        primary = proper and not _pair_violations(L.leq, L.mul_table, L.top, a, a, stable).any()
         flags.append(LElementFlags(
-            element=a, proper=proper, prime=bool(prime), primary=bool(primary),
+            element=a, proper=proper, prime=prime, primary=primary,
             maximal=bool(maximal[a]), principal=principal[a], compact=True, sqrt=int(sqrts[a]),
         ))
     return tuple(flags)

@@ -43,6 +43,7 @@ from .lattice import (
     _least_upper_bounds,
     _meet_principal,
     _memo,
+    _pair_violations,
     _principally_generated,
     lattice_flags,
 )
@@ -298,41 +299,23 @@ def residual_mm(M: LatticeModule, A: int, B: int) -> int:
     return int(residual_mm_table(M)[A, B])
 
 
-@_memo
-def stable_act_top_table(M: LatticeModule) -> np.ndarray:
-    """Entry [a] is (stable power of a) acting on I_M."""
-    from .lattice import _stable_power_table
-
-    return _freeze(M.act_table[_stable_power_table(M.lattice), M.top])
-
-
 # ---------------------------------------------------------------------------
 # primes, radical, saturation, variety
-#
-# prime_elements below is a deliberately plain double loop; the classifier
-# module computes the same predicate by vectorized masks, and the test suite
-# checks the two routes agree on every instance.
+
+
+def _require_id(M: LatticeModule, N: int, message: str) -> None:
+    """Reject an id outside the carrier, and the top with ``message``."""
+    if not 0 <= N < M.element_count:
+        raise ValueError(f"{N} is not an element id of M (0..{M.element_count - 1})")
+    if N == M.top:
+        raise ValueError(message)
 
 
 @_memo
 def prime_elements(M: LatticeModule) -> tuple[int, ...]:
     """Ids of the prime elements of M, in ascending order."""
-    L = M.lattice
-    out = []
-    for n in M.proper_elements():
-        prime = True
-        for a in range(L.element_count):
-            if M.le(M.act(a, M.top), n):
-                continue
-            for x in M.elements():
-                if M.le(M.act(a, x), n) and not M.le(x, n):
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            out.append(n)
-    return tuple(out)
+    return tuple(n for n in M.proper_elements()
+                 if not _pair_violations(M.leq, M.act_table, M.top, n, n).any())
 
 
 @_memo
@@ -342,15 +325,13 @@ def maximal_elements(M: LatticeModule) -> tuple[int, ...]:
 
 def variety(M: LatticeModule, N: int) -> tuple[int, ...]:
     """V(N): the prime elements of M above N."""
-    if N == M.top:
-        raise ValueError("variety is defined for proper elements only")
+    _require_id(M, N, "variety is defined for proper elements only")
     return tuple(p for p in prime_elements(M) if M.le(N, p))
 
 
 def variety_l(M: LatticeModule, N: int) -> tuple[int, ...]:
     """V((N:I_M)): the prime elements of L above (N:I_M)."""
-    if N == M.top:
-        raise ValueError("variety is defined for proper elements only")
+    _require_id(M, N, "variety is defined for proper elements only")
     L = M.lattice
     r = residual_mm(M, N, M.top)
     flags = lattice_flags(L)
@@ -373,14 +354,12 @@ def rad(M: LatticeModule, N: int) -> int:
     I_M when no prime lies above N (the empty-meet convention); rejects
     N = I_M, for which the radical is undefined.
     """
-    if N == M.top:
-        raise ValueError("rad is undefined for the top element")
+    _require_id(M, N, "rad is undefined for the top element")
     return int(_rad_table(M)[N])
 
 
 def element_context(M: LatticeModule, N: int) -> ElementContext:
-    if N == M.top:
-        raise ValueError("element context is defined for proper elements only")
+    _require_id(M, N, "element context is defined for proper elements only")
     return ElementContext(residual_top=residual_mm(M, N, M.top), rad=rad(M, N))
 
 
@@ -389,8 +368,7 @@ def saturation(M: LatticeModule, N: int, p: int) -> int:
     L = M.lattice
     if not lattice_flags(L)[p].prime:
         raise ValueError(f"saturation requires a prime element of L, got {L.label(p)}")
-    if N == M.top:
-        raise ValueError("saturation is defined for proper elements only")
+    _require_id(M, N, "saturation is defined for proper elements only")
     keep = M.leq[M.act_table[~L.leq[:, p]], N].any(axis=0)
     return int(_least_upper_bounds(M.leq, keep[None, :])[0])
 

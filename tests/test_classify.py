@@ -20,6 +20,8 @@ from latmod import (
     rad,
 )
 
+from latmod.harness import default_instances
+
 from conftest import label_index
 
 
@@ -174,22 +176,67 @@ def test_classify_aggregates_predicates(m8square):
         assert c.rad == rad(m8square, n)
 
 
-def test_classifier_and_module_prime_routes_agree(m12self, m8square):
-    # vectorized classifier vs the plain-loop enumeration in the module core
-    for M in (m12self, m8square):
-        primes = set(prime_elements(M))
+def plain_prime_elements(M):
+    """Ids of the prime elements of M, by a plain loop over the definition."""
+    L = M.lattice
+    out = []
+    for n in M.proper_elements():
+        prime = True
+        for a in range(L.element_count):
+            if M.le(M.act(a, M.top), n):
+                continue
+            for x in M.elements():
+                if M.le(M.act(a, x), n) and not M.le(x, n):
+                    prime = False
+                    break
+            if not prime:
+                break
+        if prime:
+            out.append(n)
+    return tuple(out)
+
+
+def test_classifier_and_module_prime_routes_agree():
+    # prime_elements and the classifier's is_prime_m vs the plain loop
+    modules = [inst.module for inst in default_instances()]
+    modules += [gen_zn_square_module(n) for n in (6, 9, 10, 16)]
+    for M in modules:
+        primes = plain_prime_elements(M)
+        assert prime_elements(M) == primes
         for n in M.proper_elements():
             assert is_prime_m(M, n)[0] == (n in primes)
+
+
+def test_lattice_flags_match_self_module_classes():
+    # L acting on itself: an element's lattice prime/primary flags are its module classes
+    for k in range(1, 121):
+        M = gen_zn_self_module(k)
+        top = l_element_flags(M.lattice, M.top)
+        assert not top.prime and not top.primary
+        for n in M.proper_elements():
+            flags = l_element_flags(M.lattice, n)
+            assert flags.prime == is_prime_m(M, n)[0]
+            assert flags.primary == is_primary_m(M, n)[0]
+
+
+PREDICATES = (is_prime_m, is_primary_m, is_semiprime, is_radical_element, is_classical_prime,
+              is_two_absorbing, is_pseudo_primary, is_pseudo_classical_primary)
 
 
 def test_non_proper_rejected(m8self):
     with pytest.raises(ValueError):
         classify(m8self, m8self.top)
-    for predicate in (is_prime_m, is_primary_m, is_semiprime, is_radical_element,
-                      is_classical_prime, is_two_absorbing, is_pseudo_primary,
-                      is_pseudo_classical_primary):
+    for predicate in PREDICATES:
         with pytest.raises(ValueError):
             predicate(m8self, m8self.top)
+
+
+def test_out_of_range_ids_rejected(m4square):
+    # -1 would otherwise index the top, the last id of zn-square-4
+    for N in (-1, m4square.element_count):
+        for query in (classify, p_attachments, *PREDICATES):
+            with pytest.raises(ValueError, match="not an element id"):
+                query(m4square, N)
 
 
 def test_prime_in_two_chain_self_module():

@@ -254,10 +254,27 @@ def brute_force_prime(L, p):
                for a in L.elements() for b in L.elements())
 
 
-def test_prime_flags_against_oracle(l12, l8):
-    for L in (l12, l8):
+def brute_force_primary(L, q):
+    def some_power_below(b):
+        x = b
+        for _ in L.elements():      # b, b^2, ..., b^n: the chain is stable by b^n
+            if L.le(x, q):
+                return True
+            x = L.mul(x, b)
+        return False
+
+    if q == L.top:
+        return False
+    return all(not L.le(L.mul(a, b), q) or L.le(a, q) or some_power_below(b)
+               for a in L.elements() for b in L.elements())
+
+
+def test_prime_flags_against_oracle():
+    for n in range(1, 121):
+        L = gen_zn_ideal_lattice(n)
         for a in L.elements():
             assert l_element_flags(L, a).prime == brute_force_prime(L, a)
+            assert l_element_flags(L, a).primary == brute_force_primary(L, a)
 
 
 def test_flag_values(l12):

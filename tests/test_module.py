@@ -12,6 +12,7 @@ from latmod import (
     is_multiplication_module,
     is_pg_module,
     is_principal_m,
+    l_element_flags,
     prime_elements,
     rad,
     residual_ml,
@@ -218,3 +219,13 @@ def test_prime_elements_of_small_self_module():
     M = gen_zn_self_module(2)
     # the zero element of a 2-chain acting on itself is prime
     assert prime_elements(M) == (M.bottom,)
+
+
+def test_out_of_range_ids_rejected(m4square):
+    # -1 would otherwise index the top, the last id of zn-square-4
+    M = m4square
+    p = next(a for a in M.lattice.elements() if l_element_flags(M.lattice, a).prime)
+    for N in (-1, M.element_count):
+        for query in (rad, variety, variety_l, element_context, lambda M, N: saturation(M, N, p)):
+            with pytest.raises(ValueError, match="not an element id"):
+                query(M, N)
