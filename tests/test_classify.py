@@ -19,7 +19,6 @@ from latmod import (
     prime_elements,
     rad,
 )
-
 from latmod.harness import default_instances
 
 from conftest import label_index
@@ -219,22 +218,23 @@ def test_lattice_flags_match_self_module_classes():
             assert flags.primary == is_primary_m(M, n)[0]
 
 
-PREDICATES = (is_prime_m, is_primary_m, is_semiprime, is_radical_element, is_classical_prime,
-              is_two_absorbing, is_pseudo_primary, is_pseudo_classical_primary)
-
-
 def test_non_proper_rejected(m8self):
     with pytest.raises(ValueError):
         classify(m8self, m8self.top)
-    for predicate in PREDICATES:
+    for predicate in (is_prime_m, is_primary_m, is_semiprime, is_radical_element,
+                      is_classical_prime, is_two_absorbing, is_pseudo_primary,
+                      is_pseudo_classical_primary):
         with pytest.raises(ValueError):
             predicate(m8self, m8self.top)
 
 
 def test_out_of_range_ids_rejected(m4square):
     # -1 would otherwise index the top, the last id of zn-square-4
+    queries = (classify, p_attachments, is_prime_m, is_primary_m, is_semiprime,
+               is_radical_element, is_classical_prime, is_two_absorbing, is_pseudo_primary,
+               is_pseudo_classical_primary)
     for N in (-1, m4square.element_count):
-        for query in (classify, p_attachments, *PREDICATES):
+        for query in queries:
             with pytest.raises(ValueError, match="not an element id"):
                 query(m4square, N)
 
