@@ -21,6 +21,7 @@ from .lattice import _memo, _pair_violations, _stable_power_table, lattice_flags
 from .module import (
     LatticeModule,
     _require_id,
+    _require_in,
     maximal_elements,
     prime_elements,
     rad,
@@ -197,6 +198,8 @@ def _no_prime_between(M: LatticeModule, primes, X: int, N: int) -> bool:
 
 def is_minimal_prime_over(M: LatticeModule, N: int, X: int) -> bool:
     """No prime strictly between X and the prime N."""
+    _require_in(M, N, "M")
+    _require_in(M, X, "M")
     if N not in prime_elements(M):
         raise ValueError(f"{M.label(N)} is not a prime element")
     if not M.le(X, N):

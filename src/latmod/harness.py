@@ -22,22 +22,31 @@ implication between classes (:func:`_implication`; the implication figure is
 ``ARROWS``), and one parametrised kernel per family of statements that differ
 only in a flag (chains, rad(N) prime, a residual prime, q I_M flagged).
 
+:func:`run_suite` builds one evaluation context (:class:`Ctx`) per instance,
+and every selected check of that instance reads it, so the classification,
+the residual and rad tables and the arrays derived from them are gathered
+once per instance, not once per check.
+
 The quantifier-heavy sides are numpy reductions over the residual tables the
 instance memoizes: residual-split gathers (N:ab) for every N at once,
 residual-product reduces to a per-K table of the residual values that break
 the product criterion, and residual-shift, the join-meet condition and the
 pseudo-primary sides are one mask per N.  The "compact-definition" sides use
-the residuation identity xK <= N iff x <= (N:K), so they quantify the
-definitions over the residual rows of N and never read the classifier's
-action tensors; the plain-loop reference they are tested against lives in
-``tests/test_harness.py``.  The rest (identities, bounds, chain conditions)
-are plain loops.  Every entry registers through :func:`_check`, which
-rejects duplicate ids and unknown hypotheses.
+the residuation identity xK <= N iff x <= (N:K), so N enters only through the
+pairs ((N:K), (bound:K)); one l x l table per instance, ``Ctx.breaks``, says
+which pairs break the definition, and the classifier's action tensors are
+never read.  The seeded draws (the sampled chains of the ``chain-*`` checks,
+the families of ``lem-rad-meet``) are drawn in their original order and then
+evaluated in bulk: one batched meet or join per side.  The plain-loop
+references for all of these live in ``tests/test_harness.py``.  The rest
+(identities, bounds) are plain loops.  Every entry registers through
+:func:`_check`, which rejects duplicate ids and unknown hypotheses.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -48,14 +57,13 @@ import numpy as np
 
 from .classify import FLAG_NAMES, classify_all
 from .instances import DEFAULT_SQUARE_CAP, gen_zn_self_module, gen_zn_square_module, serialize_instance
-from .lattice import is_pg_lattice, lattice_flags, sqrt_table
+from .lattice import _least_upper_bounds, is_pg_lattice, lattice_flags, sqrt_table
 from .module import (
     LatticeModule,
     _rad_table,
     is_faithful,
     is_multiplication_module,
     is_pg_module,
-    rad,
     residual_ml_table,
     residual_mm_table,
     saturation,
@@ -198,8 +206,20 @@ class TheoremReport:
         }
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, marked read-only so that a kernel writing into it raises."""
+    arr.setflags(write=False)
+    return arr
+
+
 class Ctx:
-    """Per-instance evaluation context sharing classifications and residuals."""
+    """Per-instance evaluation context sharing classifications and residuals.
+
+    ``run_suite`` builds one per instance and every selected check reads it,
+    so each table below is gathered once per instance.  The arrays it builds
+    itself are read-only, as the memo tables are: a kernel cannot change what
+    a later check reads.
+    """
 
     def __init__(self, instance: Instance, seed: int = 0):
         self.instance = instance
@@ -222,7 +242,13 @@ class Ctx:
     @cached_property
     def mul_le(self):
         """Boolean [a, b, z]: ab <= z in L."""
-        return self.L.leq[self.L.mul_table]
+        return _read_only(self.L.leq[self.L.mul_table])
+
+    @cached_property
+    def breaks(self):
+        """Boolean [z, w]: some a, b in L have ab <= z, a not<= z and b not<= w."""
+        leq = self.L.leq
+        return _read_only((self.mul_le & ~leq[:, None, :]).any(axis=0).T @ ~leq)
 
     @cached_property
     def res_mm(self):
@@ -233,6 +259,11 @@ class Ctx:
         return residual_ml_table(self.M)
 
     @cached_property
+    def rad_of(self):
+        """Entry [N] is rad(N), and -1 at the top, where rad is undefined."""
+        return _rad_table(self.M)
+
+    @cached_property
     def lflags(self):
         return lattice_flags(self.L)
 
@@ -240,8 +271,19 @@ class Ctx:
     def sqrts(self):
         return sqrt_table(self.L)
 
+    @cached_property
+    def comparable(self):
+        """Per module element, the bit mask of the elements comparable to it."""
+        leq = self.M.leq
+        return tuple(sum(1 << y for y in np.flatnonzero(row).tolist()) for row in leq | leq.T)
+
+    @cached_property
+    def down_sizes(self):
+        """Entry [x] is the number of module elements below x."""
+        return _read_only(self.M.leq.sum(axis=0))
+
     def rad(self, N: int) -> int:
-        return rad(self.M, N)
+        return int(self.rad_of[N])
 
     def res_top(self, N: int) -> int:
         return int(self.res_mm[N, self.M.top])
@@ -257,23 +299,34 @@ class Ctx:
         return random.Random(int.from_bytes(digest[:8], "big"))
 
     def chains_of(self, flag: str, tag: str) -> list[tuple[int, ...]]:
-        """All 2- and 3-element chains of flagged elements, plus sampled longer ones."""
-        M = self.M
+        """All 2- and 3-element chains of flagged elements, plus sampled longer ones.
+
+        A sample shuffles the flagged elements and keeps each one comparable
+        to all kept so far; chains of at least 4 are sorted bottom-up.  When
+        no 4-element chain exists no sample can be kept, so none is drawn.
+        """
         ids = self.flagged(flag)
-        pairs = [(a, b) for a in ids for b in ids if a != b and M.le(a, b)]
-        chains: list[tuple[int, ...]] = pairs + [
-            (a, b, c) for a, b in pairs for c in ids if c not in (a, b) and M.le(b, c)]
+        pos = np.array(ids, dtype=np.int64)
+        below = self.M.leq[np.ix_(pos, pos)] & ~np.eye(pos.size, dtype=bool)
+        chains: list[tuple[int, ...]] = [
+            (ids[i], ids[j]) for i, j in np.argwhere(below).tolist()]
+        three = below[:, :, None] & below[None, :, :]           # [i, j, k]: i < j < k
+        chains += [(ids[i], ids[j], ids[k]) for i, j, k in np.argwhere(three).tolist()]
+        if not (three.any(axis=0) @ below).any():              # no i < j < k < l
+            return chains
+        comparable, sizes = self.comparable, self.down_sizes.tolist()
         rng = self.rng(tag)
         seen = set()
         for _ in range(_CHAIN_SAMPLES):
             pool = list(ids)
             rng.shuffle(pool)
-            chain: list[int] = []
+            chain, allowed = [], -1
             for x in pool:
-                if all(M.le(x, y) or M.le(y, x) for y in chain):
+                if allowed >> x & 1:
                     chain.append(x)
+                    allowed &= comparable[x]
             if len(chain) >= 4:
-                chain = tuple(sorted(chain, key=lambda x: int(M.leq[:, x].sum())))
+                chain = tuple(sorted(chain, key=sizes.__getitem__))
                 if chain not in seen:
                     seen.add(chain)
                     chains.append(chain)
@@ -376,24 +429,40 @@ def _implication(ctx: Ctx, domain, antecedent: str, consequent: str, dashed: boo
 def _compact_definition(ctx: Ctx, n: int, bound: int) -> bool:
     """abK <= N forces aK <= N or bK <= bound, for all a, b in L and K in M.
 
-    Read through residuation, xK <= N iff x <= (N:K), so the quantifier is
-    one [a, b, K] mask over the residual rows of N and bound, not the
-    classifier's action tensors.  With bound = N this is the classical prime
-    definition, with bound = rad(N) the pseudo-classical primary one.
+    Read through residuation, xK <= N iff x <= (N:K), so N enters only through
+    the pairs ((N:K), (bound:K)): the definition fails iff ``ctx.breaks`` holds
+    at one of them.  The residual rows of N and bound are all it reads, not
+    the classifier's action tensors.  With bound = N this is the classical
+    prime definition, with bound = rad(N) the pseudo-classical primary one.
     """
-    leq, nk, bk = ctx.L.leq, ctx.res_mm[n], ctx.res_mm[bound]
-    bad = ctx.mul_le[:, :, nk] & ~leq[:, nk][:, None, :] & ~leq[:, bk][None, :, :]
-    return not bad.any()
+    return not ctx.breaks[ctx.res_mm[n], ctx.res_mm[bound]].any()
+
+
+def _member_rows(families, size: int) -> np.ndarray:
+    """Boolean [i, x]: x is a member of ``families[i]``."""
+    rows = np.repeat(np.arange(len(families)), [len(f) for f in families])
+    cols = np.fromiter(itertools.chain.from_iterable(families), dtype=np.int64, count=rows.size)
+    out = np.zeros((len(families), size), dtype=bool)
+    out[rows, cols] = True
+    return out
 
 
 def _chain_kernel(ctx: Ctx, flag: str):
+    """The meet and the join of every chain from ``ctx.chains_of`` are proper
+    and carry ``flag``: one batched meet and one batched join over all chains."""
+    M = ctx.M
     chains = ctx.chains_of(flag, f"chain-{flag}")
-    viols = []
-    for chain in chains:
-        for which, value in (("meet", ctx.M.meet_all(chain)), ("join", ctx.M.join_all(chain))):
-            if value == ctx.M.top or not ctx.cls[value].flag(flag):
-                viols.append(_v("chain", chain=chain, bound=which, value=value, flag=flag,
-                                label=", ".join(ctx.M.label(x) for x in chain)))
+    if not chains:
+        return 0, []
+    members = _member_rows(chains, M.element_count)
+    flagged = np.zeros(M.element_count, dtype=bool)
+    flagged[ctx.flagged(flag)] = True               # never the top
+    # [chain, bound]: the meet, then the join (a meet is a join in M.leq.T)
+    values = np.stack([_least_upper_bounds(M.leq.T, members),
+                       _least_upper_bounds(M.leq, members)], axis=1)
+    viols = [_v("chain", chain=chains[i], bound=("meet", "join")[b], value=values[i, b],
+                flag=flag, label=", ".join(M.label(x) for x in chains[i]))
+             for i, b in np.argwhere(~flagged[values]).tolist()]
     return len(chains), viols
 
 
@@ -741,27 +810,37 @@ _check("chain-pseudo-primary",
     lambda ctx: _chain_kernel(ctx, "pseudo_primary"))
 
 
+def _rad_meet_families(ctx: Ctx):
+    """The 50 seeded families of ``lem-rad-meet`` (none with fewer than two
+    proper elements), with rad(meet of the family) and the meet of the rads
+    of its members for each: one batched meet per side over the rad table."""
+    M, propers, rad_of = ctx.M, ctx.propers, ctx.rad_of
+    rng = ctx.rng("lem-rad-meet")
+    families = [rng.sample(propers, rng.randint(2, len(propers)))
+                for _ in range(50 if len(propers) >= 2 else 0)]
+    members = _member_rows(families, M.element_count)
+    images = members @ (rad_of[:, None] == np.arange(M.element_count))    # [i, rad(x)]
+    lhs = rad_of[_least_upper_bounds(M.leq.T, members)]     # a meet of proper elements is proper
+    rhs = _least_upper_bounds(M.leq.T, images)
+    return families, lhs, rhs
+
+
 @_check("lem-rad-meet",
         "rad(A ^ B) = rad(A) ^ rad(B) for proper A, B, plus sampled larger families",
         BUNDLE)
 def _k_rad_meet(ctx: Ctx):
-    M, rad_of = ctx.M, _rad_table(ctx.M)            # -1 at the top, where rad is undefined
+    M, rad_of = ctx.M, ctx.rad_of                   # -1 at the top, where rad is undefined
     ids = np.array(ctx.propers, dtype=np.int64)
     lhs = rad_of[M.meet_table[np.ix_(ids, ids)]]    # a meet of proper elements is proper
     rhs = M.meet_table[np.ix_(rad_of[ids], rad_of[ids])]
     viols = [_v("rad-meet", pair=(ids[i], ids[j]), label=f"{M.label(ids[i])}, {M.label(ids[j])}")
              for i, j in np.argwhere(lhs != rhs)]
-    count = ids.size ** 2
-    rng = ctx.rng("lem-rad-meet")
-    for _ in range(50 if len(ctx.propers) >= 2 else 0):
-        family = rng.sample(ctx.propers, rng.randint(2, len(ctx.propers)))
-        count += 1
-        lhs = ctx.rad(M.meet_all(family))
-        rhs = M.meet_all(ctx.rad(x) for x in family)
-        if lhs != rhs:
-            viols.append(_v("rad-meet", family=sorted(family), lhs=lhs, rhs=rhs,
-                            label=", ".join(M.label(x) for x in sorted(family))))
-    return count, viols
+    families, lhs, rhs = _rad_meet_families(ctx)
+    for i in np.flatnonzero(lhs != rhs).tolist():
+        family = sorted(families[i])
+        viols.append(_v("rad-meet", family=family, lhs=lhs[i], rhs=rhs[i],
+                        label=", ".join(M.label(x) for x in family)))
+    return ids.size ** 2 + len(families), viols
 
 
 @_check("thm-rad-eq", "(rad(N):I_M) = sqrt(N:I_M) for every proper N", BUNDLE)
@@ -1133,13 +1212,18 @@ def instance_hypotheses(M: LatticeModule) -> dict[str, bool]:
 
 
 def run_check(instance: Instance, check: TheoremCheck, seed: int = 0,
-              hypotheses: dict[str, bool] | None = None) -> CheckResult:
+              hypotheses: dict[str, bool] | None = None, ctx: Ctx | None = None) -> CheckResult:
+    """Evaluate one check on one instance.
+
+    ``ctx`` is the instance's shared context, built with the same ``seed``;
+    without one the check gets a context of its own.
+    """
     hyps = hypotheses if hypotheses is not None else instance_hypotheses(instance.module)
     start = time.perf_counter()
     unmet = [h for h in check.hypotheses if not hyps[h]]
     evaluated, violations, reason = 0, [], "hypotheses unmet: " + ", ".join(unmet)
     if not unmet:
-        evaluated, violations = check.kernel(Ctx(instance, seed=seed))
+        evaluated, violations = check.kernel(ctx if ctx is not None else Ctx(instance, seed=seed))
         reason = "vacuous quantification" if evaluated == 0 else None
     status = "skipped" if reason else "fail" if violations else "pass"
     return CheckResult(instance=instance.name, check_id=check.id, status=status,
@@ -1149,7 +1233,8 @@ def run_check(instance: Instance, check: TheoremCheck, seed: int = 0,
 
 
 def run_suite(instances, checks="all", seed: int = 0) -> TheoremReport:
-    """Evaluate the selected checks on every instance.
+    """Evaluate the selected checks on every instance, all of them reading
+    one context per instance.
 
     Results are ordered by (instance name, check id) regardless of evaluation
     order, so reports are deterministic for fixed inputs and seed.  Raises
@@ -1170,8 +1255,9 @@ def run_suite(instances, checks="all", seed: int = 0) -> TheoremReport:
             "hypotheses": {name + (" (auto)" if name in AUTO_HYPOTHESES else ""): value
                            for name, value in hyps.items()},
         }
+        ctx = Ctx(instance, seed=seed)
         for check in selected:
-            results.append(run_check(instance, check, seed=seed, hypotheses=hyps))
+            results.append(run_check(instance, check, seed=seed, hypotheses=hyps, ctx=ctx))
     results.sort(key=lambda r: (r.instance, r.check_id))
     return TheoremReport(results=results, instances=info, seed=seed)
 

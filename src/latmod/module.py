@@ -281,6 +281,8 @@ def residual_ml_table(M: LatticeModule) -> np.ndarray:
 
 def residual_ml(M: LatticeModule, N: int, a: int) -> int:
     """(N:a) in M, the largest X with a X <= N."""
+    _require_in(M, N, "M")
+    _require_in(M.lattice, a, "L")
     return int(residual_ml_table(M)[N, a])
 
 
@@ -296,6 +298,8 @@ def residual_mm_table(M: LatticeModule) -> np.ndarray:
 
 def residual_mm(M: LatticeModule, A: int, B: int) -> int:
     """(A:B) in L, the largest x with x B <= A."""
+    _require_in(M, A, "M")
+    _require_in(M, B, "M")
     return int(residual_mm_table(M)[A, B])
 
 
@@ -303,10 +307,15 @@ def residual_mm(M: LatticeModule, A: int, B: int) -> int:
 # primes, radical, saturation, variety
 
 
+def _require_in(S: _FiniteLattice, x: int, name: str) -> None:
+    """Reject an id outside the carrier of ``S``, the structure called ``name``."""
+    if not 0 <= x < S.element_count:
+        raise ValueError(f"{x} is not an element id of {name} (0..{S.element_count - 1})")
+
+
 def _require_id(M: LatticeModule, N: int, message: str) -> None:
     """Reject an id outside the carrier, and the top with ``message``."""
-    if not 0 <= N < M.element_count:
-        raise ValueError(f"{N} is not an element id of M (0..{M.element_count - 1})")
+    _require_in(M, N, "M")
     if N == M.top:
         raise ValueError(message)
 
@@ -366,6 +375,7 @@ def element_context(M: LatticeModule, N: int) -> ElementContext:
 def saturation(M: LatticeModule, N: int, p: int) -> int:
     """S_p(N): the join of all X with c X <= N for some c not below the prime p."""
     L = M.lattice
+    _require_in(L, p, "L")
     if not lattice_flags(L)[p].prime:
         raise ValueError(f"saturation requires a prime element of L, got {L.label(p)}")
     _require_id(M, N, "saturation is defined for proper elements only")

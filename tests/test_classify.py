@@ -160,6 +160,15 @@ def test_minimal_prime_over(m12self):
     assert {m12self.label(p) for p in minimal} == {"(2)", "(3)"}
 
 
+def test_minimal_prime_over_rejects_out_of_range_ids(m4square):
+    M = m4square
+    p = prime_elements(M)[0]
+    for bad in (-1, M.element_count):
+        for args in ((p, bad), (bad, M.bottom)):
+            with pytest.raises(ValueError, match=rf"{bad} is not an element id of M \(0\.\.14\)"):
+                is_minimal_prime_over(M, *args)
+
+
 def test_classify_aggregates_predicates(m8square):
     cls = classify_all(m8square)
     for n in m8square.proper_elements():

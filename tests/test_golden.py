@@ -72,6 +72,18 @@ REDUCTION_SHA256 = "9f843ec68118f8d5491ff52c51e37b8369f6650e3d27527d51d355006bd2
 # included, and prime elements of zn-square 2-16 and zn-self 60/360/720, then
 # the lattice flags of zn-ideals 1-120.
 CLASSIFICATIONS_SHA256 = "62e20d5bac75fbec0a0f5bf14b707fc42b9e97487e24c3b7da350074ec7fd983"
+# Recorded at 557e21e: one digest over the reports of the checks that draw
+# from ``Ctx.rng``, for seeds 0-3, clean and then with each chain flag
+# inverted.  A clean chain report depends on the draws only through its
+# ``evaluated`` count of distinct chains, which the inverted flags make vary
+# with the seed; the ``lem-rad-meet`` families show only in a violation.
+SEEDED_CHECKS = (
+    "chain-classical-prime",
+    "chain-pseudo-primary",
+    "chain-pseudo-classical-primary",
+    "lem-rad-meet",
+)
+SEEDED_SHA256 = "426317a75ef5085839d5ba7c2205e120cf784e76fc80506c6a884dc3c5b4241a"
 
 
 def _sha256(text: str) -> str:
@@ -145,6 +157,19 @@ def test_reduction_checks_pinned():
         with inject_classifier_fault(flag):
             digest.update(json.dumps(run_suite(instances, checks=REDUCTION_CHECKS).as_dict()).encode())
     assert digest.hexdigest() == REDUCTION_SHA256
+
+
+def test_seeded_checks_pinned():
+    instances = [make_instance(f"zn-square-{n}", gen_zn_square_module(n)) for n in (9, 10, 16)]
+    instances += [make_instance(f"zn-self-{n}", gen_zn_self_module(n)) for n in (60, 360, 720)]
+    digest = hashlib.sha256()
+    for seed in range(4):
+        digest.update(json.dumps(run_suite(instances, checks=SEEDED_CHECKS, seed=seed).as_dict()).encode())
+        for flag in ("classical_prime", "pseudo_primary", "pseudo_classical_primary"):
+            with inject_classifier_fault(flag):
+                report = run_suite(instances, checks=SEEDED_CHECKS, seed=seed)
+            digest.update(json.dumps(report.as_dict()).encode())
+    assert digest.hexdigest() == SEEDED_SHA256
 
 
 def test_classifications_pinned():

@@ -1,7 +1,10 @@
+import contextlib
 import gc
+import itertools
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
 from latmod import (
@@ -12,12 +15,18 @@ from latmod import (
     residual_mm,
 )
 from latmod.classify import classify_all, is_prime_m, is_pseudo_classical_primary
+from latmod import harness
+from latmod.classify import FLAG_NAMES
 from latmod.harness import (
     AUTO_HYPOTHESES,
     BUNDLE,
     Ctx,
+    TheoremCheck,
+    _chain_kernel,
     _compact_definition,
+    _k_rad_meet,
     _pp_compact_definition,
+    _rad_meet_families,
     check_implication_figure,
     default_instances,
     list_checks,
@@ -301,6 +310,7 @@ def test_compact_definitions_match_plain_loops():
     instances = default_instances() + [
         make_instance("zn-square-6", gen_zn_square_module(6)),
         make_instance("zn-square-9", gen_zn_square_module(9)),
+        make_instance("zn-square-10", gen_zn_square_module(10)),
         make_instance("zn-self-60", gen_zn_self_module(60)),
     ]
     seen = set()
@@ -317,3 +327,184 @@ def test_compact_definitions_match_plain_loops():
     # both verdicts occur for each side, so neither could be a constant
     assert seen == {(True, True), (True, False), (False, True), (False, False),
                     ("pp", True), ("pp", False)}
+
+
+def test_breaks_matches_plain_loop():
+    # breaks[z, w]: some a, b have ab <= z, a not<= z and b not<= w
+    for n in range(1, 121):
+        ctx = Ctx(make_instance(f"zn-self-{n}", gen_zn_self_module(n)))
+        L = ctx.L
+        pairs = list(itertools.product(L.elements(), repeat=2))
+        want = np.array([[any(L.le(L.mul(a, b), z) and not L.le(a, z) and not L.le(b, w)
+                              for a, b in pairs) for w in L.elements()] for z in L.elements()],
+                        dtype=bool).reshape(L.element_count, L.element_count)
+        assert np.array_equal(ctx.breaks, want), n
+
+
+# The seeded checks as they were first written, one Python step at a time:
+# the bulk versions in harness.py must draw the same chains and families in
+# the same order and report the same violations.
+SEEDED_INSTANCES = [("zn-square", 9), ("zn-square", 10), ("zn-square", 16),
+                    ("zn-self", 60), ("zn-self", 360), ("zn-self", 720)]
+CHAIN_FLAGS = ("classical_prime", "pseudo_primary", "pseudo_classical_primary")
+
+
+@pytest.fixture(scope="module")
+def seeded_instances():
+    build = {"zn-square": gen_zn_square_module, "zn-self": gen_zn_self_module}
+    return [make_instance(f"{family}-{n}", build[family](n)) for family, n in SEEDED_INSTANCES]
+
+
+def _chains_of_loop(ctx, flag, tag):
+    M = ctx.M
+    ids = ctx.flagged(flag)
+    pairs = [(a, b) for a in ids for b in ids if a != b and M.le(a, b)]
+    chains = pairs + [
+        (a, b, c) for a, b in pairs for c in ids if c not in (a, b) and M.le(b, c)]
+    rng = ctx.rng(tag)
+    seen = set()
+    for _ in range(100):
+        pool = list(ids)
+        rng.shuffle(pool)
+        chain = []
+        for x in pool:
+            if all(M.le(x, y) or M.le(y, x) for y in chain):
+                chain.append(x)
+        if len(chain) >= 4:
+            chain = tuple(sorted(chain, key=lambda x: int(M.leq[:, x].sum())))
+            if chain not in seen:
+                seen.add(chain)
+                chains.append(chain)
+    return chains
+
+
+def _chain_loop(ctx, flag, chains):
+    viols = []
+    for chain in chains:
+        for which, value in (("meet", ctx.M.meet_all(chain)), ("join", ctx.M.join_all(chain))):
+            if value == ctx.M.top or not ctx.cls[value].flag(flag):
+                viols.append(harness._v("chain", chain=chain, bound=which, value=value, flag=flag,
+                                        label=", ".join(ctx.M.label(x) for x in chain)))
+    return len(chains), viols
+
+
+def _rad_meet_loop(ctx):
+    """The 50 seeded families of lem-rad-meet, each with (lhs, rhs)."""
+    M = ctx.M
+    rng = ctx.rng("lem-rad-meet")
+    out = []
+    for _ in range(50 if len(ctx.propers) >= 2 else 0):
+        family = rng.sample(ctx.propers, rng.randint(2, len(ctx.propers)))
+        out.append((family, ctx.rad(M.meet_all(family)), M.meet_all(ctx.rad(x) for x in family)))
+    return out
+
+
+def _rad_meet_kernel_loop(ctx):
+    M, rad_of = ctx.M, ctx.rad_of
+    ids = np.array(ctx.propers, dtype=np.int64)
+    lhs = rad_of[M.meet_table[np.ix_(ids, ids)]]
+    rhs = M.meet_table[np.ix_(rad_of[ids], rad_of[ids])]
+    viols = [harness._v("rad-meet", pair=(ids[i], ids[j]),
+                        label=f"{M.label(ids[i])}, {M.label(ids[j])}")
+             for i, j in np.argwhere(lhs != rhs)]
+    families = _rad_meet_loop(ctx)
+    for family, lhs, rhs in families:
+        if lhs != rhs:
+            viols.append(harness._v("rad-meet", family=sorted(family), lhs=lhs, rhs=rhs,
+                                    label=", ".join(M.label(x) for x in sorted(family))))
+    return ids.size ** 2 + len(families), viols
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chains_match_plain_loops(seeded_instances, seed):
+    # inverting a flag makes its flagged set large enough for sampled chains
+    sampled = 0
+    for fault in (None,) + CHAIN_FLAGS:
+        with inject_classifier_fault(fault) if fault else contextlib.nullcontext():
+            for inst in seeded_instances:
+                ctx = Ctx(inst, seed=seed)
+                for flag in CHAIN_FLAGS:
+                    chains = ctx.chains_of(flag, f"chain-{flag}")
+                    assert chains == _chains_of_loop(ctx, flag, f"chain-{flag}"), (inst.name, flag)
+                    assert _chain_kernel(ctx, flag) == _chain_loop(ctx, flag, chains)
+                    sampled += sum(len(chain) >= 4 for chain in chains)
+    assert sampled > 0
+
+
+def test_chain_bounds_match_folds_on_any_family(seeded_instances):
+    # Chains never break the statement, so feed the kernel antichains and
+    # random families, whose meets and joins the folds compute one step at a time.
+    rng = np.random.default_rng(0)
+    found = 0
+    for inst in seeded_instances:
+        ctx = Ctx(inst)
+        m = inst.module.element_count
+        families = [tuple(sorted(rng.choice(m, size=k, replace=False).tolist()))
+                    for k in rng.integers(1, min(m, 6), size=40)]
+        ctx.chains_of = lambda flag, tag: families
+        for flag in CHAIN_FLAGS:
+            result = _chain_kernel(ctx, flag)
+            assert result == _chain_loop(ctx, flag, families), (inst.name, flag)
+            found += len(result[1])
+    assert found > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rad_meet_families_match_plain_loop(seeded_instances, seed):
+    for inst in seeded_instances:
+        ctx = Ctx(inst, seed=seed)
+        families, lhs, rhs = _rad_meet_families(ctx)
+        assert [(f, int(a), int(b)) for f, a, b in zip(families, lhs, rhs)] == _rad_meet_loop(ctx)
+        assert _k_rad_meet(ctx) == _rad_meet_kernel_loop(ctx)
+        # a wrong rad table breaks the identity: the violations must agree too
+        bad = Ctx(inst, seed=seed)
+        table = np.random.default_rng(seed).choice(ctx.propers, size=inst.module.element_count)
+        table[inst.module.top] = -1
+        bad.rad_of = table
+        result = _k_rad_meet(bad)
+        assert result == _rad_meet_kernel_loop(bad)
+        if len(ctx.propers) >= 2:
+            assert any("family" in v for v in result[1]), inst.name
+
+
+def test_ctx_arrays_are_read_only(inst8sq):
+    ctx = Ctx(inst8sq)
+    for arr in (ctx.mul_le, ctx.breaks, ctx.down_sizes, ctx.res_mm, ctx.res_ml, ctx.rad_of):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
+@pytest.mark.parametrize("seed, fault", [(0, None), (2, None), (0, "pseudo_primary")])
+def test_shared_context_matches_one_check_runs(seed, fault):
+    # one context per instance must give what a context per check gives
+    instances = default_instances() + [
+        make_instance("zn-square-6", gen_zn_square_module(6)),
+        make_instance("zn-square-9", gen_zn_square_module(9)),
+    ]
+    with inject_classifier_fault(fault) if fault else contextlib.nullcontext():
+        shared = run_suite(instances, seed=seed).as_dict()
+        alone = [r for inst in instances for cid in registry()
+                 for r in run_suite([inst], checks=[cid], seed=seed).as_dict()["results"]]
+    alone.sort(key=lambda r: (r["instance"], r["check"]))
+    assert shared["results"] == alone
+    if fault:
+        assert any(r["status"] == "fail" for r in alone)
+
+
+def test_run_suite_calls_run_check_once_per_check(monkeypatch, inst12, inst8sq):
+    # The benchmark's per-check trace wraps the module-global run_check and
+    # reads the check from args[1].
+    calls = []
+    original = harness.run_check
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_check", spy)
+    run_suite([inst12, inst8sq])
+    assert len(calls) == 2 * len(registry()) == 128
+    for inst, block in zip((inst12, inst8sq), (calls[:64], calls[64:])):
+        assert all(args[0] is inst and isinstance(args[1], TheoremCheck) for args, _ in block)
+        assert [args[1].id for args, _ in block] == list(registry())
+        assert len({id(kwargs["ctx"]) for _, kwargs in block}) == 1

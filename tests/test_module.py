@@ -229,3 +229,24 @@ def test_out_of_range_ids_rejected(m4square):
         for query in (rad, variety, variety_l, element_context, lambda M, N: saturation(M, N, p)):
             with pytest.raises(ValueError, match="not an element id"):
                 query(M, N)
+
+
+def test_residuals_and_saturation_reject_out_of_range_ids(m4square):
+    # -1 would otherwise read the last id of the carrier, and the carrier size
+    # would raise IndexError
+    M, L = m4square, m4square.lattice
+    p = next(a for a in L.elements() if l_element_flags(L, a).prime)
+    n = next(iter(M.proper_elements()))
+    for bad in (-1, L.element_count):
+        for query in (lambda: residual_ml(M, n, bad), lambda: saturation(M, n, bad)):
+            with pytest.raises(ValueError, match=rf"{bad} is not an element id of L \(0\.\.2\)"):
+                query()
+    for bad in (-1, M.element_count):
+        for query in (lambda: residual_ml(M, bad, L.top), lambda: residual_mm(M, bad, M.top),
+                      lambda: residual_mm(M, n, bad)):
+            with pytest.raises(ValueError, match=rf"{bad} is not an element id of M \(0\.\.14\)"):
+                query()
+    # the top stays a valid argument of the residuals
+    assert residual_ml(M, M.top, L.top) == M.top
+    assert residual_mm(M, M.top, M.top) == L.top
+    assert saturation(M, n, p) in M.elements()
