@@ -277,11 +277,6 @@ class Ctx:
         leq = self.M.leq
         return tuple(sum(1 << y for y in np.flatnonzero(row).tolist()) for row in leq | leq.T)
 
-    @cached_property
-    def down_sizes(self):
-        """Entry [x] is the number of module elements below x."""
-        return _read_only(self.M.leq.sum(axis=0))
-
     def rad(self, N: int) -> int:
         return int(self.rad_of[N])
 
@@ -314,7 +309,7 @@ class Ctx:
         chains += [(ids[i], ids[j], ids[k]) for i, j, k in np.argwhere(three).tolist()]
         if not (three.any(axis=0) @ below).any():              # no i < j < k < l
             return chains
-        comparable, sizes = self.comparable, self.down_sizes.tolist()
+        comparable, sizes = self.comparable, self.M.leq.sum(axis=0).tolist()    # down-set sizes
         rng = self.rng(tag)
         seen = set()
         for _ in range(_CHAIN_SAMPLES):
@@ -811,9 +806,9 @@ _check("chain-pseudo-primary",
 
 
 def _rad_meet_families(ctx: Ctx):
-    """The 50 seeded families of ``lem-rad-meet`` (none with fewer than two
-    proper elements), with rad(meet of the family) and the meet of the rads
-    of its members for each: one batched meet per side over the rad table."""
+    """The 50 seeded families of ``lem-rad-meet`` (none when M has fewer than
+    two proper elements), with rad(meet of the family) and the meet of the
+    rads of its members for each: one batched meet per side."""
     M, propers, rad_of = ctx.M, ctx.propers, ctx.rad_of
     rng = ctx.rng("lem-rad-meet")
     families = [rng.sample(propers, rng.randint(2, len(propers)))
@@ -1256,6 +1251,8 @@ def run_suite(instances, checks="all", seed: int = 0) -> TheoremReport:
                            for name, value in hyps.items()},
         }
         ctx = Ctx(instance, seed=seed)
+        # positional (instance, check) through the module global, so a wrapper
+        # installed on ``run_check`` (perfbench/tracing.py) sees every check
         for check in selected:
             results.append(run_check(instance, check, seed=seed, hypotheses=hyps, ctx=ctx))
     results.sort(key=lambda r: (r.instance, r.check_id))

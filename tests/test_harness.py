@@ -469,7 +469,7 @@ def test_rad_meet_families_match_plain_loop(seeded_instances, seed):
 
 def test_ctx_arrays_are_read_only(inst8sq):
     ctx = Ctx(inst8sq)
-    for arr in (ctx.mul_le, ctx.breaks, ctx.down_sizes, ctx.res_mm, ctx.res_ml, ctx.rad_of):
+    for arr in (ctx.mul_le, ctx.breaks, ctx.res_mm, ctx.res_ml, ctx.rad_of):
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
 
