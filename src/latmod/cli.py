@@ -9,7 +9,6 @@ or check failure, 2 = usage or parse error.  Machine-readable reports
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -286,7 +285,6 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the ``latmod`` command line, for callers that extend it."""
     parser = argparse.ArgumentParser(
         prog="latmod",
         description="Finite multiplicative lattices and lattice modules: "
@@ -329,14 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process: parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except _OutputError as exc:

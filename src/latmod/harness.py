@@ -35,18 +35,15 @@ pseudo-primary sides are one mask per N.  The "compact-definition" sides use
 the residuation identity xK <= N iff x <= (N:K), so N enters only through the
 pairs ((N:K), (bound:K)); one l x l table per instance, ``Ctx.breaks``, says
 which pairs break the definition, and the classifier's action tensors are
-never read.  The seeded draws (the sampled chains of the ``chain-*`` checks,
-the families of ``lem-rad-meet``) are drawn in their original order and then
-evaluated in bulk: one batched meet or join per side.  The plain-loop
-references for all of these live in ``tests/test_harness.py``.  The rest
-(identities, bounds) are plain loops.  Every entry registers through
+never read; the plain-loop references for both, and a brute-force loop for
+``Ctx.breaks``, live in ``tests/test_harness.py``.  The rest (identities,
+bounds, chain conditions) are plain loops.  Every entry registers through
 :func:`_check`, which rejects duplicate ids and unknown hypotheses.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -57,10 +54,11 @@ import numpy as np
 
 from .classify import FLAG_NAMES, classify_all
 from .instances import DEFAULT_SQUARE_CAP, gen_zn_self_module, gen_zn_square_module, serialize_instance
-from .lattice import _least_upper_bounds, is_pg_lattice, lattice_flags, sqrt_table
+from .lattice import is_pg_lattice, lattice_flags, sqrt_table
 from .module import (
     LatticeModule,
     _rad_table,
+    _require_id,
     is_faithful,
     is_multiplication_module,
     is_pg_module,
@@ -271,13 +269,8 @@ class Ctx:
     def sqrts(self):
         return sqrt_table(self.L)
 
-    @cached_property
-    def comparable(self):
-        """Per module element, the bit mask of the elements comparable to it."""
-        leq = self.M.leq
-        return tuple(sum(1 << y for y in np.flatnonzero(row).tolist()) for row in leq | leq.T)
-
     def rad(self, N: int) -> int:
+        _require_id(self.M, N, "rad is undefined for the top element")
         return int(self.rad_of[N])
 
     def res_top(self, N: int) -> int:
@@ -296,32 +289,26 @@ class Ctx:
     def chains_of(self, flag: str, tag: str) -> list[tuple[int, ...]]:
         """All 2- and 3-element chains of flagged elements, plus sampled longer ones.
 
-        A sample shuffles the flagged elements and keeps each one comparable
-        to all kept so far; chains of at least 4 are sorted bottom-up.  When
-        no 4-element chain exists no sample can be kept, so none is drawn.
+        A sample is kept only with at least 4 members, so with fewer than 4
+        flagged elements none is drawn.
         """
+        M = self.M
+        le = M.leq.tolist()                 # a list: the samples below read it thousands of times
         ids = self.flagged(flag)
-        pos = np.array(ids, dtype=np.int64)
-        below = self.M.leq[np.ix_(pos, pos)] & ~np.eye(pos.size, dtype=bool)
-        chains: list[tuple[int, ...]] = [
-            (ids[i], ids[j]) for i, j in np.argwhere(below).tolist()]
-        three = below[:, :, None] & below[None, :, :]           # [i, j, k]: i < j < k
-        chains += [(ids[i], ids[j], ids[k]) for i, j, k in np.argwhere(three).tolist()]
-        if not (three.any(axis=0) @ below).any():              # no i < j < k < l
-            return chains
-        comparable, sizes = self.comparable, self.M.leq.sum(axis=0).tolist()    # down-set sizes
+        pairs = [(a, b) for a in ids for b in ids if a != b and le[a][b]]
+        chains: list[tuple[int, ...]] = pairs + [
+            (a, b, c) for a, b in pairs for c in ids if c not in (a, b) and le[b][c]]
         rng = self.rng(tag)
         seen = set()
-        for _ in range(_CHAIN_SAMPLES):
+        for _ in range(_CHAIN_SAMPLES if len(ids) >= 4 else 0):
             pool = list(ids)
             rng.shuffle(pool)
-            chain, allowed = [], -1
+            chain: list[int] = []
             for x in pool:
-                if allowed >> x & 1:
+                if all(le[x][y] or le[y][x] for y in chain):
                     chain.append(x)
-                    allowed &= comparable[x]
             if len(chain) >= 4:
-                chain = tuple(sorted(chain, key=sizes.__getitem__))
+                chain = tuple(sorted(chain, key=lambda x: int(M.leq[:, x].sum())))
                 if chain not in seen:
                     seen.add(chain)
                     chains.append(chain)
@@ -433,31 +420,14 @@ def _compact_definition(ctx: Ctx, n: int, bound: int) -> bool:
     return not ctx.breaks[ctx.res_mm[n], ctx.res_mm[bound]].any()
 
 
-def _member_rows(families, size: int) -> np.ndarray:
-    """Boolean [i, x]: x is a member of ``families[i]``."""
-    rows = np.repeat(np.arange(len(families)), [len(f) for f in families])
-    cols = np.fromiter(itertools.chain.from_iterable(families), dtype=np.int64, count=rows.size)
-    out = np.zeros((len(families), size), dtype=bool)
-    out[rows, cols] = True
-    return out
-
-
 def _chain_kernel(ctx: Ctx, flag: str):
-    """The meet and the join of every chain from ``ctx.chains_of`` are proper
-    and carry ``flag``: one batched meet and one batched join over all chains."""
-    M = ctx.M
     chains = ctx.chains_of(flag, f"chain-{flag}")
-    if not chains:
-        return 0, []
-    members = _member_rows(chains, M.element_count)
-    flagged = np.zeros(M.element_count, dtype=bool)
-    flagged[ctx.flagged(flag)] = True               # never the top
-    # [chain, bound]: the meet, then the join (a meet is a join in M.leq.T)
-    values = np.stack([_least_upper_bounds(M.leq.T, members),
-                       _least_upper_bounds(M.leq, members)], axis=1)
-    viols = [_v("chain", chain=chains[i], bound=("meet", "join")[b], value=values[i, b],
-                flag=flag, label=", ".join(M.label(x) for x in chains[i]))
-             for i, b in np.argwhere(~flagged[values]).tolist()]
+    viols = []
+    for chain in chains:
+        for which, value in (("meet", ctx.M.meet_all(chain)), ("join", ctx.M.join_all(chain))):
+            if value == ctx.M.top or not ctx.cls[value].flag(flag):
+                viols.append(_v("chain", chain=chain, bound=which, value=value, flag=flag,
+                                label=", ".join(ctx.M.label(x) for x in chain)))
     return len(chains), viols
 
 
@@ -805,21 +775,6 @@ _check("chain-pseudo-primary",
     lambda ctx: _chain_kernel(ctx, "pseudo_primary"))
 
 
-def _rad_meet_families(ctx: Ctx):
-    """The 50 seeded families of ``lem-rad-meet`` (none when M has fewer than
-    two proper elements), with rad(meet of the family) and the meet of the
-    rads of its members for each: one batched meet per side."""
-    M, propers, rad_of = ctx.M, ctx.propers, ctx.rad_of
-    rng = ctx.rng("lem-rad-meet")
-    families = [rng.sample(propers, rng.randint(2, len(propers)))
-                for _ in range(50 if len(propers) >= 2 else 0)]
-    members = _member_rows(families, M.element_count)
-    images = members @ (rad_of[:, None] == np.arange(M.element_count))    # [i, rad(x)]
-    lhs = rad_of[_least_upper_bounds(M.leq.T, members)]     # a meet of proper elements is proper
-    rhs = _least_upper_bounds(M.leq.T, images)
-    return families, lhs, rhs
-
-
 @_check("lem-rad-meet",
         "rad(A ^ B) = rad(A) ^ rad(B) for proper A, B, plus sampled larger families",
         BUNDLE)
@@ -830,12 +785,17 @@ def _k_rad_meet(ctx: Ctx):
     rhs = M.meet_table[np.ix_(rad_of[ids], rad_of[ids])]
     viols = [_v("rad-meet", pair=(ids[i], ids[j]), label=f"{M.label(ids[i])}, {M.label(ids[j])}")
              for i, j in np.argwhere(lhs != rhs)]
-    families, lhs, rhs = _rad_meet_families(ctx)
-    for i in np.flatnonzero(lhs != rhs).tolist():
-        family = sorted(families[i])
-        viols.append(_v("rad-meet", family=family, lhs=lhs[i], rhs=rhs[i],
-                        label=", ".join(M.label(x) for x in family)))
-    return ids.size ** 2 + len(families), viols
+    count = ids.size ** 2
+    rng = ctx.rng("lem-rad-meet")
+    for _ in range(50 if len(ctx.propers) >= 2 else 0):
+        family = rng.sample(ctx.propers, rng.randint(2, len(ctx.propers)))
+        count += 1
+        lhs = ctx.rad(M.meet_all(family))
+        rhs = M.meet_all(ctx.rad(x) for x in family)
+        if lhs != rhs:
+            viols.append(_v("rad-meet", family=sorted(family), lhs=lhs, rhs=rhs,
+                            label=", ".join(M.label(x) for x in sorted(family))))
+    return count, viols
 
 
 @_check("thm-rad-eq", "(rad(N):I_M) = sqrt(N:I_M) for every proper N", BUNDLE)
@@ -1210,9 +1170,13 @@ def run_check(instance: Instance, check: TheoremCheck, seed: int = 0,
               hypotheses: dict[str, bool] | None = None, ctx: Ctx | None = None) -> CheckResult:
     """Evaluate one check on one instance.
 
-    ``ctx`` is the instance's shared context, built with the same ``seed``;
-    without one the check gets a context of its own.
+    ``ctx`` is a context shared with other checks of the same instance; it
+    must have been built for ``instance`` and ``seed``, or ``ValueError`` is
+    raised.  Without one the check gets a context of its own.
     """
+    if ctx is not None and (ctx.instance is not instance or ctx.seed != seed):
+        raise ValueError(f"the context was built for {ctx.instance.name!r} with seed {ctx.seed}, "
+                         f"not for {instance.name!r} with seed {seed}")
     hyps = hypotheses if hypotheses is not None else instance_hypotheses(instance.module)
     start = time.perf_counter()
     unmet = [h for h in check.hypotheses if not hyps[h]]

@@ -244,39 +244,3 @@ def test_verify_rejects_two_instances_with_one_name(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--family", "zn-self", "--max-n", "3", str(clash))
     assert code == 2 and out == ""
     assert err == f"error: --family zn-self and {clash} both give an instance named 'zn-self-3'\n"
-
-
-def test_shared_parser_matches_fresh_parsers(tmp_path, capsys, monkeypatch):
-    # main() reuses one parser per process; every call must behave as if it
-    # had built its own
-    from latmod import cli
-
-    good = str(FIXTURES / "v02_two_chain_module.mlat")
-    bad = str(FIXTURES / "e13_axiom_identity.mlat")
-    calls = [
-        ("verify", "--list"),
-        ("verify", good, "--format", "json", "--seed", "2"),
-        ("classify", good, "--all", "--format", "json"),
-        ("verify", good, "--checks", "no-such-check"),
-        ("validate", bad),
-        ("gen", "zn-cubes", "3"),
-        ("verify", good, "--checks", "fig1-implications", "--format", "json"),
-    ]
-
-    def run_all():
-        out = []
-        for argv in calls:
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            out.append((code, captured.out, captured.err))
-        return out
-
-    shared = run_all()
-    assert cli._parser() is cli._parser()
-    assert run_all() == shared
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
-    assert run_all() == shared
-    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 1, 2, 0]

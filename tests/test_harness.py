@@ -16,17 +16,13 @@ from latmod import (
 )
 from latmod.classify import classify_all, is_prime_m, is_pseudo_classical_primary
 from latmod import harness
-from latmod.classify import FLAG_NAMES
 from latmod.harness import (
     AUTO_HYPOTHESES,
     BUNDLE,
     Ctx,
     TheoremCheck,
-    _chain_kernel,
     _compact_definition,
-    _k_rad_meet,
     _pp_compact_definition,
-    _rad_meet_families,
     check_implication_figure,
     default_instances,
     list_checks,
@@ -341,132 +337,6 @@ def test_breaks_matches_plain_loop():
         assert np.array_equal(ctx.breaks, want), n
 
 
-# The seeded checks as they were first written, one Python step at a time:
-# the bulk versions in harness.py must draw the same chains and families in
-# the same order and report the same violations.
-SEEDED_INSTANCES = [("zn-square", 9), ("zn-square", 10), ("zn-square", 16),
-                    ("zn-self", 60), ("zn-self", 360), ("zn-self", 720)]
-CHAIN_FLAGS = ("classical_prime", "pseudo_primary", "pseudo_classical_primary")
-
-
-@pytest.fixture(scope="module")
-def seeded_instances():
-    build = {"zn-square": gen_zn_square_module, "zn-self": gen_zn_self_module}
-    return [make_instance(f"{family}-{n}", build[family](n)) for family, n in SEEDED_INSTANCES]
-
-
-def _chains_of_loop(ctx, flag, tag):
-    M = ctx.M
-    ids = ctx.flagged(flag)
-    pairs = [(a, b) for a in ids for b in ids if a != b and M.le(a, b)]
-    chains = pairs + [
-        (a, b, c) for a, b in pairs for c in ids if c not in (a, b) and M.le(b, c)]
-    rng = ctx.rng(tag)
-    seen = set()
-    for _ in range(100):
-        pool = list(ids)
-        rng.shuffle(pool)
-        chain = []
-        for x in pool:
-            if all(M.le(x, y) or M.le(y, x) for y in chain):
-                chain.append(x)
-        if len(chain) >= 4:
-            chain = tuple(sorted(chain, key=lambda x: int(M.leq[:, x].sum())))
-            if chain not in seen:
-                seen.add(chain)
-                chains.append(chain)
-    return chains
-
-
-def _chain_loop(ctx, flag, chains):
-    viols = []
-    for chain in chains:
-        for which, value in (("meet", ctx.M.meet_all(chain)), ("join", ctx.M.join_all(chain))):
-            if value == ctx.M.top or not ctx.cls[value].flag(flag):
-                viols.append(harness._v("chain", chain=chain, bound=which, value=value, flag=flag,
-                                        label=", ".join(ctx.M.label(x) for x in chain)))
-    return len(chains), viols
-
-
-def _rad_meet_loop(ctx):
-    """The 50 seeded families of lem-rad-meet, each with (lhs, rhs)."""
-    M = ctx.M
-    rng = ctx.rng("lem-rad-meet")
-    out = []
-    for _ in range(50 if len(ctx.propers) >= 2 else 0):
-        family = rng.sample(ctx.propers, rng.randint(2, len(ctx.propers)))
-        out.append((family, ctx.rad(M.meet_all(family)), M.meet_all(ctx.rad(x) for x in family)))
-    return out
-
-
-def _rad_meet_kernel_loop(ctx):
-    M, rad_of = ctx.M, ctx.rad_of
-    ids = np.array(ctx.propers, dtype=np.int64)
-    lhs = rad_of[M.meet_table[np.ix_(ids, ids)]]
-    rhs = M.meet_table[np.ix_(rad_of[ids], rad_of[ids])]
-    viols = [harness._v("rad-meet", pair=(ids[i], ids[j]),
-                        label=f"{M.label(ids[i])}, {M.label(ids[j])}")
-             for i, j in np.argwhere(lhs != rhs)]
-    families = _rad_meet_loop(ctx)
-    for family, lhs, rhs in families:
-        if lhs != rhs:
-            viols.append(harness._v("rad-meet", family=sorted(family), lhs=lhs, rhs=rhs,
-                                    label=", ".join(M.label(x) for x in sorted(family))))
-    return ids.size ** 2 + len(families), viols
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_chains_match_plain_loops(seeded_instances, seed):
-    # inverting a flag makes its flagged set large enough for sampled chains
-    sampled = 0
-    for fault in (None,) + CHAIN_FLAGS:
-        with inject_classifier_fault(fault) if fault else contextlib.nullcontext():
-            for inst in seeded_instances:
-                ctx = Ctx(inst, seed=seed)
-                for flag in CHAIN_FLAGS:
-                    chains = ctx.chains_of(flag, f"chain-{flag}")
-                    assert chains == _chains_of_loop(ctx, flag, f"chain-{flag}"), (inst.name, flag)
-                    assert _chain_kernel(ctx, flag) == _chain_loop(ctx, flag, chains)
-                    sampled += sum(len(chain) >= 4 for chain in chains)
-    assert sampled > 0
-
-
-def test_chain_bounds_match_folds_on_any_family(seeded_instances):
-    # Chains never break the statement, so feed the kernel antichains and
-    # random families, whose meets and joins the folds compute one step at a time.
-    rng = np.random.default_rng(0)
-    found = 0
-    for inst in seeded_instances:
-        ctx = Ctx(inst)
-        m = inst.module.element_count
-        families = [tuple(sorted(rng.choice(m, size=k, replace=False).tolist()))
-                    for k in rng.integers(1, min(m, 6), size=40)]
-        ctx.chains_of = lambda flag, tag: families
-        for flag in CHAIN_FLAGS:
-            result = _chain_kernel(ctx, flag)
-            assert result == _chain_loop(ctx, flag, families), (inst.name, flag)
-            found += len(result[1])
-    assert found > 0
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_rad_meet_families_match_plain_loop(seeded_instances, seed):
-    for inst in seeded_instances:
-        ctx = Ctx(inst, seed=seed)
-        families, lhs, rhs = _rad_meet_families(ctx)
-        assert [(f, int(a), int(b)) for f, a, b in zip(families, lhs, rhs)] == _rad_meet_loop(ctx)
-        assert _k_rad_meet(ctx) == _rad_meet_kernel_loop(ctx)
-        # a wrong rad table breaks the identity: the violations must agree too
-        bad = Ctx(inst, seed=seed)
-        table = np.random.default_rng(seed).choice(ctx.propers, size=inst.module.element_count)
-        table[inst.module.top] = -1
-        bad.rad_of = table
-        result = _k_rad_meet(bad)
-        assert result == _rad_meet_kernel_loop(bad)
-        if len(ctx.propers) >= 2:
-            assert any("family" in v for v in result[1]), inst.name
-
-
 def test_ctx_arrays_are_read_only(inst8sq):
     ctx = Ctx(inst8sq)
     for arr in (ctx.mul_le, ctx.breaks, ctx.res_mm, ctx.res_ml, ctx.rad_of):
@@ -508,3 +378,21 @@ def test_run_suite_calls_run_check_once_per_check(monkeypatch, inst12, inst8sq):
         assert all(args[0] is inst and isinstance(args[1], TheoremCheck) for args, _ in block)
         assert [args[1].id for args, _ in block] == list(registry())
         assert len({id(kwargs["ctx"]) for _, kwargs in block}) == 1
+
+
+def test_run_check_rejects_a_context_for_another_instance_or_seed(inst12, inst8sq):
+    check = registry()["chain-pseudo-primary"]
+    shared = run_check(inst12, check, seed=3, ctx=Ctx(inst12, seed=3))
+    assert shared.as_dict() == run_check(inst12, check, seed=3).as_dict()
+    for ctx in (Ctx(inst12), Ctx(inst8sq, seed=3)):
+        with pytest.raises(ValueError, match="the context was built for"):
+            run_check(inst12, check, seed=3, ctx=ctx)
+
+
+def test_ctx_rad_rejects_the_top(inst8sq):
+    ctx = Ctx(inst8sq)
+    M = inst8sq.module
+    assert [ctx.rad(n) for n in ctx.propers] == [rad(M, n) for n in ctx.propers]
+    for n in (M.top, -1, M.element_count):
+        with pytest.raises(ValueError):
+            ctx.rad(n)
