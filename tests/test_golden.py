@@ -13,15 +13,21 @@ import hashlib
 import io
 import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latmod import (
+    ParseError,
+    ValidationError,
     gen_zn_ideal_lattice,
     gen_zn_self_module,
     gen_zn_square_module,
     inject_classifier_fault,
+    parse_instance,
+    serialize_instance,
 )
 from latmod.classify import FLAG_NAMES, classify_all
 from latmod.cli import main
@@ -84,6 +90,14 @@ SEEDED_CHECKS = (
     "lem-rad-meet",
 )
 SEEDED_SHA256 = "426317a75ef5085839d5ba7c2205e120cf784e76fc80506c6a884dc3c5b4241a"
+# Recorded at 1c518d2: one digest over the outcome of parsing each fixture and
+# each single-line edit in ``_parse_corpus`` (the exception type, text, line
+# and column of a ParseError, the violations of a ValidationError, or
+# "valid"), pinning every parse error message and location.  The corpus has
+# no line break other than "\n".
+PARSE_SHA256 = "23b06e1fa9f76ea78ffdef52c42c5cf6de013094b6b5c829394e4fc29f0d36b8"
+PARSE_CORPUS_SIZE = 2172
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _sha256(text: str) -> str:
@@ -225,3 +239,51 @@ def test_square_10_validator_outputs_pinned():
     for act in itertools.islice(mutants, 0, None, 3):
         digest.update(json.dumps([v.as_dict() for v in module_violations(M.lattice, M.leq, act)]).encode())
     assert digest.hexdigest() == SQUARE_10_VALIDATOR_SHA256
+
+
+def _line_edits(line: str):
+    """``line`` with one token replaced by each of x, -1, 99 and 1.5, with
+    its last token dropped, with a token appended, and duplicated."""
+    spans = [m.span() for m in re.finditer(r"\S+", line)]
+    for start, end in spans:
+        for token in ("x", "-1", "99", "1.5"):
+            yield line[:start] + token + line[end:]
+    if spans:
+        yield line[:spans[-1][0]].rstrip()
+    yield line + " 0"
+    yield line + "\n" + line
+
+
+def _parse_corpus():
+    """The fixtures, then every single-line edit of v01-v06 and of the first
+    40 lines of serialized zn-square-4."""
+    fixtures = sorted(FIXTURES.glob("*.mlat"))
+    yield from (path.read_text(encoding="utf-8") for path in fixtures)
+    M = gen_zn_square_module(4)
+    bases = [path.read_text(encoding="utf-8") for path in fixtures if path.name.startswith("v")]
+    bases.append(serialize_instance(M.lattice, M))
+    for base, edited in zip(bases, [None] * (len(bases) - 1) + [40]):
+        lines = base.split("\n")
+        for k, line in enumerate(lines[:edited]):
+            for edit in _line_edits(line):
+                yield "\n".join(lines[:k] + [edit] + lines[k + 1:])
+
+
+def _parse_outcome(text: str) -> list:
+    try:
+        parse_instance(text)
+    except ParseError as exc:
+        return ["ParseError", str(exc), exc.line, exc.column]
+    except ValidationError as exc:
+        return ["ValidationError", [v.as_dict() for v in exc.violations]]
+    return ["valid"]
+
+
+def test_parse_errors_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for text in _parse_corpus():
+        digest.update(json.dumps(_parse_outcome(text)).encode())
+        count += 1
+    assert count == PARSE_CORPUS_SIZE
+    assert digest.hexdigest() == PARSE_SHA256
