@@ -10,9 +10,10 @@ Generator families:
   ideal lattice of Z_n.  Subgroups are enumerated once each through their
   lower-triangular generator bases [[a,0],[s,b]] (a, b divisors of n).
 
-MLAT files are line oriented, UTF-8, ``#`` starts a comment.  Version header
-``mlat 1``, then a ``lattice`` block and optionally a ``module`` block with
-statements::
+MLAT files are line oriented, UTF-8, ``#`` starts a comment.  Lines end at
+``\\n``, ``\\r\\n`` or ``\\r``; any other whitespace separates tokens.  Version
+header ``mlat 1``, then a ``lattice`` block and optionally a ``module`` block
+with statements::
 
     elements <k>        carrier size (ids 0..k-1); must come first in a block
     leq <i> <j>         i <= j; the reflexive-transitive closure is applied
@@ -240,30 +241,22 @@ class _Block:
         self.kind = kind
         self.lineno = lineno
         self.count: int | None = None
-        self.leq_pairs: list[tuple[int, int]] = []
+        self.leq_cells: list[int] = []          # i * count + j for each "leq i j"
         self.top: int | None = None
         self.bottom: int | None = None
-        self.cells: dict[tuple[int, int], int] = {}
+        self.cells: dict[int, int] = {}         # i * count + j -> table entry
         self.labels: dict[int, str] = {}
 
 
-def _tokens(content: str):
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", content)]
+def _lines(text: str) -> list[str]:
+    """Lines split at "\\n", "\\r\\n" and "\\r" only, the line ends that universal
+    newlines translate; other whitespace separates tokens within a line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _int_token(tok: str, col: int, lineno: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {tok!r}", lineno, col) from None
-
-
-def _check_id(value: int, count: int | None, what: str, lineno: int, col: int) -> int:
-    if count is None:
-        raise ParseError(f"{what!r} statement before the block's elements declaration", lineno, col)
-    if not 0 <= value < count:
-        raise ParseError(f"dangling element id {value} ({what})", lineno, col)
-    return value
+def _column(content: str, k: int) -> int:
+    """1-based column of token ``k`` (from 0) of a line's ``content``."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", content)][k]
 
 
 def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | None]:
@@ -271,88 +264,122 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
     header_seen = False
     blocks: list[_Block] = []
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # Tokens are whitespace-split; a column is found only for an error.
+    def fail(message: str, k: int = 0) -> ParseError:
+        return ParseError(message, lineno, _column(content, k))
+
+    def arity(k: int) -> None:
+        if len(toks) != k + 1:
+            raise fail(f"{word!r} takes {k} argument(s), got {len(toks) - 1}")
+
+    def ids(bounds, ints_first: bool = False) -> list[int]:
+        """The ids after the directive, ``toks[k]`` below ``bounds[k - 1]``
+        (``None`` before the block's elements declaration), or the error for
+        the first bad one.  mul/act (``ints_first``) read every id as an integer before
+        checking any bound; the other statements read and check each in turn."""
+        def read(k):
+            try:
+                return int(toks[k])
+            except ValueError:
+                raise fail(f"expected an integer, got {toks[k]!r}", k) from None
+
+        def check(k, value):
+            bound = bounds[k - 1]
+            if bound is None:
+                raise fail(f"{word!r} statement before the block's elements declaration", k)
+            if not 0 <= value < bound:
+                raise fail(f"dangling element id {value} ({word})", k)
+            return value
+
+        ks = range(1, len(bounds) + 1)
+        if ints_first:
+            return [check(k, value) for k, value in zip(ks, [read(k) for k in ks])]
+        return [check(k, read(k)) for k in ks]
+
+    for lineno, raw in enumerate(_lines(text), 1):
         hash_pos = raw.find("#")
         content = raw if hash_pos < 0 else raw[:hash_pos]
-        toks = _tokens(content)
+        toks = content.split()
         if not toks:
             continue
         if not header_seen:
-            if [t for t, _ in toks] != ["mlat", "1"]:
-                raise ParseError("expected version header 'mlat 1'", lineno, toks[0][1])
+            if toks != ["mlat", "1"]:
+                raise fail("expected version header 'mlat 1'")
             header_seen = True
             continue
-        word, col = toks[0]
+        word = toks[0]
         if word in ("lattice", "module"):
             if len(toks) != 1:
-                raise ParseError(f"unexpected text after {word!r}", lineno, toks[1][1])
+                raise fail(f"unexpected text after {word!r}", 1)
             if word == "lattice" and blocks:
-                raise ParseError("duplicate lattice block", lineno, col)
+                raise fail("duplicate lattice block")
             if word == "module" and not blocks:
-                raise ParseError("module block requires a preceding lattice block", lineno, col)
+                raise fail("module block requires a preceding lattice block")
             if word == "module" and len(blocks) > 1:
-                raise ParseError("duplicate module block", lineno, col)
+                raise fail("duplicate module block")
             blocks.append(_Block(word, lineno))
             continue
         if not blocks:
-            raise ParseError(f"statement {word!r} outside any block", lineno, col)
+            raise fail(f"statement {word!r} outside any block")
         block = blocks[-1]
-        args = toks[1:]
+        n = block.count
 
-        def need(k):
-            if len(args) != k:
-                raise ParseError(f"{word!r} takes {k} argument(s), got {len(args)}", lineno, col)
-
-        if word == "elements":
-            need(1)
-            if block.count is not None:
-                raise ParseError("duplicate elements declaration", lineno, col)
-            value = _int_token(args[0][0], args[0][1], lineno)
+        if word == "mul" or word == "act":
+            expected = "mul" if block.kind == "lattice" else "act"
+            if word != expected:
+                raise fail(f"{word!r} statement is not allowed in a {block.kind} block")
+            arity(3)
+            rows = blocks[0].count
+            try:
+                i, j, v = int(toks[1]), int(toks[2]), int(toks[3])
+                valid = (n is not None and rows is not None
+                         and 0 <= i < rows and 0 <= j < n and 0 <= v < n)
+            except ValueError:
+                valid = False
+            if not valid:
+                ids((rows, n, n), ints_first=True)
+            seen = block.cells.setdefault(i * n + j, v)
+            if seen != v:
+                raise fail(f"conflicting {word} entry for ({i}, {j}): {seen} vs {v}")
+        elif word == "leq":
+            arity(2)
+            try:
+                i, j = int(toks[1]), int(toks[2])
+                valid = n is not None and 0 <= i < n and 0 <= j < n
+            except ValueError:
+                valid = False
+            if not valid:
+                ids((n, n))
+            block.leq_cells.append(i * n + j)
+        elif word == "elements":
+            arity(1)
+            if n is not None:
+                raise fail("duplicate elements declaration")
+            try:
+                value = int(toks[1])
+            except ValueError:
+                raise fail(f"expected an integer, got {toks[1]!r}", 1) from None
             if value < 1:
-                raise ParseError("element count must be positive", lineno, args[0][1])
+                raise fail("element count must be positive", 1)
             block.count = value
         elif word in ("top", "bot"):
-            need(1)
-            value = _check_id(_int_token(args[0][0], args[0][1], lineno),
-                              block.count, word, lineno, args[0][1])
+            arity(1)
+            (value,) = ids((n,))
             if word == "top":
                 if block.top is not None:
-                    raise ParseError("duplicate top declaration", lineno, col)
+                    raise fail("duplicate top declaration")
                 block.top = value
             else:
                 if block.bottom is not None:
-                    raise ParseError("duplicate bot declaration", lineno, col)
+                    raise fail("duplicate bot declaration")
                 block.bottom = value
-        elif word == "leq":
-            need(2)
-            i = _check_id(_int_token(args[0][0], args[0][1], lineno), block.count, "leq", lineno, args[0][1])
-            j = _check_id(_int_token(args[1][0], args[1][1], lineno), block.count, "leq", lineno, args[1][1])
-            block.leq_pairs.append((i, j))
-        elif word == "mul" or word == "act":
-            expected = "mul" if block.kind == "lattice" else "act"
-            if word != expected:
-                raise ParseError(f"{word!r} statement is not allowed in a {block.kind} block", lineno, col)
-            need(3)
-            values = [_int_token(t, c, lineno) for t, c in args]
-            if word == "mul":
-                bounds = (block.count, block.count, block.count)
-            else:
-                bounds = (blocks[0].count, block.count, block.count)
-            for (tok, c), v, bound in zip(args, values, bounds):
-                _check_id(v, bound, word, lineno, c)
-            key = (values[0], values[1])
-            if key in block.cells and block.cells[key] != values[2]:
-                raise ParseError(
-                    f"conflicting {word} entry for ({key[0]}, {key[1]}): "
-                    f"{block.cells[key]} vs {values[2]}", lineno, col)
-            block.cells[key] = values[2]
         elif word == "label":
-            if len(args) < 2:
-                raise ParseError("'label' takes an id and a label text", lineno, col)
-            i = _check_id(_int_token(args[0][0], args[0][1], lineno), block.count, "label", lineno, args[0][1])
-            block.labels[i] = content[args[1][1] - 1:].rstrip()
+            if len(toks) < 3:
+                raise fail("'label' takes an id and a label text")
+            (i,) = ids((n,))
+            block.labels[i] = content.split(None, 2)[2].rstrip()
         else:
-            raise ParseError(f"unknown directive {word!r}", lineno, col)
+            raise fail(f"unknown directive {word!r}")
 
     if not header_seen:
         raise ParseError("empty file: expected version header 'mlat 1'", 1)
@@ -380,14 +407,12 @@ def _build_block(block: _Block, rows: int | None) -> dict:
     # keeps memory bounded by the input: an "elements 1000000000" line with a
     # few cells is rejected here instead of allocating n x n arrays.
     if len(block.cells) != height * n:
-        i, j = next((i, j) for i in range(height) for j in range(n)
-                    if (i, j) not in block.cells)
+        i, j = divmod(next(k for k in range(height * n) if k not in block.cells), n)
         stmt = "mul" if block.kind == "lattice" else "act"
         raise ParseError(
             f"non-total {stmt} table: missing entry for ({i}, {j})", block.lineno)
     leq = np.eye(n, dtype=bool)
-    for i, j in block.leq_pairs:
-        leq[i, j] = True
+    leq.flat[block.leq_cells] = True
     # reflexive-transitive closure
     while True:
         closed = leq | (leq @ leq)
@@ -395,8 +420,9 @@ def _build_block(block: _Block, rows: int | None) -> dict:
             break
         leq = closed
     table = np.empty((height, n), dtype=np.int64)
-    for (i, j), v in block.cells.items():
-        table[i, j] = v
+    cells = len(block.cells)
+    table.flat[np.fromiter(block.cells, np.int64, cells)] = np.fromiter(
+        block.cells.values(), np.int64, cells)
     labels = None
     if block.labels:
         labels = tuple(block.labels.get(i, str(i)) for i in range(n))

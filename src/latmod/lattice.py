@@ -181,10 +181,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _order_violations(leq: np.ndarray) -> list[Violation]:
     n = leq.shape[0]
-    out = []
-    for i in range(n):
-        if not leq[i, i]:
-            out.append(Violation("order-reflexive", (i,), f"{i} <= {i} fails"))
+    out = [Violation("order-reflexive", (i,), f"{i} <= {i} fails")
+           for i in np.flatnonzero(~leq.diagonal()).tolist()]
     anti = leq & leq.T & ~np.eye(n, dtype=bool)
     for i, j in np.argwhere(anti):
         if i < j:
@@ -198,26 +196,43 @@ def _order_violations(leq: np.ndarray) -> list[Violation]:
     return out
 
 
-def _least_common_bounds(above: np.ndarray):
-    """For each row i, the least member of ``above[i] & above[j]`` for every
-    j >= i, or -1 where that set has no least member.
+# Cells of the boolean block in :func:`_least_common_bounds`.  The block is
+# its only O(n^3)-sized array, so this caps its extra memory at about 1 MB
+# beyond O(n^2), whatever the carrier size.
+_BLOCK_CELLS = 1 << 20
+
+
+def _least_common_bounds(above: np.ndarray) -> np.ndarray:
+    """Entry [i, j] is the least member of ``above[i] & above[j]``, or -1
+    where that set has no least member.
 
     ``above[x]`` is the set of elements at or above x in a partial order.  A
     least member lies below every other member, so its down-set is strictly
     the smallest in the set: it is the first member met when the carrier is
-    scanned by increasing down-set size, and that first member is least iff
-    the whole set lies in its own ``above`` row.  Each row is one numpy pass
-    with O(n^2) extra memory, never an (n, n, n) tensor.
+    scanned by increasing down-set size.  Every member c has ``above[c]``
+    inside the set, so that first member is least iff ``above[c]`` has as
+    many elements as the set (an empty set counts 0 and yields -1).  Rows
+    i0..i1 are taken together against every column j >= i0 as one boolean
+    block, indexed [scan position, i, j], of at most ``_BLOCK_CELLS`` cells
+    (or one row, if a row alone is larger), and fill both triangles: memory
+    is bounded by the block, not O(n^3).
     """
     n = above.shape[0]
     scan = np.argsort(above.sum(axis=0))
-    above = above[:, scan]
-    for i in range(n):
-        common = above[i] & above[i:]
-        first = common.argmax(axis=1)
-        least = scan[first]
-        found = common.any(axis=1) & ~(common & ~above[least]).any(axis=1)
-        yield np.where(found, least, -1)
+    by_scan = above.T[scan]                      # [k, x] = x <= scan[k]
+    up_size = above.sum(axis=1)
+    size_type = np.min_scalar_type(n)            # holds any set size
+    out = np.empty((n, n), dtype=np.int64)
+    i0 = 0
+    while i0 < n:
+        i1 = min(n, i0 + max(1, _BLOCK_CELLS // ((n - i0) * n)))
+        common = by_scan[:, i0:i1, None] & by_scan[:, None, i0:]
+        least = scan[common.argmax(axis=0)]
+        found = up_size[least] == common.sum(axis=0, dtype=size_type)
+        out[i0:i1, i0:] = bounds = np.where(found, least, -1)
+        out[i0:, i0:i1] = bounds.T
+        i0 = i1
+    return out
 
 
 def _derive_join_meet(leq: np.ndarray):
@@ -225,22 +240,17 @@ def _derive_join_meet(leq: np.ndarray):
 
     join[i, j] is the least member of up(i) & up(j), and meet[i, j] the
     greatest member of down(i) & down(j), i.e. the least one in the reversed
-    order ``leq.T`` (:func:`_least_common_bounds`).  A missing one is reported
-    for i ascending, then j, order-lub before order-glb.
+    order ``leq.T`` (:func:`_least_common_bounds`); both are -1 where missing.
+    A missing one is reported for i ascending, then j, order-lub before order-glb.
     """
-    n = leq.shape[0]
-    join = np.empty((n, n), dtype=np.int64)
-    meet = np.empty((n, n), dtype=np.int64)
+    join = _least_common_bounds(leq)
+    meet = _least_common_bounds(leq.T)
     out = []
-    rows = zip(_least_common_bounds(leq), _least_common_bounds(leq.T))
-    for i, (lubs, glbs) in enumerate(rows):
-        join[i, i:] = join[i:, i] = lubs
-        meet[i, i:] = meet[i:, i] = glbs
-        for j in np.flatnonzero((lubs < 0) | (glbs < 0)) + i:
-            if join[i, j] < 0:
-                out.append(Violation("order-lub", (i, int(j)), f"elements {i}, {j} have no least upper bound"))
-            if meet[i, j] < 0:
-                out.append(Violation("order-glb", (i, int(j)), f"elements {i}, {j} have no greatest lower bound"))
+    for i, j in np.argwhere(np.triu((join < 0) | (meet < 0))).tolist():
+        if join[i, j] < 0:
+            out.append(Violation("order-lub", (i, j), f"elements {i}, {j} have no least upper bound"))
+        if meet[i, j] < 0:
+            out.append(Violation("order-glb", (i, j), f"elements {i}, {j} have no greatest lower bound"))
     return join, meet, out
 
 

@@ -25,6 +25,7 @@ faithful / multiplication-module / principally-generated predicates.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -198,8 +199,10 @@ def _subset_draws(nl: int, m: int):
 
 def _masks(rows, n: int) -> np.ndarray:
     """Bool (len(rows), n): row i marks the members of ``rows[i]``."""
+    sizes = [len(row) for row in rows]
+    members = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=sum(sizes))
     out = np.zeros((len(rows), n), dtype=bool)
-    out.flat[[i * n + j for i, row in enumerate(rows) for j in row]] = True
+    out[np.repeat(np.arange(len(rows)), sizes), members] = True
     return out
 
 

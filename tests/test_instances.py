@@ -242,3 +242,59 @@ def test_huge_element_count_rejected_without_allocating(text, message):
         tracemalloc.stop()
     assert str(err.value) == message
     assert peak < 1 << 20
+
+
+LATTICE_2 = "lattice\nelements 2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (LATTICE_2 + "mul 9 0 x", "expected an integer, got 'x' (line 4, column 9)"),
+    (LATTICE_2 + "mul 0 9 -1", "dangling element id 9 (mul) (line 4, column 7)"),
+    (LATTICE_2 + "leq 9 x", "dangling element id 9 (leq) (line 4, column 5)"),
+    (LATTICE_2 + "leq x 9", "expected an integer, got 'x' (line 4, column 5)"),
+    (LATTICE_2 + "leq 0 x", "expected an integer, got 'x' (line 4, column 7)"),
+    (LATTICE_2 + "label 9 x", "dangling element id 9 (label) (line 4, column 7)"),
+    (LATTICE_2 + "top  9", "dangling element id 9 (top) (line 4, column 6)"),
+    (LATTICE_2 + "bot 1.5", "expected an integer, got '1.5' (line 4, column 5)"),
+    ("lattice\nmul 0 0 x", "expected an integer, got 'x' (line 3, column 9)"),
+    ("lattice\nleq 0 x", "'leq' statement before the block's elements declaration (line 3, column 5)"),
+    ("lattice\ntop 0", "'top' statement before the block's elements declaration (line 3, column 5)"),
+    (TWO_CHAIN + "module\nact 0 0 9 x", "'act' takes 3 argument(s), got 4 (line 10, column 1)"),
+    (TWO_CHAIN + "module\nelements 2\nact 2 0 x", "expected an integer, got 'x' (line 11, column 9)"),
+    (TWO_CHAIN + "module\nelements 2\nact 2 0 0", "dangling element id 2 (act) (line 11, column 5)"),
+], ids=["mul", "mul-bound", "leq", "leq-int", "leq-second", "label", "top", "bot",
+        "mul-early", "leq-early", "top-early", "act-arity", "act-int", "act-bound"])
+def test_statement_ids_checked_in_order(text, message):
+    # mul/act read all three ids before checking any bound; leq, top, bot and
+    # label check each id as they read it
+    with pytest.raises(ParseError) as err:
+        parse_instance("mlat 1\n" + text + "\n")
+    assert str(err.value) == message
+
+
+# str.splitlines() also breaks at these; MLAT lines end only at \n, \r\n or \r
+NON_NEWLINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", NON_NEWLINE_BREAKS, ids=ascii)
+def test_non_newline_breaks_stay_inside_a_line(brk):
+    v01 = (FIXTURES / "v01_two_chain.mlat").read_text(encoding="utf-8")
+    L, _ = parse_instance(f"# pasted note{brk}with a break\n" + v01)
+    assert serialize_instance(L) == serialize_instance(parse_instance(v01)[0])
+    with pytest.raises(ParseError) as err:   # the dangling id sits on line 6 of e03
+        parse_instance(f"# note{brk}more\n" + (FIXTURES / "e03_dangling_mul.mlat").read_text(encoding="utf-8"))
+    assert (err.value.line, err.value.column) == (7, 9)
+    # inside a line, such a character separates tokens like a space
+    L, _ = parse_instance(v01.replace("leq 0 1", f"leq{brk}0 1"))
+    assert L.le(0, 1)
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=ascii)
+def test_crlf_and_cr_line_ends(eol):
+    text = (FIXTURES / "e03_dangling_mul.mlat").read_text(encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        parse_instance(text.replace("\n", eol))
+    assert (err.value.line, err.value.column) == (6, 9)
+    v01 = (FIXTURES / "v01_two_chain.mlat").read_text(encoding="utf-8")
+    assert serialize_instance(*parse_instance(v01.replace("\n", eol))) == \
+        serialize_instance(*parse_instance(v01))
