@@ -272,29 +272,28 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
         if len(toks) != k + 1:
             raise fail(f"{word!r} takes {k} argument(s), got {len(toks) - 1}")
 
+    def read(k: int) -> int:
+        try:
+            return int(toks[k])
+        except ValueError:
+            raise fail(f"expected an integer, got {toks[k]!r}", k) from None
+
     def ids(bounds, ints_first: bool = False) -> list[int]:
         """The ids after the directive, ``toks[k]`` below ``bounds[k - 1]``
         (``None`` before the block's elements declaration), or the error for
         the first bad one.  mul/act (``ints_first``) read every id as an integer before
         checking any bound; the other statements read and check each in turn."""
-        def read(k):
-            try:
-                return int(toks[k])
-            except ValueError:
-                raise fail(f"expected an integer, got {toks[k]!r}", k) from None
-
-        def check(k, value):
-            bound = bounds[k - 1]
+        ks = range(1, len(bounds) + 1)
+        read_first = [read(k) for k in ks] if ints_first else None
+        values = []
+        for k, bound in zip(ks, bounds):
+            value = read_first[k - 1] if ints_first else read(k)
             if bound is None:
                 raise fail(f"{word!r} statement before the block's elements declaration", k)
             if not 0 <= value < bound:
                 raise fail(f"dangling element id {value} ({word})", k)
-            return value
-
-        ks = range(1, len(bounds) + 1)
-        if ints_first:
-            return [check(k, value) for k, value in zip(ks, [read(k) for k in ks])]
-        return [check(k, read(k)) for k in ks]
+            values.append(value)
+        return values
 
     for lineno, raw in enumerate(_lines(text), 1):
         hash_pos = raw.find("#")
@@ -329,36 +328,19 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
             if word != expected:
                 raise fail(f"{word!r} statement is not allowed in a {block.kind} block")
             arity(3)
-            rows = blocks[0].count
-            try:
-                i, j, v = int(toks[1]), int(toks[2]), int(toks[3])
-                valid = (n is not None and rows is not None
-                         and 0 <= i < rows and 0 <= j < n and 0 <= v < n)
-            except ValueError:
-                valid = False
-            if not valid:
-                ids((rows, n, n), ints_first=True)
+            i, j, v = ids((blocks[0].count, n, n), ints_first=True)
             seen = block.cells.setdefault(i * n + j, v)
             if seen != v:
                 raise fail(f"conflicting {word} entry for ({i}, {j}): {seen} vs {v}")
         elif word == "leq":
             arity(2)
-            try:
-                i, j = int(toks[1]), int(toks[2])
-                valid = n is not None and 0 <= i < n and 0 <= j < n
-            except ValueError:
-                valid = False
-            if not valid:
-                ids((n, n))
+            i, j = ids((n, n))
             block.leq_cells.append(i * n + j)
         elif word == "elements":
             arity(1)
             if n is not None:
                 raise fail("duplicate elements declaration")
-            try:
-                value = int(toks[1])
-            except ValueError:
-                raise fail(f"expected an integer, got {toks[1]!r}", 1) from None
+            value = read(1)
             if value < 1:
                 raise fail("element count must be positive", 1)
             block.count = value
