@@ -3,7 +3,8 @@
 Exit status contract: 0 = success / all asserted checks pass, 1 = validation
 or check failure, 2 = usage or parse error.  Machine-readable reports
 (``--format json``) are byte-identical for identical inputs and seed; wall
--clock timings appear only in the text format.
+-clock timings appear only in the text format.  Each call builds only the
+invoked subcommand's parser.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain, compress, repeat
 
 from . import __version__
 from .classify import FLAG_NAMES, classify_all
@@ -70,7 +72,94 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _json_dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    Python runs ``indent`` in its pure-Python encoder, so the layout is
+    rebuilt here around the C encoder: a flat container (no member is a
+    non-empty container) is one C call whose item separator starts the
+    member line, and so is a list of non-empty flat dicts, whose boundaries
+    are then fixed by ``str.replace``.  That is exact because ``ensure_ascii``
+    output holds no raw newline inside a string.  Anything else is written
+    member by member."""
+    out: list[str] = []
+    _write_json(payload, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+# one C encoder per depth; without circular-reference markers they keep no
+# state between calls
+_C_ENCODERS: dict[int, object] = {}
+
+
+def _c_encode(value, depth: int) -> str:
+    """``value`` through the C encoder, items separated by a new line at
+    ``depth``; nested non-empty containers come out unindented."""
+    encoder = _C_ENCODERS.get(depth)
+    if encoder is None:
+        encoder = _C_ENCODERS[depth] = json.encoder.c_make_encoder(
+            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+            None, ": ", ",\n" + "  " * depth, True, False, True)
+    return "".join(encoder(value, 0))
+
+
+def _flat(members: list) -> bool:
+    """No member is a non-empty container (one pass in C, no Python loop)."""
+    return not any(compress(members, map(isinstance, members, repeat((dict, list, tuple)))))
+
+
+def _c_layout(value, depth: int) -> str | None:
+    """A non-empty container at ``depth`` laid out by one C call, or None where
+    that does not apply."""
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if _flat(list(value.values()) if isinstance(value, dict) else value):
+        text = _c_encode(value, depth + 1)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if (not isinstance(value, dict) and all(map(isinstance, value, repeat(dict)))
+            and all(value) and _flat(list(chain.from_iterable(map(dict.values, value))))):
+        member = inner + "  "
+        body = _c_encode(value, depth + 2)[2:-2].replace(
+            "}," + member + "{", inner + "}," + inner + "{" + member)
+        return "[" + inner + "{" + member + body + inner + "}" + outer + "]"
+    return None
+
+
+def _write_json(value, depth: int, out: list[str]) -> None:
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        out.append(_c_encode(value, depth))
+        return
+    try:
+        text = _c_layout(value, depth)
+    except TypeError:
+        # C names a bad key's type in full (numpy.int64, not int64); the loop
+        # below raises json.dumps's own error
+        text = None
+    if text is not None:
+        out.append(text)
+        return
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        out.append("{")
+        for k, (key, member) in enumerate(sorted(value.items())):
+            out.append(("," if k else "") + inner + _json_key(key) + ": ")
+            _write_json(member, depth + 1, out)
+        out.append(outer + "}")
+    else:
+        out.append("[")
+        for k, member in enumerate(value):
+            out.append(("," if k else "") + inner)
+            _write_json(member, depth + 1, out)
+        out.append(outer + "]")
+
+
+def _json_key(key) -> str:
+    """An object key as ``json.dumps`` writes it, non-str keys included."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = _c_encode(key, 0)
+    return json.encoder.encode_basestring_ascii(key)
 
 
 def cmd_gen(args) -> int:
@@ -284,25 +373,21 @@ def cmd_verify(args) -> int:
     return 0 if report.ok() else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="latmod",
-        description="Finite multiplicative lattices and lattice modules: "
-                    "generate instances, validate files, classify elements, "
-                    "and verify the structural theorem suite.")
-    parser.add_argument("--version", action="version", version=f"latmod {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_gen(sub) -> None:
     p = sub.add_parser("gen", help="generate a canonical instance file")
     p.add_argument("family", choices=("zn-ideals", "zn-self", "zn-square"))
     p.add_argument("n", type=int)
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     p.set_defaults(fn=cmd_gen)
 
+
+def _add_validate(sub) -> None:
     p = sub.add_parser("validate", help="parse and validate an MLAT file")
     p.add_argument("path")
     p.set_defaults(fn=cmd_validate)
 
+
+def _add_classify(sub) -> None:
     p = sub.add_parser("classify", help="classify elements of an instance")
     p.add_argument("path")
     selector = p.add_mutually_exclusive_group(required=True)
@@ -313,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_classify)
 
+
+def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run theorem checks over instances")
     p.add_argument("paths", nargs="*", help="MLAT instance files (with module blocks)")
     p.add_argument("--family", choices=("zn-self", "zn-square", "default"), default=None,
@@ -324,12 +411,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="dump the check registry and exit")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_verify)
+
+
+# command name -> the function that adds its subparser, in help order
+_COMMANDS = {"gen": _add_gen, "validate": _add_validate,
+             "classify": _add_classify, "verify": _add_verify}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with only ``command``."""
+    parser = argparse.ArgumentParser(
+        prog="latmod",
+        description="Finite multiplicative lattices and lattice modules: "
+                    "generate instances, validate files, classify elements, "
+                    "and verify the structural theorem suite.")
+    parser.add_argument("--version", action="version", version=f"latmod {__version__}")
+    # With one command built, the top usage ("unrecognized arguments" errors)
+    # still lists them all.  Left unset otherwise, since a metavar would also
+    # rename the "command" argument in argparse's own errors.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name, add in _COMMANDS.items():
+        if command is None or name == command:
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level has only flag options, so when argv[0] names a command,
+    # argparse hands every later token to that command's subparser, and only
+    # that subparser needs building.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except _OutputError as exc:

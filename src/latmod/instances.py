@@ -289,7 +289,9 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
         for k, bound in zip(ks, bounds):
             value = read_first[k - 1] if ints_first else read(k)
             if bound is None:
-                raise fail(f"{word!r} statement before the block's elements declaration", k)
+                # an act statement's first id is bounded by the lattice block
+                owner = "the lattice block's" if word == "act" and k == 1 else "the block's"
+                raise fail(f"{word!r} statement before {owner} elements declaration", k)
             if not 0 <= value < bound:
                 raise fail(f"dangling element id {value} ({word})", k)
             values.append(value)

@@ -1,9 +1,19 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from latmod.cli import main
+from latmod import gen_zn_self_module, gen_zn_square_module, inject_classifier_fault
+from latmod.classify import FLAG_NAMES, classify_all
+from latmod.cli import _json_dumps, main
+from latmod.harness import default_instances, make_instance, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -244,3 +254,116 @@ def test_verify_rejects_two_instances_with_one_name(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--family", "zn-self", "--max-n", "3", str(clash))
     assert code == 2 and out == ""
     assert err == f"error: --family zn-self and {clash} both give an instance named 'zn-self-3'\n"
+
+
+def _stdlib_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _json_outcome(dumps, payload):
+    try:
+        return dumps(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_STRINGS = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", "},\n  {", "},\n    {", "\x00\x1f\x7f", "caf\xe9 \u2603 \U0001d11e", "\u2028"])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | _STRINGS
+            | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]))
+_EMPTY = st.sampled_from([{}, [], ()])
+_KEYS = _STRINGS | st.integers() | st.floats() | st.booleans() | st.none()
+# non-empty dicts whose members are scalars or empty containers, as in a report's results
+_FLAT_DICTS = st.dictionaries(_STRINGS, _SCALARS | _EMPTY, min_size=1, max_size=4)
+_PAYLOADS = st.recursive(
+    _SCALARS | _EMPTY | st.lists(_FLAT_DICTS, min_size=1, max_size=3)
+    | st.lists(_FLAT_DICTS | st.just({}), min_size=2, max_size=3),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=16)
+
+
+@pytest.mark.parametrize("payload", [
+    [{"a": 1}, {}], [{}, {"a": 1}], ({"a": 1}, {"b": (2,)}), [{"a": {}}, {"b": ()}],
+    {"x": [{"s": "},\n    {", "t": "},\n  {"}, {"s": '}", "t": "\\'}]}, {"k": [[{"a": 1}]]},
+], ids=["empty-last", "empty-first", "tuples", "empty-members", "boundary-text", "deep"])
+def test_json_dumps_edge_cases(payload):
+    assert _json_dumps(payload) == _stdlib_json(payload)
+
+
+@given(_PAYLOADS)
+def test_json_dumps_matches_stdlib(payload):
+    # mixed key types cannot be sorted: both must then raise the same error
+    assert _json_outcome(_json_dumps, payload) == _json_outcome(_stdlib_json, payload)
+
+
+@pytest.mark.parametrize("payload", [
+    np.int64(3), [1, {"a": np.int64(3)}], {"a": [{"b": np.int64(3)}]}, {np.int64(3): 1},
+    {np.int64(3): [1, [2]]}, {(1, 2): 1}, {"a": 1, 2: 1},
+], ids=["scalar", "flat", "flat-dicts", "key", "key-nested", "tuple-key", "mixed-keys"])
+def test_json_dumps_errors_match_stdlib(payload):
+    outcome = _json_outcome(_json_dumps, payload)
+    assert outcome[0] is TypeError
+    assert outcome == _json_outcome(_stdlib_json, payload)
+
+
+def _real_reports():
+    instances = default_instances()
+    for seed in range(4):
+        yield f"default-seed-{seed}", run_suite(instances, seed=seed).as_dict()
+    zn_self_12 = make_instance("zn-self-12", gen_zn_self_module(12))
+    for flag in FLAG_NAMES:
+        with inject_classifier_fault(flag):
+            yield f"faulted-{flag}", run_suite([zn_self_12]).as_dict()
+    for name, M in (("zn-square-10", gen_zn_square_module(10)),
+                    ("zn-self-12", zn_self_12.module)):
+        classes = classify_all(M)
+        yield f"classify-{name}", {"elements": [classes[i].as_dict() for i in sorted(classes)]}
+
+
+def test_json_dumps_matches_stdlib_on_reports():
+    for name, payload in _real_reports():
+        assert _json_dumps(payload) == _stdlib_json(payload), name
+
+
+def _added_subparsers(monkeypatch, argv) -> list[str]:
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    with pytest.raises(SystemExit):
+        main(argv)
+    return names
+
+
+@pytest.mark.parametrize("command", ["gen", "validate", "classify", "verify"])
+def test_only_the_invoked_subparser_is_built(monkeypatch, capsys, command):
+    assert _added_subparsers(monkeypatch, [command, "-h"]) == [command]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["bogus"], []], ids=["help", "unknown", "empty"])
+def test_every_subparser_is_built_without_a_command(monkeypatch, capsys, argv):
+    assert _added_subparsers(monkeypatch, argv) == ["gen", "validate", "classify", "verify"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["verify", str(FIXTURES / "v02_two_chain_module.mlat"), "--format", "json"],
+], ids=["version", "verify-json"])
+def test_module_entry_point_matches_main(capsys, argv):
+    # main(argv=None) reads sys.argv, as the latmod console script does
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "latmod.cli", *argv],
+                          capture_output=True, env=env, check=False)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert proc.returncode == code == 0
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode() == b""

@@ -97,6 +97,18 @@ SEEDED_SHA256 = "426317a75ef5085839d5ba7c2205e120cf784e76fc80506c6a884dc3c5b4241
 # no line break other than "\n".
 PARSE_SHA256 = "23b06e1fa9f76ea78ffdef52c42c5cf6de013094b6b5c829394e4fc29f0d36b8"
 PARSE_CORPUS_SIZE = 2172
+# Recorded at 7b59fc4: one digest over the exit code, stdout and stderr of each
+# argv in CLI_ARGVS, at an 80-column terminal, pinning the help, usage and
+# argparse error texts.  The "unrecognized arguments" cases print the top
+# parser's usage, which lists every command, after a command was named.
+CLI_ARGVS = (
+    (), ("-h",), ("--version",), ("bogus",), ("--", "verify"),
+    ("gen", "-h"), ("validate", "-h"), ("classify", "-h"), ("verify", "-h"),
+    ("validate",), ("classify", "f"), ("classify", "f", "--id", "1", "--all"),
+    ("verify", "--format", "xml"), ("verify", "--seed", "x"), ("verify", "--max-n", "3"),
+    ("gen", "zn-cubes", "3"), ("verify", "--bogus"), ("validate", "a", "b"),
+)
+CLI_SHA256 = "4bd3a72a58c2ec3f87c53a50d8541aa6ffe1a9b6f8643cb93be65bdb2f6c3783"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -109,6 +121,19 @@ def _cli_stdout(*argv) -> str:
     with contextlib.redirect_stdout(buf):
         assert main(list(argv)) == 0
     return buf.getvalue()
+
+
+def test_cli_front_end_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    digest = hashlib.sha256()
+    for argv in CLI_ARGVS:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        digest.update(json.dumps([argv, code, captured.out, captured.err]).encode())
+    assert digest.hexdigest() == CLI_SHA256
 
 
 def test_verify_list_pinned():

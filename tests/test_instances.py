@@ -262,8 +262,16 @@ LATTICE_2 = "lattice\nelements 2\n"
     (TWO_CHAIN + "module\nact 0 0 9 x", "'act' takes 3 argument(s), got 4 (line 10, column 1)"),
     (TWO_CHAIN + "module\nelements 2\nact 2 0 x", "expected an integer, got 'x' (line 11, column 9)"),
     (TWO_CHAIN + "module\nelements 2\nact 2 0 0", "dangling element id 2 (act) (line 11, column 5)"),
+    # an act statement's first id is bounded by the lattice block, whose count is missing here
+    ("lattice\nmodule\nelements 2\nact 0 0 0",
+     "'act' statement before the lattice block's elements declaration (line 5, column 5)"),
+    ("lattice\nmodule\nact 0 0 0",
+     "'act' statement before the lattice block's elements declaration (line 4, column 5)"),
+    ("lattice\nelements 1\nmul 0 0 0\nmodule\nact 0 0 0",
+     "'act' statement before the block's elements declaration (line 6, column 7)"),
 ], ids=["mul", "mul-bound", "leq", "leq-int", "leq-second", "label", "top", "bot",
-        "mul-early", "leq-early", "top-early", "act-arity", "act-int", "act-bound"])
+        "mul-early", "leq-early", "top-early", "act-arity", "act-int", "act-bound",
+        "act-lattice-early", "act-both-early", "act-module-early"])
 def test_statement_ids_checked_in_order(text, message):
     # mul/act read all three ids before checking any bound; leq, top, bot and
     # label check each id as they read it
