@@ -27,6 +27,7 @@ from .harness import (
 )
 from .instances import (
     DEFAULT_SQUARE_CAP,
+    FAMILIES,
     InstanceSpec,
     ParseError,
     parse_instance,
@@ -45,6 +46,10 @@ def _square_cap() -> int:
         return int(value)
     except ValueError:
         raise SystemExit(_usage_error(f"MLAT_CAP must be an integer, got {value!r}"))
+
+
+def _module_families() -> list[str]:
+    return [name for name, (_, top) in FAMILIES.items() if top is not None]
 
 
 def _usage_error(message: str) -> int:
@@ -307,18 +312,16 @@ def cmd_verify(args) -> int:
             print(f"{entry['id']}{dashed}\n    {entry['description']}\n    hypotheses: {hyps}")
         return 0
 
-    if args.max_n is not None and args.family not in ("zn-self", "zn-square"):
-        return _usage_error("--max-n applies only to --family zn-self or zn-square")
+    if args.max_n is not None and args.family not in _module_families():
+        return _usage_error(f"--max-n applies only to --family {' or '.join(_module_families())}")
     cap = _square_cap()
     instances = []
     try:
         if args.family == "default":
             instances.extend(default_instances(square_cap=cap))
-        elif args.family in ("zn-self", "zn-square"):
-            top = args.max_n if args.max_n is not None else (30 if args.family == "zn-self" else 8)
+        elif args.family is not None:
+            top = args.max_n if args.max_n is not None else FAMILIES[args.family][1]
             for n in range(2, top + 1):
-                if args.family == "zn-square" and n > cap:
-                    return _usage_error(f"zn-square modulus {n} exceeds the cap {cap}")
                 name, _, module = InstanceSpec(family=args.family, n=n).build(cap=cap)
                 instances.append(make_instance(name, module))
         origin = {instance.name: f"--family {args.family}" for instance in instances}
@@ -329,11 +332,11 @@ def cmd_verify(args) -> int:
                                     f"an instance named {instance.name!r}")
             origin[instance.name] = path
             instances.append(instance)
-    except (OSError, ParseError) as exc:
-        return _usage_error(str(exc))
     except _InvalidFile as exc:
         print(exc, file=sys.stderr)
         return 1
+    except (OSError, ValueError) as exc:    # ParseError, or a generator's bound
+        return _usage_error(str(exc))
     if not instances:
         return _usage_error("nothing to verify: pass instance files or --family")
 
@@ -375,7 +378,7 @@ def cmd_verify(args) -> int:
 
 def _add_gen(sub) -> None:
     p = sub.add_parser("gen", help="generate a canonical instance file")
-    p.add_argument("family", choices=("zn-ideals", "zn-self", "zn-square"))
+    p.add_argument("family", choices=tuple(FAMILIES))
     p.add_argument("n", type=int)
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     p.set_defaults(fn=cmd_gen)
@@ -402,7 +405,7 @@ def _add_classify(sub) -> None:
 def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run theorem checks over instances")
     p.add_argument("paths", nargs="*", help="MLAT instance files (with module blocks)")
-    p.add_argument("--family", choices=("zn-self", "zn-square", "default"), default=None,
+    p.add_argument("--family", choices=(*_module_families(), "default"), default=None,
                    help="also verify a generated family")
     p.add_argument("--max-n", type=int, default=None, help="largest modulus for --family")
     p.add_argument("--checks", default="all", help="'all' or comma-separated check ids")

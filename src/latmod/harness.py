@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .classify import FLAG_NAMES, classify_all
-from .instances import DEFAULT_SQUARE_CAP, gen_zn_self_module, gen_zn_square_module, serialize_instance
+from .instances import DEFAULT_FAMILY, DEFAULT_SQUARE_CAP, InstanceSpec, serialize_instance
 from .lattice import is_pg_lattice, lattice_flags, sqrt_table
 from .module import (
     LatticeModule,
@@ -106,11 +106,10 @@ def make_instance(name: str, module: LatticeModule) -> Instance:
 
 
 def default_instances(square_cap: int = DEFAULT_SQUARE_CAP) -> list[Instance]:
-    """The default verification family: zn-self 2..30 and zn-square {2,3,4,8}."""
-    out = [make_instance(f"zn-self-{n}", gen_zn_self_module(n)) for n in range(2, 31)]
-    out += [make_instance(f"zn-square-{n}", gen_zn_square_module(n, cap=square_cap))
-            for n in (2, 3, 4, 8)]
-    return out
+    """The default verification family, ``instances.DEFAULT_FAMILY``."""
+    built = (InstanceSpec(family=family, n=n).build(cap=square_cap)
+             for family, n in DEFAULT_FAMILY)
+    return [make_instance(name, module) for name, _, module in built]
 
 
 # Instance-level hypotheses.  Compactness hypotheses are automatic on finite

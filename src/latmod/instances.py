@@ -1,6 +1,6 @@
 """Canonical finite instances and the MLAT text format.
 
-Generator families:
+Generator families (:data:`FAMILIES`, the one place to add a family):
 
 * ``zn-ideals`` -- the ideal lattice of Z_n (one element per divisor of n,
   multiplication = ideal product).
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -40,7 +40,9 @@ from .lattice import MultiplicativeLattice, validate_lattice
 from .module import LatticeModule, validate_module
 
 __all__ = [
+    "DEFAULT_FAMILY",
     "DEFAULT_SQUARE_CAP",
+    "FAMILIES",
     "InstanceSpec",
     "ParseError",
     "divisors",
@@ -55,7 +57,8 @@ DEFAULT_SQUARE_CAP = 16
 
 
 def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The positive divisors of n, ascending: each k <= sqrt(n) with n // k."""
+    return sorted({d for k in range(1, isqrt(max(n, 0)) + 1) if n % k == 0 for d in (k, n // k)})
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +154,29 @@ def gen_zn_square_module(n: int, cap: int = DEFAULT_SQUARE_CAP) -> LatticeModule
     return validate_module(L, leq, act, top=m - 1, bottom=0, labels=labels)
 
 
+# name -> (generator of (n, cap) returning (lattice, module or None), largest n
+# that ``verify --family`` runs by default, or None: no module)
+FAMILIES = {
+    "zn-ideals": (lambda n, cap: (gen_zn_ideal_lattice(n), None), None),
+    "zn-self": (lambda n, cap: ((M := gen_zn_self_module(n)).lattice, M), 30),
+    "zn-square": (lambda n, cap: ((M := gen_zn_square_module(n, cap=cap)).lattice, M), 8),
+}
+DEFAULT_FAMILY = tuple([("zn-self", n) for n in range(2, 31)]
+                       + [("zn-square", n) for n in (2, 3, 4, 8)])
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """How to obtain one (lattice, module) instance."""
 
-    family: str                 # zn-ideals | zn-self | zn-square | file
+    family: str                 # a FAMILIES name, or "file"
     n: int | None = None
     path: str | None = None
 
     def build(self, cap: int = DEFAULT_SQUARE_CAP):
         """Returns (name, lattice, module-or-None)."""
-        if self.family == "zn-ideals":
-            return f"zn-ideals-{self.n}", gen_zn_ideal_lattice(self.n), None
-        if self.family == "zn-self":
-            M = gen_zn_self_module(self.n)
-            return f"zn-self-{self.n}", M.lattice, M
-        if self.family == "zn-square":
-            M = gen_zn_square_module(self.n, cap=cap)
-            return f"zn-square-{self.n}", M.lattice, M
+        if self.family in FAMILIES:
+            return (f"{self.family}-{self.n}", *FAMILIES[self.family][0](self.n, cap))
         if self.family == "file":
             with open(self.path, encoding="utf-8") as fh:
                 L, M = parse_instance(fh.read())

@@ -166,6 +166,22 @@ def test_mlat_cap_env(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("family, top", [("zn-self", 30), ("zn-square", 8)])
+def test_verify_family_default_top(capsys, family, top):
+    code, out, _ = run_cli(capsys, "verify", "--family", family,
+                           "--checks", "fig1-implications", "--format", "json")
+    assert code == 0
+    assert set(json.loads(out)["instances"]) == {f"{family}-{n}" for n in range(2, top + 1)}
+
+
+def test_mlat_cap_bounds_the_default_family(capsys, monkeypatch):
+    monkeypatch.setenv("MLAT_CAP", "4")
+    code, out, err = run_cli(capsys, "verify", "--family", "default")
+    assert (code, out, err) == (2, "", "error: zn-square modulus 8 exceeds the cap 4\n")
+    with pytest.raises(ValueError, match="zn-square modulus 8 exceeds the cap 4"):
+        default_instances(square_cap=4)
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["gen", "zn-cubes", "3"])

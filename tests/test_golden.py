@@ -109,6 +109,23 @@ CLI_ARGVS = (
     ("gen", "zn-cubes", "3"), ("verify", "--bogus"), ("validate", "a", "b"),
 )
 CLI_SHA256 = "4bd3a72a58c2ec3f87c53a50d8541aa6ffe1a9b6f8643cb93be65bdb2f6c3783"
+# Recorded at fd81c42: one digest over the argv, MLAT_CAP (None = unset), exit
+# code, stdout and stderr of each case in FAMILY_CASES, run from the repository
+# root, pinning the generated families through ``gen`` and ``verify --family``
+# and the cap's errors.
+FAMILY_CASES = (
+    (("gen", "zn-ideals", "12"), None), (("gen", "zn-self", "12"), None),
+    (("gen", "zn-square", "8"), None), (("gen", "zn-square", "17"), None),
+    (("gen", "zn-self", "0"), None), (("gen", "zn-self", "3"), "x"),
+    (("gen", "zn-square", "8"), "4"),
+    (("verify", "--family", "zn-self", "--max-n", "4", "--format", "json"), None),
+    (("verify", "--family", "zn-square", "--max-n", "3", "--format", "json"), None),
+    (("verify", "--family", "zn-square", "--max-n", "17"), None),
+    (("verify", "--family", "zn-square"), "4"),
+    (("verify", "--family", "zn-self", "--max-n", "1"), None),
+    (("verify", "tests/fixtures/v02_two_chain_module.mlat"), "x"),
+)
+FAMILY_SHA256 = "1a0f37fbfc01ed69b1db509df484302fcfb9a9f8dd9dc69cbe08cc91cd1df805"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -134,6 +151,23 @@ def test_cli_front_end_pinned(capsys, monkeypatch):
         captured = capsys.readouterr()
         digest.update(json.dumps([argv, code, captured.out, captured.err]).encode())
     assert digest.hexdigest() == CLI_SHA256
+
+
+def test_family_cli_pinned(capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES.parent.parent)
+    digest = hashlib.sha256()
+    for argv, cap in FAMILY_CASES:
+        if cap is None:
+            monkeypatch.delenv("MLAT_CAP", raising=False)
+        else:
+            monkeypatch.setenv("MLAT_CAP", cap)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        digest.update(json.dumps([argv, cap, code, captured.out, captured.err]).encode())
+    assert digest.hexdigest() == FAMILY_SHA256
 
 
 def test_verify_list_pinned():

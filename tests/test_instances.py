@@ -21,7 +21,7 @@ from latmod import (
     serialize_instance,
     sqrt,
 )
-from latmod.instances import InstanceSpec, divisors
+from latmod.instances import FAMILIES, InstanceSpec, divisors
 
 from conftest import label_index
 
@@ -81,6 +81,18 @@ def test_zn8_chain(l8):
     assert l8.label(sqrt(l8, idx["(4)"])) == "(2)"
 
 
+def test_divisors_match_the_definition():
+    for n in range(1, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    assert divisors(0) == []
+
+
+def test_divisors_of_a_large_semiprime():
+    # trial division up to n would take hours here; up to sqrt(n), well under a second
+    p, q = 1000003, 1000033
+    assert divisors(p * q) == [1, p, q, p * q]
+
+
 def test_zn_ideal_join_meet_are_gcd_lcm():
     # the order alone gives the ideal sum (gcd) as join and the intersection (lcm) as meet
     for n in range(1, 121):
@@ -129,8 +141,10 @@ def test_square_labels(m8square):
 
 
 def test_instance_spec_families(tmp_path):
-    name, L, M = InstanceSpec(family="zn-ideals", n=6).build()
-    assert name == "zn-ideals-6" and M is None
+    for family, (_, top) in FAMILIES.items():
+        name, L, M = InstanceSpec(family=family, n=6).build()
+        assert name == f"{family}-6" and L.element_count == 4
+        assert (M is None) == (top is None)     # verify --family runs the module families
     name, L, M = InstanceSpec(family="zn-self", n=6).build()
     assert M is not None and M.element_count == 4
     path = tmp_path / "inst.mlat"

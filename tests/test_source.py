@@ -2,12 +2,17 @@
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import latmod
+from latmod.harness import default_instances
+from latmod.instances import DEFAULT_FAMILY, FAMILIES
 
+ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in Path(latmod.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
@@ -42,7 +47,7 @@ GONE_FROM_LIBRARY = {"latmod.module.stable_act_top_table"}
 def test_benchmark_layers_name_library_functions():
     # perfbench/tracing.py skips a name that latmod lacks, so a rename would
     # silently move that layer's time into its caller's self time
-    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tracing = ROOT / "perfbench" / "tracing.py"
     tree = ast.parse(tracing.read_text(encoding="utf-8"))
     (layers,) = [node.value for node in tree.body
                  if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS"]
@@ -52,3 +57,39 @@ def test_benchmark_layers_name_library_functions():
         missing |= {f"{module_name}.{name}" for name in names
                     if not callable(getattr(module, name, None))}
     assert missing == GONE_FROM_LIBRARY
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """The ids of the docstring nodes of the module, its classes and functions."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, owners) and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
+def family_literals(tree: ast.Module) -> list[str]:
+    """String constants outside docstrings that contain a family name."""
+    docstrings = _docstrings(tree)
+    return [f"{node.value!r} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings and any(name in node.value for name in FAMILIES)]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in Path(latmod.__file__).parent.glob("*.py")
+                                        if p.name != "instances.py"), ids=lambda p: p.name)
+def test_families_named_only_in_instances(path):
+    # instances.FAMILIES is the one place that names, builds and bounds a family
+    assert family_literals(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_benchmark_default_family_is_the_library_one(monkeypatch):
+    # at module level perfbench/workloads.py imports only the standard library
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert workloads.DEFAULT_FAMILY == DEFAULT_FAMILY
+    assert [inst.name for inst in default_instances()] == [f"{family}-{n}"
+                                                           for family, n in DEFAULT_FAMILY]
