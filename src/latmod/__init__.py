@@ -22,9 +22,7 @@ from .lattice import (
     validate_lattice,
 )
 from .module import (
-    ElementContext,
     LatticeModule,
-    element_context,
     is_faithful,
     is_multiplication_module,
     is_pg_module,

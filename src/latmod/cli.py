@@ -314,13 +314,13 @@ def cmd_verify(args) -> int:
 
     if args.max_n is not None and args.family not in _module_families():
         return _usage_error(f"--max-n applies only to --family {' or '.join(_module_families())}")
-    cap = _square_cap()
     instances = []
     try:
         if args.family == "default":
-            instances.extend(default_instances(square_cap=cap))
+            instances.extend(default_instances(square_cap=_square_cap()))
         elif args.family is not None:
             top = args.max_n if args.max_n is not None else FAMILIES[args.family][1]
+            cap = _square_cap()
             for n in range(2, top + 1):
                 name, _, module = InstanceSpec(family=args.family, n=n).build(cap=cap)
                 instances.append(make_instance(name, module))
@@ -338,6 +338,9 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as exc:    # ParseError, or a generator's bound
         return _usage_error(str(exc))
     if not instances:
+        if args.family is not None:     # only --max-n below 2 leaves a family empty
+            return _usage_error(f"--family {args.family} --max-n {args.max_n} gives no instance: "
+                                "n runs from 2")
         return _usage_error("nothing to verify: pass instance files or --family")
 
     if args.checks == "all":

@@ -13,8 +13,8 @@ for vacuity, which the reports keep distinct from the hypothesis pathway.
 
 The statements are theorems of the underlying theory, so on a validated
 instance every failure indicates an implementation bug; each failure carries
-a witness that can be replayed against the classifiers in isolation
-(:func:`replay_violation`).
+a witness, and :func:`replay_violation` confirms one by re-running its check
+on a new context.
 
 Each statement shape is written once: an equivalence of named sides
 (:func:`_equivalence`, with recurring sides named in ``_SIDES``), an
@@ -23,9 +23,10 @@ implication between classes (:func:`_implication`; the implication figure is
 only in a flag (chains, rad(N) prime, a residual prime, q I_M flagged).
 
 :func:`run_suite` builds one evaluation context (:class:`Ctx`) per instance,
-and every selected check of that instance reads it, so the classification,
-the residual and rad tables and the arrays derived from them are gathered
-once per instance, not once per check.
+and every selected check of that instance runs on it through
+:func:`run_check`, so the hypotheses, the classification, the residual and
+rad tables and the arrays derived from them are gathered once per instance,
+not once per check.
 
 The quantifier-heavy sides are numpy reductions over the residual tables the
 instance memoizes: residual-split gathers (N:ab) for every N at once,
@@ -52,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classify import FLAG_NAMES, classify_all
+from .classify import classify_all
 from .instances import DEFAULT_FAMILY, DEFAULT_SQUARE_CAP, InstanceSpec, serialize_instance
 from .lattice import is_pg_lattice, lattice_flags, sqrt_table
 from .module import (
@@ -76,13 +77,13 @@ __all__ = [
     "HYPOTHESES",
     "AUTO_HYPOTHESES",
     "BUNDLE",
+    "Ctx",
     "make_instance",
     "default_instances",
     "registry",
     "list_checks",
     "run_suite",
     "run_check",
-    "check_implication_figure",
     "replay_violation",
 ]
 
@@ -210,7 +211,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class Ctx:
-    """Per-instance evaluation context sharing classifications and residuals.
+    """Per-instance evaluation context sharing hypotheses, classifications and residuals.
 
     ``run_suite`` builds one per instance and every selected check reads it,
     so each table below is gathered once per instance.  The arrays it builds
@@ -223,6 +224,10 @@ class Ctx:
         self.M = instance.module
         self.L = self.M.lattice
         self.seed = seed
+
+    @cached_property
+    def hypotheses(self) -> dict[str, bool]:
+        return instance_hypotheses(self.M)
 
     @cached_property
     def cls(self):
@@ -1165,26 +1170,16 @@ def instance_hypotheses(M: LatticeModule) -> dict[str, bool]:
     return {name: bool(fn(M)) for name, fn in HYPOTHESES.items()}
 
 
-def run_check(instance: Instance, check: TheoremCheck, seed: int = 0,
-              hypotheses: dict[str, bool] | None = None, ctx: Ctx | None = None) -> CheckResult:
-    """Evaluate one check on one instance.
-
-    ``ctx`` is a context shared with other checks of the same instance; it
-    must have been built for ``instance`` and ``seed``, or ``ValueError`` is
-    raised.  Without one the check gets a context of its own.
-    """
-    if ctx is not None and (ctx.instance is not instance or ctx.seed != seed):
-        raise ValueError(f"the context was built for {ctx.instance.name!r} with seed {ctx.seed}, "
-                         f"not for {instance.name!r} with seed {seed}")
-    hyps = hypotheses if hypotheses is not None else instance_hypotheses(instance.module)
+def run_check(ctx: Ctx, check: TheoremCheck) -> CheckResult:
+    """Evaluate one check on the instance of ``ctx``, reading that context."""
     start = time.perf_counter()
-    unmet = [h for h in check.hypotheses if not hyps[h]]
+    unmet = [h for h in check.hypotheses if not ctx.hypotheses[h]]
     evaluated, violations, reason = 0, [], "hypotheses unmet: " + ", ".join(unmet)
     if not unmet:
-        evaluated, violations = check.kernel(ctx if ctx is not None else Ctx(instance, seed=seed))
+        evaluated, violations = check.kernel(ctx)
         reason = "vacuous quantification" if evaluated == 0 else None
     status = "skipped" if reason else "fail" if violations else "pass"
-    return CheckResult(instance=instance.name, check_id=check.id, status=status,
+    return CheckResult(instance=ctx.instance.name, check_id=check.id, status=status,
                        evaluated=int(evaluated), violations=violations,
                        skip_reason=reason, dashed=check.dashed,
                        seconds=time.perf_counter() - start)
@@ -1205,44 +1200,24 @@ def run_suite(instances, checks="all", seed: int = 0) -> TheoremReport:
     for instance in instances:
         if instance.name in info:
             raise ValueError(f"two instances are named {instance.name!r}")
-        hyps = instance_hypotheses(instance.module)
+        ctx = Ctx(instance, seed=seed)
         info[instance.name] = {
             "fingerprint": instance.fingerprint,
             "lattice_elements": instance.lattice.element_count,
             "module_elements": instance.module.element_count,
             "hypotheses": {name + (" (auto)" if name in AUTO_HYPOTHESES else ""): value
-                           for name, value in hyps.items()},
+                           for name, value in ctx.hypotheses.items()},
         }
-        ctx = Ctx(instance, seed=seed)
-        # positional (instance, check) through the module global, so a wrapper
+        # positional (ctx, check) through the module global, so a wrapper
         # installed on ``run_check`` (perfbench/tracing.py) sees every check
         for check in selected:
-            results.append(run_check(instance, check, seed=seed, hypotheses=hyps, ctx=ctx))
+            results.append(run_check(ctx, check))
     results.sort(key=lambda r: (r.instance, r.check_id))
     return TheoremReport(results=results, instances=info, seed=seed)
 
 
-def check_implication_figure(instance: Instance, seed: int = 0) -> TheoremReport:
-    """Evaluate just the implication-figure check on one instance."""
-    return run_suite([instance], checks=["fig1-implications"], seed=seed)
-
-
 def replay_violation(instance: Instance, check_id: str, violation: dict,
                      seed: int = 0) -> bool:
-    """Re-derive a reported violation from scratch.
-
-    Flag-implication witnesses whose antecedent is made of classifier flags
-    are replayed directly against the classifiers; anything else re-runs the
-    check kernel and matches the violation.
-    """
-    antecedent = violation.get("antecedent", "").split("+")
-    if violation.get("kind") == "flag-implication" and all(f in FLAG_NAMES for f in antecedent):
-        cls = classify_all(instance.module)
-        element = violation["element"]
-        if element not in cls:
-            return False
-        c = cls[element]
-        return all(c.flag(f) for f in antecedent) and not c.flag(violation["consequent"])
-    check = _REGISTRY[check_id]
-    result = run_check(instance, check, seed=seed)
-    return violation in result.violations
+    """Re-derive a reported violation: re-run its check on a new context and
+    look for the violation among the results."""
+    return violation in run_check(Ctx(instance, seed=seed), _REGISTRY[check_id]).violations

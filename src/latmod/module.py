@@ -51,7 +51,6 @@ from .lattice import (
 
 __all__ = [
     "LatticeModule",
-    "ElementContext",
     "validate_module",
     "module_violations",
     "residual_ml",
@@ -64,7 +63,6 @@ __all__ = [
     "saturation",
     "variety",
     "variety_l",
-    "element_context",
     "is_faithful",
     "is_multiplication_module",
     "is_meet_principal_m",
@@ -97,14 +95,6 @@ class LatticeModule(_FiniteLattice):
 
     def __repr__(self):
         return f"LatticeModule(n={self.element_count} over {self.lattice!r})"
-
-
-@dataclass(frozen=True)
-class ElementContext:
-    """The two derived values attached to a proper element N: (N:I_M) and rad(N)."""
-
-    residual_top: int  # lattice id of (N : I_M)
-    rad: int           # module id of rad(N)
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +358,6 @@ def rad(M: LatticeModule, N: int) -> int:
     """
     _require_id(M, N, "rad is undefined for the top element")
     return int(_rad_table(M)[N])
-
-
-def element_context(M: LatticeModule, N: int) -> ElementContext:
-    _require_id(M, N, "element context is defined for proper elements only")
-    return ElementContext(residual_top=residual_mm(M, N, M.top), rad=rad(M, N))
 
 
 def saturation(M: LatticeModule, N: int, p: int) -> int:

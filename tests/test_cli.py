@@ -145,6 +145,13 @@ def test_verify_nothing_selected(capsys):
     assert code == 2 and "nothing to verify" in err
 
 
+@pytest.mark.parametrize("family, top", [("zn-self", "1"), ("zn-square", "0")])
+def test_verify_empty_family_range_named(capsys, family, top):
+    code, out, err = run_cli(capsys, "verify", "--family", family, "--max-n", top)
+    assert (code, out) == (2, "")
+    assert err == f"error: --family {family} --max-n {top} gives no instance: n runs from 2\n"
+
+
 def test_verify_json_deterministic(tmp_path, capsys):
     path = tmp_path / "m4.mlat"
     run_cli(capsys, "gen", "zn-square", "4", "-o", str(path))
@@ -164,6 +171,17 @@ def test_mlat_cap_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MLAT_CAP", "20")
     code, _, _ = run_cli(capsys, "gen", "zn-square", "8", "-o", str(tmp_path / "y.mlat"))
     assert code == 0
+
+
+def test_mlat_cap_read_only_for_a_family(capsys, monkeypatch):
+    # verifying files generates nothing, so a malformed cap does not matter
+    monkeypatch.setenv("MLAT_CAP", "x")
+    code, out, err = run_cli(capsys, "verify", str(FIXTURES / "v02_two_chain_module.mlat"))
+    assert (code, err) == (0, "") and "0 fail" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "zn-self", "--max-n", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: MLAT_CAP must be an integer, got 'x'\n"
 
 
 @pytest.mark.parametrize("family, top", [("zn-self", 30), ("zn-square", 8)])

@@ -112,7 +112,8 @@ CLI_SHA256 = "4bd3a72a58c2ec3f87c53a50d8541aa6ffe1a9b6f8643cb93be65bdb2f6c3783"
 # Recorded at fd81c42: one digest over the argv, MLAT_CAP (None = unset), exit
 # code, stdout and stderr of each case in FAMILY_CASES, run from the repository
 # root, pinning the generated families through ``gen`` and ``verify --family``
-# and the cap's errors.
+# and the cap's errors.  Re-recorded after a1e78a3 for the last two cases only:
+# an empty --max-n range is now named, and verifying files reads no MLAT_CAP.
 FAMILY_CASES = (
     (("gen", "zn-ideals", "12"), None), (("gen", "zn-self", "12"), None),
     (("gen", "zn-square", "8"), None), (("gen", "zn-square", "17"), None),
@@ -125,7 +126,7 @@ FAMILY_CASES = (
     (("verify", "--family", "zn-self", "--max-n", "1"), None),
     (("verify", "tests/fixtures/v02_two_chain_module.mlat"), "x"),
 )
-FAMILY_SHA256 = "1a0f37fbfc01ed69b1db509df484302fcfb9a9f8dd9dc69cbe08cc91cd1df805"
+FAMILY_SHA256 = "8fc80731aec8ed83976651e01beb64af6f81af64e7d858a24256cee3b7b2c453"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 

@@ -14,7 +14,7 @@ from latmod import (
     l_element_flags,
     residual_mm,
 )
-from latmod.classify import classify_all, is_prime_m, is_pseudo_classical_primary
+from latmod.classify import FLAG_NAMES, classify_all, is_prime_m, is_pseudo_classical_primary
 from latmod import harness
 from latmod.harness import (
     AUTO_HYPOTHESES,
@@ -23,7 +23,6 @@ from latmod.harness import (
     TheoremCheck,
     _compact_definition,
     _pp_compact_definition,
-    check_implication_figure,
     default_instances,
     list_checks,
     make_instance,
@@ -97,17 +96,20 @@ def test_hypothesis_gating_covers_all_bundle_checks(inst8sq):
 
 
 def test_implication_figure(inst12, inst8sq):
+    def figure(inst):
+        return run_suite([inst], checks=["fig1-implications"])
+
     for inst in (inst12, inst8sq):
-        report = check_implication_figure(inst)
+        report = figure(inst)
         assert len(report.results) == 1
         assert report.results[0].status == "pass"
         assert report.results[0].violations == []
     # a single-proper-element module still evaluates (and passes)
     single = make_instance("zn-self-2", gen_zn_self_module(2))
-    assert check_implication_figure(single).results[0].status == "pass"
+    assert figure(single).results[0].status == "pass"
     # a module with no proper elements is a vacuous skip
     trivial = make_instance("zn-self-1", gen_zn_self_module(1))
-    result = check_implication_figure(trivial).results[0]
+    result = figure(trivial).results[0]
     assert result.status == "skipped" and result.skip_reason == "vacuous quantification"
 
 
@@ -192,14 +194,14 @@ def test_pcp_sufficient_condition_needs_unrestricted_residuals(inst12):
     assert not l_element_flags(L, residual_mm(M, n, M.top)).primary
     assert not is_pseudo_classical_primary(M, n)[0]
     # the registered check therefore quantifies K over the whole carrier
-    result = run_check(inst12, registry()["thm-residual-primary-implies-pcp"])
+    result = run_check(Ctx(inst12), registry()["thm-residual-primary-implies-pcp"])
     assert result.status == "pass"
 
 
 def test_chain_checks_sample_longer_chains():
     # zn-self-16 is a chain of primary ideals: plenty of pseudo-primary chains
     inst = make_instance("zn-self-16", gen_zn_self_module(16))
-    result = run_check(inst, registry()["chain-pseudo-primary"])
+    result = run_check(Ctx(inst), registry()["chain-pseudo-primary"])
     assert result.status == "pass"
     assert result.evaluated > 0
 
@@ -218,10 +220,47 @@ def test_replay_non_flag_antecedent(inst12, flag, check_id):
     # the antecedents "join-meet-condition" and "residuals-primary" are not
     # classifier flags, so replay re-runs the check kernel
     with inject_classifier_fault(flag):
-        result = run_check(inst12, registry()[check_id])
+        result = run_check(Ctx(inst12), registry()[check_id])
         assert result.status == "fail"
         for violation in result.violations:
             assert replay_violation(inst12, check_id, violation)
+
+
+def _flag_implication_holds(cls, violation) -> bool:
+    """Reference replay of a flag-implication witness, read off the classification
+    ``cls`` alone: the element carries every antecedent flag and not the consequent."""
+    c = cls.get(violation["element"])
+    return (c is not None and all(c.flag(f) for f in violation["antecedent"].split("+"))
+            and not c.flag(violation["consequent"]))
+
+
+def test_replay_agrees_with_the_classification_on_flag_implications(inst12):
+    # replay re-runs the check; a witness whose antecedent is made of
+    # classifier flags must replay exactly when the classification shows it
+    M = inst12.module
+    faults = [(flag, elements) for flag in FLAG_NAMES
+              for elements in (None, list(M.proper_elements())[::2])]
+    replayed = set()
+    for flag, elements in faults:
+        with inject_classifier_fault(flag, elements=elements):
+            cls = classify_all(M)
+            for result in run_suite([inst12]).failures():
+                for v in result.violations[:3]:
+                    if v["kind"] != "flag-implication" or not all(
+                            f in FLAG_NAMES for f in v["antecedent"].split("+")):
+                        continue
+                    assert _flag_implication_holds(cls, v)
+                    assert replay_violation(inst12, result.check_id, v)
+                    replayed.add(flag)
+                    other = next(n for n in M.elements()
+                                 if not _flag_implication_holds(cls, {**v, "element": n}))
+                    consequent = next(f for f in FLAG_NAMES
+                                      if not _flag_implication_holds(cls, {**v, "consequent": f}))
+                    for changed in ({**v, "element": other, "label": M.label(other)},
+                                    {**v, "consequent": consequent}):
+                        assert not replay_violation(inst12, result.check_id, changed), changed
+    # on zn-self-12 every radical primary element is pseudo-primary anyway
+    assert replayed == set(FLAG_NAMES) - {"radical_element"}
 
 
 def test_fault_leaves_classification_memo_alone(inst12):
@@ -375,18 +414,10 @@ def test_run_suite_calls_run_check_once_per_check(monkeypatch, inst12, inst8sq):
     run_suite([inst12, inst8sq])
     assert len(calls) == 2 * len(registry()) == 128
     for inst, block in zip((inst12, inst8sq), (calls[:64], calls[64:])):
-        assert all(args[0] is inst and isinstance(args[1], TheoremCheck) for args, _ in block)
+        assert all(isinstance(args[0], Ctx) and args[0].instance is inst
+                   and isinstance(args[1], TheoremCheck) and not kwargs for args, kwargs in block)
         assert [args[1].id for args, _ in block] == list(registry())
-        assert len({id(kwargs["ctx"]) for _, kwargs in block}) == 1
-
-
-def test_run_check_rejects_a_context_for_another_instance_or_seed(inst12, inst8sq):
-    check = registry()["chain-pseudo-primary"]
-    shared = run_check(inst12, check, seed=3, ctx=Ctx(inst12, seed=3))
-    assert shared.as_dict() == run_check(inst12, check, seed=3).as_dict()
-    for ctx in (Ctx(inst12), Ctx(inst8sq, seed=3)):
-        with pytest.raises(ValueError, match="the context was built for"):
-            run_check(inst12, check, seed=3, ctx=ctx)
+        assert len({id(args[0]) for args, _ in block}) == 1
 
 
 def test_ctx_rad_rejects_the_top(inst8sq):

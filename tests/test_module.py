@@ -6,7 +6,6 @@ import pytest
 
 from latmod import (
     ValidationError,
-    element_context,
     gen_zn_self_module,
     is_faithful,
     is_multiplication_module,
@@ -18,7 +17,6 @@ from latmod import (
     residual_ml,
     residual_mm,
     saturation,
-    sqrt,
     validate_module,
     variety,
     variety_l,
@@ -184,13 +182,6 @@ def test_top_is_principal_identity(m8self):
     assert is_principal_m(M, M.top)
 
 
-def test_element_context(m12self):
-    for n in m12self.proper_elements():
-        ctx = element_context(m12self, n)
-        s = sqrt(m12self.lattice, ctx.residual_top)
-        assert m12self.lattice.le(s, residual_mm(m12self, ctx.rad, m12self.top))
-
-
 def test_action_monotone(m12self, m4square):
     for M in (m12self, m4square):
         L = M.lattice
@@ -226,7 +217,7 @@ def test_out_of_range_ids_rejected(m4square):
     M = m4square
     p = next(a for a in M.lattice.elements() if l_element_flags(M.lattice, a).prime)
     for N in (-1, M.element_count):
-        for query in (rad, variety, variety_l, element_context, lambda M, N: saturation(M, N, p)):
+        for query in (rad, variety, variety_l, lambda M, N: saturation(M, N, p)):
             with pytest.raises(ValueError, match="not an element id"):
                 query(M, N)
 

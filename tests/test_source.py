@@ -41,7 +41,8 @@ def test_no_unused_imports(path):
 
 # Deleted from the library after the benchmark listed it; the benchmark's
 # tracer skips a missing name, so its calls would be untraced.
-GONE_FROM_LIBRARY = {"latmod.module.stable_act_top_table"}
+GONE_FROM_LIBRARY = {"latmod.module.stable_act_top_table", "latmod.module.element_context",
+                     "latmod.harness.check_implication_figure"}
 
 
 def test_benchmark_layers_name_library_functions():
@@ -57,6 +58,30 @@ def test_benchmark_layers_name_library_functions():
         missing |= {f"{module_name}.{name}" for name in names
                     if not callable(getattr(module, name, None))}
     assert missing == GONE_FROM_LIBRARY
+
+
+def kernel_reads(tree: ast.Module) -> list[str]:
+    """Each read of a ``.kernel`` attribute, as ``function:call`` or
+    ``function:read``; the function is the innermost one around it."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "kernel":
+            around = [fn for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno]
+            owner = max(around, key=lambda fn: fn.lineno).name if around else "<module>"
+            out.append(f"{owner}:{'call' if id(node) in called else 'read'}")
+    return out
+
+
+def test_kernels_run_only_in_run_check():
+    # run_check is the one place a check's kernel runs, so every caller gets
+    # the hypothesis gate and a context built for the instance it checks
+    reads = {path.name: kernel_reads(ast.parse(path.read_text(encoding="utf-8")))
+             for path in Path(latmod.__file__).parent.glob("*.py")}
+    assert {name: found for name, found in reads.items() if found} == {
+        "harness.py": ["run_check:call"]}
 
 
 def _docstrings(tree: ast.Module) -> set[int]:
