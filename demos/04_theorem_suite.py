@@ -1,11 +1,10 @@
 # Run the theorem registry over the default instance family, then demonstrate
-# the failure-reporting path by injecting a classifier fault: the affected
-# checks fail with witnesses that replay, and recover once the fault is gone.
+# the failure-reporting path with a classifier fault: the affected checks fail
+# with witnesses that replay under the same fault, and pass without it.
 
 from collections import Counter
 
-from latmod import inject_classifier_fault
-from latmod.harness import default_instances, list_checks, replay_violation, run_suite
+from latmod.harness import Fault, default_instances, list_checks, replay_violation, run_suite
 
 instances = default_instances()
 print(f"registry: {len(list_checks())} checks;"
@@ -21,19 +20,19 @@ for reason, k in skip_reasons.most_common():
 
 print("\ninjecting a fault that inverts the pseudo-primary classifier ...")
 sample = [i for i in instances if i.name in ("zn-self-12", "zn-square-8")]
-with inject_classifier_fault("pseudo_primary"):
-    faulted = run_suite(sample)
-    failures = faulted.failures()
-    print(f"faulted run: {len(failures)} failing (instance, check) pairs")
-    by_name = {i.name: i for i in sample}
-    shown = 0
-    for result in failures:
-        for violation in result.violations[:1]:
-            replays = replay_violation(by_name[result.instance], result.check_id, violation)
-            print(f"  {result.instance} {result.check_id}: witness {violation}"
-                  f" -> replays={replays}")
-            shown += 1
-        if shown >= 4:
-            break
+fault = Fault("pseudo_primary")
+failures = run_suite(sample, fault=fault).failures()
+print(f"faulted run: {len(failures)} failing (instance, check) pairs")
+by_name = {i.name: i for i in sample}
+shown = 0
+for result in failures:
+    for violation in result.violations[:1]:
+        replays = replay_violation(by_name[result.instance], result.check_id, violation,
+                                   fault=fault)
+        print(f"  {result.instance} {result.check_id}: witness {violation}"
+              f" -> replays={replays}")
+        shown += 1
+    if shown >= 4:
+        break
 
-print("\nfault removed:", "all-pass" if run_suite(sample).ok() else "still failing")
+print("\nwithout the fault:", "all-pass" if run_suite(sample).ok() else "still failing")

@@ -42,7 +42,6 @@ from .classify import (
     PAttachments,
     classify,
     classify_all,
-    inject_classifier_fault,
     is_classical_prime,
     is_minimal_prime_over,
     is_prime_m,

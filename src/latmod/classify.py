@@ -5,6 +5,9 @@ over the carrier and returns ``(flag, witness)``, where the witness is the
 lexicographically first violating tuple (quantifiers scanned in ascending id
 order) or ``None`` when the flag holds.  ``classify`` aggregates all flags for
 one element, sharing the radical/prime computations across predicates.
+``classify_all`` is memoized on the module and always reports the truth; a
+fault injected to test the theorem harness is a ``harness.Fault``, seen only
+by the check contexts built with it.
 
 All predicates require a proper element; properness is a precondition, not a
 flag failure.
@@ -12,8 +15,7 @@ flag failure.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +46,6 @@ __all__ = [
     "is_minimal_prime_over",
     "classify",
     "classify_all",
-    "inject_classifier_fault",
 ]
 
 FLAG_NAMES = (
@@ -58,30 +59,6 @@ FLAG_NAMES = (
     "pseudo_primary",
     "pseudo_classical_primary",
 )
-
-# Test-only fault injection: (flag name, element ids or None for all).
-# Read only by classify_all, which reports the named flag inverted.  Used to
-# exercise the failure-reporting paths.
-_FAULT: tuple[str, frozenset[int] | None] | None = None
-
-
-@contextmanager
-def inject_classifier_fault(flag: str, elements=None):
-    """Invert ``flag`` in what :func:`classify_all` and :func:`classify` report
-    for ``elements`` (default: all), for the duration of the context.
-
-    The ``is_*`` predicates, :func:`p_attachments` and the memo are unaffected.
-    """
-    global _FAULT
-    if flag not in FLAG_NAMES:
-        raise ValueError(f"unknown classifier flag {flag!r}")
-    previous = _FAULT
-    _FAULT = (flag, None if elements is None else frozenset(int(e) for e in elements))
-    try:
-        yield
-    finally:
-        _FAULT = previous
-
 
 def _require_proper(M: LatticeModule, N: int) -> None:
     _require_id(M, N, f"{M.label(M.top)} is not a proper element")
@@ -213,7 +190,6 @@ class Classification:
 
     element: int
     label: str
-    proper: bool
     prime: bool
     primary: bool
     maximal: bool
@@ -259,28 +235,9 @@ def classify(M: LatticeModule, N: int) -> Classification:
     return classify_all(M)[N]
 
 
-def classify_all(M: LatticeModule) -> dict[int, Classification]:
-    """Classification of every proper element, memoized on M; under
-    :func:`inject_classifier_fault`, a new dict with the fault applied."""
-    table = _classification_table(M)
-    if _FAULT is None:
-        return table
-    flag, targets = _FAULT
-    lflags = lattice_flags(M.lattice)
-    return {n: _inverted(c, flag, lflags) if targets is None or n in targets else c
-            for n, c in table.items()}
-
-
-def _inverted(c: Classification, flag: str, lflags) -> Classification:
-    """``c`` with ``flag`` inverted, its witness dropped, attachments recomputed."""
-    c = replace(c, **{flag: not c.flag(flag)},
-                witnesses={k: w for k, w in c.witnesses.items() if k != flag})
-    return replace(c, **vars(_attachments(lflags, c.residual_top, c.sqrt_residual_top,
-                                          c.prime, c.primary, c.pseudo_primary)))
-
-
 @_memo
-def _classification_table(M: LatticeModule) -> dict[int, Classification]:
+def classify_all(M: LatticeModule) -> dict[int, Classification]:
+    """Classification of every proper element, memoized on M."""
     L = M.lattice
     lflags = lattice_flags(L)
     sqrts = sqrt_table(L)
@@ -309,7 +266,6 @@ def _classification_table(M: LatticeModule) -> dict[int, Classification]:
         out[n] = Classification(
             element=n,
             label=M.label(n),
-            proper=True,
             maximal=n in maximals,
             residual_top=r,
             sqrt_residual_top=s,

@@ -324,6 +324,9 @@ def cmd_verify(args) -> int:
             for n in range(2, top + 1):
                 name, _, module = InstanceSpec(family=args.family, n=n).build(cap=cap)
                 instances.append(make_instance(name, module))
+            if not instances:           # only --max-n below 2 leaves a family empty
+                return _usage_error(f"--family {args.family} --max-n {args.max_n} gives no "
+                                    "instance: n runs from 2")
         origin = {instance.name: f"--family {args.family}" for instance in instances}
         for path in args.paths:
             instance = _load_instance(path)
@@ -338,9 +341,6 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as exc:    # ParseError, or a generator's bound
         return _usage_error(str(exc))
     if not instances:
-        if args.family is not None:     # only --max-n below 2 leaves a family empty
-            return _usage_error(f"--family {args.family} --max-n {args.max_n} gives no instance: "
-                                "n runs from 2")
         return _usage_error("nothing to verify: pass instance files or --family")
 
     if args.checks == "all":

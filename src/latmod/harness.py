@@ -14,7 +14,9 @@ for vacuity, which the reports keep distinct from the hypothesis pathway.
 The statements are theorems of the underlying theory, so on a validated
 instance every failure indicates an implementation bug; each failure carries
 a witness, and :func:`replay_violation` confirms one by re-running its check
-on a new context.
+on a new context.  To show that a check can fail, :func:`run_suite` and
+:func:`replay_violation` take a :class:`Fault`, which inverts one classifier
+flag in what their contexts read, and nowhere else.
 
 Each statement shape is written once: an equivalence of named sides
 (:func:`_equivalence`, with recurring sides named in ``_SIDES``), an
@@ -47,13 +49,13 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
-from .classify import classify_all
+from .classify import FLAG_NAMES, Classification, _attachments, classify_all
 from .instances import DEFAULT_FAMILY, DEFAULT_SQUARE_CAP, InstanceSpec, serialize_instance
 from .lattice import is_pg_lattice, lattice_flags, sqrt_table
 from .module import (
@@ -77,6 +79,7 @@ __all__ = [
     "HYPOTHESES",
     "AUTO_HYPOTHESES",
     "BUNDLE",
+    "Fault",
     "Ctx",
     "make_instance",
     "default_instances",
@@ -204,6 +207,34 @@ class TheoremReport:
         }
 
 
+@dataclass(frozen=True)
+class Fault:
+    """A classifier fault: ``flag`` inverted on ``elements`` (None: every
+    proper element) in what a :class:`Ctx` built with it reads.
+
+    It exercises the failure-reporting paths.  The fault lives only in the
+    contexts given it; ``classify_all`` and the ``is_*`` predicates always
+    report the truth.
+    """
+
+    flag: str
+    elements: frozenset[int] | None = None
+
+    def __post_init__(self):
+        if self.flag not in FLAG_NAMES:
+            raise ValueError(f"unknown classifier flag {self.flag!r}")
+        if self.elements is not None:
+            object.__setattr__(self, "elements", frozenset(int(e) for e in self.elements))
+
+
+def _inverted(c: Classification, flag: str, lflags) -> Classification:
+    """``c`` with ``flag`` inverted, its witness dropped, attachments recomputed."""
+    c = replace(c, **{flag: not c.flag(flag)},
+                witnesses={k: w for k, w in c.witnesses.items() if k != flag})
+    return replace(c, **vars(_attachments(lflags, c.residual_top, c.sqrt_residual_top,
+                                          c.prime, c.primary, c.pseudo_primary)))
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """``arr``, marked read-only so that a kernel writing into it raises."""
     arr.setflags(write=False)
@@ -216,14 +247,16 @@ class Ctx:
     ``run_suite`` builds one per instance and every selected check reads it,
     so each table below is gathered once per instance.  The arrays it builds
     itself are read-only, as the memo tables are: a kernel cannot change what
-    a later check reads.
+    a later check reads.  Under a :class:`Fault`, ``cls`` is a faulted view of
+    the memoized classification; every other table is the instance's own.
     """
 
-    def __init__(self, instance: Instance, seed: int = 0):
+    def __init__(self, instance: Instance, seed: int = 0, fault: Fault | None = None):
         self.instance = instance
         self.M = instance.module
         self.L = self.M.lattice
         self.seed = seed
+        self.fault = fault
 
     @cached_property
     def hypotheses(self) -> dict[str, bool]:
@@ -231,7 +264,12 @@ class Ctx:
 
     @cached_property
     def cls(self):
-        return classify_all(self.M)
+        cls = classify_all(self.M)
+        if self.fault is None:
+            return cls
+        flag, targets = self.fault.flag, self.fault.elements
+        return {n: _inverted(c, flag, self.lflags) if targets is None or n in targets else c
+                for n, c in cls.items()}
 
     @cached_property
     def propers(self):
@@ -1185,9 +1223,10 @@ def run_check(ctx: Ctx, check: TheoremCheck) -> CheckResult:
                        seconds=time.perf_counter() - start)
 
 
-def run_suite(instances, checks="all", seed: int = 0) -> TheoremReport:
+def run_suite(instances, checks="all", seed: int = 0,
+              fault: Fault | None = None) -> TheoremReport:
     """Evaluate the selected checks on every instance, all of them reading
-    one context per instance.
+    one context per instance, built with ``fault``.
 
     Results are ordered by (instance name, check id) regardless of evaluation
     order, so reports are deterministic for fixed inputs and seed.  Raises
@@ -1200,7 +1239,7 @@ def run_suite(instances, checks="all", seed: int = 0) -> TheoremReport:
     for instance in instances:
         if instance.name in info:
             raise ValueError(f"two instances are named {instance.name!r}")
-        ctx = Ctx(instance, seed=seed)
+        ctx = Ctx(instance, seed=seed, fault=fault)
         info[instance.name] = {
             "fingerprint": instance.fingerprint,
             "lattice_elements": instance.lattice.element_count,
@@ -1217,7 +1256,9 @@ def run_suite(instances, checks="all", seed: int = 0) -> TheoremReport:
 
 
 def replay_violation(instance: Instance, check_id: str, violation: dict,
-                     seed: int = 0) -> bool:
-    """Re-derive a reported violation: re-run its check on a new context and
+                     seed: int = 0, fault: Fault | None = None) -> bool:
+    """Re-derive a reported violation: re-run its check on a new context,
+    built with the ``seed`` and ``fault`` of the run that reported it, and
     look for the violation among the results."""
-    return violation in run_check(Ctx(instance, seed=seed), _REGISTRY[check_id]).violations
+    ctx = Ctx(instance, seed=seed, fault=fault)
+    return violation in run_check(ctx, _REGISTRY[check_id]).violations

@@ -16,7 +16,6 @@ from latmod import (
     gen_zn_ideal_lattice,
     gen_zn_self_module,
     gen_zn_square_module,
-    inject_classifier_fault,
     l_element_flags,
     parse_instance,
     rad,
@@ -28,6 +27,7 @@ from latmod import (
 )
 from latmod.classify import classify_all
 from latmod.harness import (
+    Fault,
     default_instances,
     make_instance,
     registry,
@@ -347,18 +347,17 @@ def test_acceptance_9_harness_soundness():
         instances = [make_instance("zn-self-12", gen_zn_self_module(12)),
                      make_instance("zn-square-8", gen_zn_square_module(8))]
         assert run_suite(instances).ok()
-        with inject_classifier_fault("pseudo_primary"):
-            faulted = run_suite(instances)
-            assert not faulted.ok()
-            failing = faulted.failures()
-            assert failing
-            by_name = {i.name: i for i in instances}
-            for result in failing:
-                assert result.violations
-                for violation in result.violations:
-                    assert replay_violation(by_name[result.instance],
-                                            result.check_id, violation), \
-                        (result.check_id, violation)
+        fault = Fault("pseudo_primary")
+        faulted = run_suite(instances, fault=fault)
+        assert not faulted.ok()
+        failing = faulted.failures()
+        assert failing
+        by_name = {i.name: i for i in instances}
+        for result in failing:
+            assert result.violations
+            for violation in result.violations:
+                assert replay_violation(by_name[result.instance], result.check_id,
+                                        violation, fault=fault), (result.check_id, violation)
         assert run_suite(instances).ok()
     except AssertionError:
         ok = False

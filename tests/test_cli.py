@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latmod import gen_zn_self_module, gen_zn_square_module, inject_classifier_fault
+from latmod import gen_zn_self_module, gen_zn_square_module
 from latmod.classify import FLAG_NAMES, classify_all
 from latmod.cli import _json_dumps, main
-from latmod.harness import default_instances, make_instance, run_suite
+from latmod.harness import Fault, default_instances, make_instance, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +150,14 @@ def test_verify_empty_family_range_named(capsys, family, top):
     code, out, err = run_cli(capsys, "verify", "--family", family, "--max-n", top)
     assert (code, out) == (2, "")
     assert err == f"error: --family {family} --max-n {top} gives no instance: n runs from 2\n"
+
+
+def test_verify_empty_family_range_named_beside_files(capsys):
+    # a file given as well must not hide that the range asked for is empty
+    code, out, err = run_cli(capsys, "verify", "--family", "zn-self", "--max-n", "1",
+                             str(FIXTURES / "v02_two_chain_module.mlat"))
+    assert (code, out) == (2, "")
+    assert err == "error: --family zn-self --max-n 1 gives no instance: n runs from 2\n"
 
 
 def test_verify_json_deterministic(tmp_path, capsys):
@@ -347,8 +355,7 @@ def _real_reports():
         yield f"default-seed-{seed}", run_suite(instances, seed=seed).as_dict()
     zn_self_12 = make_instance("zn-self-12", gen_zn_self_module(12))
     for flag in FLAG_NAMES:
-        with inject_classifier_fault(flag):
-            yield f"faulted-{flag}", run_suite([zn_self_12]).as_dict()
+        yield f"faulted-{flag}", run_suite([zn_self_12], fault=Fault(flag)).as_dict()
     for name, M in (("zn-square-10", gen_zn_square_module(10)),
                     ("zn-self-12", zn_self_12.module)):
         classes = classify_all(M)

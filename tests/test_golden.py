@@ -25,13 +25,12 @@ from latmod import (
     gen_zn_ideal_lattice,
     gen_zn_self_module,
     gen_zn_square_module,
-    inject_classifier_fault,
     parse_instance,
     serialize_instance,
 )
 from latmod.classify import FLAG_NAMES, classify_all
 from latmod.cli import main
-from latmod.harness import make_instance, run_suite
+from latmod.harness import Ctx, Fault, make_instance, run_suite
 from latmod.lattice import lattice_flags, lattice_violations
 from latmod.module import module_violations, prime_elements
 
@@ -205,8 +204,7 @@ def test_faults_cover_every_flag():
 
 @pytest.mark.parametrize("flag", FLAG_NAMES)
 def test_faulted_suite_pinned(zn_self_12, flag):
-    with inject_classifier_fault(flag):
-        report = run_suite([zn_self_12]).as_dict()
+    report = run_suite([zn_self_12], fault=Fault(flag)).as_dict()
     # insertion order, not sort_keys: the key order of every violation is pinned too
     assert _sha256(json.dumps(report)) == FAULTED_SHA256[flag]
 
@@ -215,9 +213,10 @@ def test_targeted_faults_pinned(zn_self_12):
     M = zn_self_12.module
     digest = hashlib.sha256()
     for flag in FLAG_NAMES:
-        with inject_classifier_fault(flag, elements=list(M.proper_elements())[::2]):
-            digest.update(json.dumps(run_suite([zn_self_12]).as_dict()).encode())
-            digest.update(json.dumps([c.as_dict() for c in classify_all(M).values()]).encode())
+        fault = Fault(flag, elements=list(M.proper_elements())[::2])
+        digest.update(json.dumps(run_suite([zn_self_12], fault=fault).as_dict()).encode())
+        cls = Ctx(zn_self_12, fault=fault).cls
+        digest.update(json.dumps([c.as_dict() for c in cls.values()]).encode())
     assert digest.hexdigest() == TARGETED_FAULT_SHA256
 
 
@@ -228,8 +227,8 @@ def test_reduction_checks_pinned():
     digest = hashlib.sha256()
     digest.update(json.dumps(run_suite(instances, checks=REDUCTION_CHECKS).as_dict()).encode())
     for flag in FLAG_NAMES:
-        with inject_classifier_fault(flag):
-            digest.update(json.dumps(run_suite(instances, checks=REDUCTION_CHECKS).as_dict()).encode())
+        report = run_suite(instances, checks=REDUCTION_CHECKS, fault=Fault(flag))
+        digest.update(json.dumps(report.as_dict()).encode())
     assert digest.hexdigest() == REDUCTION_SHA256
 
 
@@ -239,8 +238,8 @@ def test_seeded_checks_pinned():
     digest = hashlib.sha256()
     for seed in range(4):
         for fault in (None, "classical_prime", "pseudo_primary", "pseudo_classical_primary"):
-            with inject_classifier_fault(fault) if fault else contextlib.nullcontext():
-                report = run_suite(instances, checks=SEEDED_CHECKS, seed=seed)
+            report = run_suite(instances, checks=SEEDED_CHECKS, seed=seed,
+                               fault=Fault(fault) if fault else None)
             digest.update(json.dumps(report.as_dict()).encode())
     assert digest.hexdigest() == SEEDED_SHA256
 

@@ -1,7 +1,7 @@
-import contextlib
 import gc
 import itertools
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -10,7 +10,6 @@ import pytest
 from latmod import (
     gen_zn_self_module,
     gen_zn_square_module,
-    inject_classifier_fault,
     l_element_flags,
     residual_mm,
 )
@@ -20,6 +19,7 @@ from latmod.harness import (
     AUTO_HYPOTHESES,
     BUNDLE,
     Ctx,
+    Fault,
     TheoremCheck,
     _compact_definition,
     _pp_compact_definition,
@@ -143,28 +143,27 @@ def test_instance_info_recorded(inst8sq):
 def test_fault_injection_fails_and_replays(inst12, inst8sq):
     clean = run_suite([inst12, inst8sq])
     assert clean.ok()
-    with inject_classifier_fault("pseudo_primary"):
-        faulted = run_suite([inst12, inst8sq])
-        assert not faulted.ok()
-        failing = faulted.failures()
-        assert any(r.check_id == "fig1-implications" for r in failing)
-        instances = {i.name: i for i in (inst12, inst8sq)}
-        for result in failing:
-            for violation in result.violations[:3]:
-                assert replay_violation(instances[result.instance],
+    fault = Fault("pseudo_primary")
+    faulted = run_suite([inst12, inst8sq], fault=fault)
+    assert not faulted.ok()
+    failing = faulted.failures()
+    assert any(r.check_id == "fig1-implications" for r in failing)
+    instances = {i.name: i for i in (inst12, inst8sq)}
+    for result in failing:
+        for violation in result.violations[:3]:
+            assert replay_violation(instances[result.instance],
+                                    result.check_id, violation, fault=fault)
+            assert not replay_violation(instances[result.instance],
                                         result.check_id, violation)
-    healed = run_suite([inst12, inst8sq])
-    assert healed.ok()
+    assert run_suite([inst12, inst8sq]).ok()
 
 
 def test_fault_scoped_to_selected_elements(inst12):
     idx = label_index(inst12.module)
-    with inject_classifier_fault("prime", elements=[idx["(2)"]]):
-        cls = classify_all(inst12.module)
-        assert not cls[idx["(2)"]].prime
-        assert cls[idx["(3)"]].prime
-    cls = classify_all(inst12.module)
-    assert cls[idx["(2)"]].prime
+    cls = Ctx(inst12, fault=Fault("prime", elements=[idx["(2)"]])).cls
+    assert not cls[idx["(2)"]].prime
+    assert cls[idx["(3)"]].prime
+    assert classify_all(inst12.module)[idx["(2)"]].prime
 
 
 def test_replay_rejects_fabricated_witness(inst12):
@@ -219,11 +218,11 @@ def test_bundle_constant():
 def test_replay_non_flag_antecedent(inst12, flag, check_id):
     # the antecedents "join-meet-condition" and "residuals-primary" are not
     # classifier flags, so replay re-runs the check kernel
-    with inject_classifier_fault(flag):
-        result = run_check(Ctx(inst12), registry()[check_id])
-        assert result.status == "fail"
-        for violation in result.violations:
-            assert replay_violation(inst12, check_id, violation)
+    fault = Fault(flag)
+    result = run_check(Ctx(inst12, fault=fault), registry()[check_id])
+    assert result.status == "fail"
+    for violation in result.violations:
+        assert replay_violation(inst12, check_id, violation, fault=fault)
 
 
 def _flag_implication_holds(cls, violation) -> bool:
@@ -238,38 +237,38 @@ def test_replay_agrees_with_the_classification_on_flag_implications(inst12):
     # replay re-runs the check; a witness whose antecedent is made of
     # classifier flags must replay exactly when the classification shows it
     M = inst12.module
-    faults = [(flag, elements) for flag in FLAG_NAMES
+    faults = [Fault(flag, elements) for flag in FLAG_NAMES
               for elements in (None, list(M.proper_elements())[::2])]
     replayed = set()
-    for flag, elements in faults:
-        with inject_classifier_fault(flag, elements=elements):
-            cls = classify_all(M)
-            for result in run_suite([inst12]).failures():
-                for v in result.violations[:3]:
-                    if v["kind"] != "flag-implication" or not all(
-                            f in FLAG_NAMES for f in v["antecedent"].split("+")):
-                        continue
-                    assert _flag_implication_holds(cls, v)
-                    assert replay_violation(inst12, result.check_id, v)
-                    replayed.add(flag)
-                    other = next(n for n in M.elements()
-                                 if not _flag_implication_holds(cls, {**v, "element": n}))
-                    consequent = next(f for f in FLAG_NAMES
-                                      if not _flag_implication_holds(cls, {**v, "consequent": f}))
-                    for changed in ({**v, "element": other, "label": M.label(other)},
-                                    {**v, "consequent": consequent}):
-                        assert not replay_violation(inst12, result.check_id, changed), changed
+    for fault in faults:
+        cls = Ctx(inst12, fault=fault).cls
+        for result in run_suite([inst12], fault=fault).failures():
+            for v in result.violations[:3]:
+                if v["kind"] != "flag-implication" or not all(
+                        f in FLAG_NAMES for f in v["antecedent"].split("+")):
+                    continue
+                assert _flag_implication_holds(cls, v)
+                assert replay_violation(inst12, result.check_id, v, fault=fault)
+                replayed.add(fault.flag)
+                other = next(n for n in M.elements()
+                             if not _flag_implication_holds(cls, {**v, "element": n}))
+                consequent = next(f for f in FLAG_NAMES
+                                  if not _flag_implication_holds(cls, {**v, "consequent": f}))
+                for changed in ({**v, "element": other, "label": M.label(other)},
+                                {**v, "consequent": consequent}):
+                    assert not replay_violation(inst12, result.check_id, changed,
+                                                fault=fault), changed
     # on zn-self-12 every radical primary element is pseudo-primary anyway
     assert replayed == set(FLAG_NAMES) - {"radical_element"}
 
 
 def test_fault_leaves_classification_memo_alone(inst12):
     clean = classify_all(inst12.module)
-    with inject_classifier_fault("prime"):
-        faulted = classify_all(inst12.module)
-        assert faulted is not clean and faulted is not classify_all(inst12.module)
-        assert [c.prime for c in faulted.values()] != [c.prime for c in clean.values()]
+    faulted = Ctx(inst12, fault=Fault("prime")).cls
+    assert faulted is not clean and faulted is not Ctx(inst12, fault=Fault("prime")).cls
+    assert [c.prime for c in faulted.values()] != [c.prime for c in clean.values()]
     assert classify_all(inst12.module) is clean
+    assert Ctx(inst12).cls is clean
 
 
 def test_structures_freed_after_use():
@@ -302,15 +301,14 @@ def test_fault_reads_the_one_classification(monkeypatch):
     monkeypatch.setattr(classify_module, "is_classical_prime", counted)
     inst = make_instance("zn-square-4", gen_zn_square_module(4))
     M = inst.module
-    with inject_classifier_fault("pseudo_primary"):
-        assert not run_suite([inst]).ok()
+    assert not run_suite([inst], fault=Fault("pseudo_primary")).ok()
     assert run_suite([inst]).ok()
     assert sorted(calls) == list(M.proper_elements())
 
     clean = [is_prime_m(M, n) for n in M.proper_elements()]
-    with inject_classifier_fault("prime"):
-        assert [is_prime_m(M, n) for n in M.proper_elements()] == clean
-        assert [c.prime for c in classify_all(M).values()] == [not v for v, _ in clean]
+    faulted = Ctx(inst, fault=Fault("prime")).cls
+    assert [c.prime for c in faulted.values()] == [not v for v, _ in clean]
+    assert [c.prime for c in classify_all(M).values()] == [v for v, _ in clean]
 
 
 def _definition_loop(M, n, bound):
@@ -383,17 +381,17 @@ def test_ctx_arrays_are_read_only(inst8sq):
             arr.flat[0] = arr.flat[0]
 
 
-@pytest.mark.parametrize("seed, fault", [(0, None), (2, None), (0, "pseudo_primary")])
-def test_shared_context_matches_one_check_runs(seed, fault):
+@pytest.mark.parametrize("seed, flag", [(0, None), (2, None), (0, "pseudo_primary")])
+def test_shared_context_matches_one_check_runs(seed, flag):
     # one context per instance must give what a context per check gives
     instances = default_instances() + [
         make_instance("zn-square-6", gen_zn_square_module(6)),
         make_instance("zn-square-9", gen_zn_square_module(9)),
     ]
-    with inject_classifier_fault(fault) if fault else contextlib.nullcontext():
-        shared = run_suite(instances, seed=seed).as_dict()
-        alone = [r for inst in instances for cid in registry()
-                 for r in run_suite([inst], checks=[cid], seed=seed).as_dict()["results"]]
+    fault = Fault(flag) if flag else None
+    shared = run_suite(instances, seed=seed, fault=fault).as_dict()
+    alone = [r for inst in instances for cid in registry()
+             for r in run_suite([inst], checks=[cid], seed=seed, fault=fault).as_dict()["results"]]
     alone.sort(key=lambda r: (r["instance"], r["check"]))
     assert shared["results"] == alone
     if fault:
@@ -427,3 +425,65 @@ def test_ctx_rad_rejects_the_top(inst8sq):
     for n in (M.top, -1, M.element_count):
         with pytest.raises(ValueError):
             ctx.rad(n)
+
+
+def test_fault_rejects_an_unknown_flag():
+    with pytest.raises(ValueError, match="unknown classifier flag 'no_such_flag'"):
+        Fault("no_such_flag")
+    assert Fault("prime", [3, 1, 3]).elements == frozenset({1, 3})
+
+
+def test_fault_stays_in_its_context_across_threads(inst12):
+    # a faulted context held in one thread changes nothing another thread reads
+    fault = Fault("prime")
+    held, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def faulted():
+        ctx = Ctx(inst12, fault=fault)
+        seen["cls"] = ctx.cls
+        held.set()
+        release.wait(timeout=60)
+        seen["report"] = run_suite([inst12], fault=fault)
+
+    thread = threading.Thread(target=faulted)
+    thread.start()
+    try:
+        assert held.wait(timeout=60)
+        M = gen_zn_self_module(12)
+        truth = [is_prime_m(M, n)[0] for n in M.proper_elements()]
+        assert [c.prime for c in classify_all(M).values()] == truth
+        assert run_suite([make_instance("zn-self-12", M)]).ok()
+    finally:
+        release.set()
+        thread.join()
+    assert [c.prime for c in seen["cls"].values()] == [not v for v in truth]
+    assert not seen["report"].ok()
+
+
+# The checks that no classifier fault reaches on the default family: the
+# sqrt, rad and saturation identities read only the derived tables,
+# thm-proper-action-proper only the action table, the chain-* checks and
+# lem-rad-meet re-read flags on chains and families that cannot break them,
+# and cor-rad-join-p is broken by none of the faults tried.
+UNREACHABLE_BY_A_FAULT = {
+    "chain-classical-prime", "chain-pseudo-classical-primary", "chain-pseudo-primary",
+    "cor-rad-join-p", "lem-rad-meet", "lem-sqrt-action-bound", "lem-sqrt-meet",
+    "lem-sqrt-residual-below-rad-residual", "lem-sqrt-residual-rad-bound",
+    "prop-rad-idempotent", "prop-variety-nonempty", "thm-proper-action-proper",
+    "thm-rad-action-formula", "thm-rad-eq",
+}
+
+
+def test_checks_no_classifier_fault_reaches():
+    # each flag inverted on every proper element, on the odd ids and on the
+    # even ids of each default instance: 9 x 3 x 33 one-instance suites
+    failed = set()
+    for inst in default_instances():
+        propers = list(inst.module.proper_elements())
+        odd, even = [n for n in propers if n % 2], [n for n in propers if not n % 2]
+        for flag in FLAG_NAMES:
+            for elements in (None, odd, even):
+                report = run_suite([inst], fault=Fault(flag, elements))
+                failed |= {r.check_id for r in report.failures()}
+    assert set(registry()) - failed == UNREACHABLE_BY_A_FAULT
