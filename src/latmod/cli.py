@@ -39,6 +39,8 @@ REPORT_SCHEMA = "latmod-report 1"
 
 
 def _square_cap() -> int:
+    """``MLAT_CAP``, the bound on the zn-square modulus; read only by a
+    family that takes the bound."""
     value = os.environ.get("MLAT_CAP")
     if value is None:
         return DEFAULT_SQUARE_CAP
@@ -170,7 +172,7 @@ def _json_key(key) -> str:
 def cmd_gen(args) -> int:
     spec = InstanceSpec(family=args.family, n=args.n)
     try:
-        _, lattice, module = spec.build(cap=_square_cap())
+        _, lattice, module = spec.build(cap=_square_cap)
     except ValueError as exc:
         return _usage_error(str(exc))
     _emit(serialize_instance(lattice, module), args.output)
@@ -320,9 +322,8 @@ def cmd_verify(args) -> int:
             instances.extend(default_instances(square_cap=_square_cap()))
         elif args.family is not None:
             top = args.max_n if args.max_n is not None else FAMILIES[args.family][1]
-            cap = _square_cap()
             for n in range(2, top + 1):
-                name, _, module = InstanceSpec(family=args.family, n=n).build(cap=cap)
+                name, _, module = InstanceSpec(family=args.family, n=n).build(cap=_square_cap)
                 instances.append(make_instance(name, module))
             if not instances:           # only --max-n below 2 leaves a family empty
                 return _usage_error(f"--family {args.family} --max-n {args.max_n} gives no "
@@ -350,9 +351,11 @@ def cmd_verify(args) -> int:
         if not selection:
             return _usage_error(f"--checks {args.checks!r} names no check")
         known = registry()
-        for cid in selection:
+        for i, cid in enumerate(selection):
             if cid not in known:
                 return _usage_error(f"unknown check id {cid!r}")
+            if cid in selection[:i]:
+                return _usage_error(f"check id {cid!r} is named more than once")
 
     report = run_suite(instances, checks=selection, seed=args.seed)
     payload = {

@@ -33,15 +33,19 @@ not once per check.
 The quantifier-heavy sides are numpy reductions over the residual tables the
 instance memoizes: residual-split gathers (N:ab) for every N at once,
 residual-product reduces to a per-K table of the residual values that break
-the product criterion, and residual-shift, the join-meet condition and the
-pseudo-primary sides are one mask per N.  The "compact-definition" sides use
-the residuation identity xK <= N iff x <= (N:K), so N enters only through the
-pairs ((N:K), (bound:K)); one l x l table per instance, ``Ctx.breaks``, says
-which pairs break the definition, and the classifier's action tensors are
-never read; the plain-loop references for both, and a brute-force loop for
-``Ctx.breaks``, live in ``tests/test_harness.py``.  The rest (identities,
-bounds, chain conditions) are plain loops.  Every entry registers through
-:func:`_check`, which rejects duplicate ids and unknown hypotheses.
+the product criterion, the join-meet condition, the pseudo-primary sides,
+the two residual bounds and the residual-shift theorem are masks over every
+N at once (the join-meet condition and the prime residual bound, which read
+m x m cells per N, in blocks of N), and the residual-shift side of the
+pseudo-classical primary equivalence is one mask per N.  The "compact-definition" sides use the residuation identity xK <= N iff
+x <= (N:K), so N enters only through the pairs ((N:K), (bound:K)); one l x l
+table per instance, ``Ctx.breaks``, says which pairs break the definition,
+and the classifier's action tensors are never read; the plain-loop references
+for both, and a brute-force loop for ``Ctx.breaks``, live in
+``tests/test_harness.py``.  The saturation checks read one table of S_p(N)
+over (N, prime p).  The rest (identities, chain conditions, implications)
+are plain loops.  Every entry registers through :func:`_check`, which rejects
+duplicate ids and unknown hypotheses.
 """
 
 from __future__ import annotations
@@ -57,18 +61,17 @@ import numpy as np
 
 from .classify import FLAG_NAMES, Classification, _attachments, classify_all
 from .instances import DEFAULT_FAMILY, DEFAULT_SQUARE_CAP, InstanceSpec, serialize_instance
-from .lattice import is_pg_lattice, lattice_flags, sqrt_table
+from .lattice import _row_blocks, is_pg_lattice, lattice_flags, sqrt_table
 from .module import (
     LatticeModule,
     _rad_table,
     _require_id,
+    _saturations,
     is_faithful,
     is_multiplication_module,
     is_pg_module,
     residual_ml_table,
     residual_mm_table,
-    saturation,
-    variety_l,
 )
 
 __all__ = [
@@ -276,6 +279,11 @@ class Ctx:
         return tuple(self.M.proper_elements())
 
     @cached_property
+    def proper_ids(self):
+        """``propers`` as an array."""
+        return _read_only(np.array(self.propers, dtype=np.int64))
+
+    @cached_property
     def propers_l(self):
         return tuple(self.L.proper_elements())
 
@@ -311,18 +319,60 @@ class Ctx:
     def sqrts(self):
         return sqrt_table(self.L)
 
+    @cached_property
+    def proper_m(self):
+        """Bool [X]: X is a proper element of M."""
+        return _read_only(np.arange(self.M.element_count) != self.M.top)
+
+    @cached_property
+    def lprime(self):
+        """Bool [a]: a is a prime element of L."""
+        return _read_only(np.array([f.prime for f in self.lflags]))
+
+    @cached_property
+    def lprimes(self):
+        """The prime elements of L, ascending."""
+        return _read_only(np.flatnonzero(self.lprime))
+
+    @cached_property
+    def saturations(self):
+        """[N, j]: S_p(N) for every N of M and the prime p = ``lprimes[j]`` of L."""
+        return _read_only(_saturations(self.M, np.arange(self.M.element_count), self.lprimes))
+
+    # Lists, for the point reads the kernels make once per element.
+
+    @cached_property
+    def _rads(self) -> list[int]:
+        return self.rad_of.tolist()
+
+    @cached_property
+    def _res_tops(self) -> list[int]:
+        return self.res_mm[:, self.M.top].tolist()
+
+    @cached_property
+    def _sqrt_res_tops(self) -> list[int]:
+        return self.sqrts[self.res_mm[:, self.M.top]].tolist()
+
+    @cached_property
+    def _flagged(self) -> dict[str, tuple[int, ...]]:
+        return {flag: tuple(n for n, c in self.cls.items() if getattr(c, flag))
+                for flag in FLAG_NAMES}
+
     def rad(self, N: int) -> int:
-        _require_id(self.M, N, "rad is undefined for the top element")
-        return int(self.rad_of[N])
+        rads = self._rads
+        if not 0 <= N < len(rads) or rads[N] < 0:
+            _require_id(self.M, N, "rad is undefined for the top element")
+        return rads[N]
 
     def res_top(self, N: int) -> int:
-        return int(self.res_mm[N, self.M.top])
+        return self._res_tops[N]
 
     def sqrt_res_top(self, N: int) -> int:
-        return int(self.sqrts[self.res_top(N)])
+        return self._sqrt_res_tops[N]
 
-    def flagged(self, flag: str) -> list[int]:
-        return [n for n in self.propers if self.cls[n].flag(flag)]
+    def flagged(self, flag: str) -> tuple[int, ...]:
+        """The proper elements carrying ``flag``, ascending."""
+        return self._flagged[flag]
 
     def rng(self, tag: str) -> random.Random:
         digest = hashlib.sha256(f"{self.seed}:{self.instance.name}:{tag}".encode()).digest()
@@ -334,23 +384,27 @@ class Ctx:
         A sample is kept only with at least 4 members, so with fewer than 4
         flagged elements none is drawn.
         """
-        M = self.M
-        le = M.leq.tolist()                 # a list: the samples below read it thousands of times
+        le = self.M.leq.tolist()            # lists: the samples below read them thousands of times
+        height = self.M.leq.sum(axis=0).tolist()    # [x]: the size of x's down-set
         ids = self.flagged(flag)
         pairs = [(a, b) for a in ids for b in ids if a != b and le[a][b]]
         chains: list[tuple[int, ...]] = pairs + [
             (a, b, c) for a, b in pairs for c in ids if c not in (a, b) and le[b][c]]
+        # comparable[x]: bit y set iff x and y are comparable
+        comparable = {x: sum(1 << y for y in ids if le[x][y] or le[y][x]) for x in ids}
         rng = self.rng(tag)
         seen = set()
         for _ in range(_CHAIN_SAMPLES if len(ids) >= 4 else 0):
             pool = list(ids)
             rng.shuffle(pool)
             chain: list[int] = []
+            fits = -1                       # bit y set iff y is comparable with the whole chain
             for x in pool:
-                if all(le[x][y] or le[y][x] for y in chain):
+                if fits >> x & 1:
                     chain.append(x)
+                    fits &= comparable[x]
             if len(chain) >= 4:
-                chain = tuple(sorted(chain, key=lambda x: int(M.leq[:, x].sum())))
+                chain = tuple(sorted(chain, key=height.__getitem__))
                 if chain not in seen:
                     seen.add(chain)
                     chains.append(chain)
@@ -700,11 +754,15 @@ def _k_cp_cg(ctx: Ctx):
 @_check("thm-join-meet-condition-classical-prime",
         "if (N:X) != (N:Y) always forces N = (N v X) ^ (N v Y), then N is classical prime")
 def _k_join_meet_condition(ctx: Ctx):
-    M = ctx.M
-    def condition(n):                               # over all [X, Y]
-        row, up = ctx.res_mm[n], M.join_table[n]
-        return ((row[:, None] == row[None, :]) | (M.meet_table[np.ix_(up, up)] == n)).all()
-    domain = [n for n in ctx.propers if condition(n)]
+    M, ids = ctx.M, ctx.proper_ids
+    holds = np.empty(ids.size, dtype=bool)
+    for block in _row_blocks(ids.size, 8 * M.element_count ** 2):    # 8-byte ids
+        ns = ids[block]
+        rows, up = ctx.res_mm[ns], M.join_table[ns]    # [N, X]: (N:X), N v X
+        meets = M.meet_table[up[:, :, None], up[:, None, :]]        # [N, X, Y]
+        holds[block] = ((rows[:, :, None] == rows[:, None, :])
+                        | (meets == ns[:, None, None])).all(axis=(1, 2))
+    domain = ids[holds].tolist()
     return _implication(ctx, domain, "join-meet-condition", "classical_prime")
 
 
@@ -782,12 +840,14 @@ _check("cor-prime-4way",
 # pseudo-primary
 
 
-def _pp_compact_definition(ctx: Ctx, n: int) -> bool:
+def _pp_compact_definition(ctx: Ctx, ns):
     """aX <= N forces a <= (N:I_M) or X <= rad(N), for all a in L and X in M,
-    read through residuation as a <= (N:X): one [a, X] mask."""
+    read through residuation as a <= (N:X): one [a, N, X] mask, per proper N
+    in ``ns`` (a bool array), or for one N (a bool)."""
     leq = ctx.L.leq
-    bad = leq[:, ctx.res_mm[n]] & ~leq[:, ctx.res_top(n)][:, None] & ~ctx.M.leq[:, ctx.rad(n)]
-    return not bad.any()
+    bad = (leq[:, ctx.res_mm[ns]] & ~leq[:, ctx.res_mm[ns, ctx.M.top]][..., None]
+           & ~ctx.M.leq[:, ctx.rad_of[ns]].T)
+    return ~bad.any(axis=(0, -1))
 
 
 @_check("equiv-pseudo-primary-cg",
@@ -795,21 +855,19 @@ def _pp_compact_definition(ctx: Ctx, n: int) -> bool:
         "iff (N:a) <= rad(N) for every proper a > (N:I_M) "
         "iff the definition quantified over compact elements", CG)
 def _k_pp_cg(ctx: Ctx):
-    M, L = ctx.M, ctx.L
-    proper_m = np.arange(M.element_count) != M.top
-    proper_l = np.arange(L.element_count) != L.top
-    def sides(n):
-        rt, rd = ctx.res_top(n), ctx.rad(n)
-        outside = proper_m & ~M.leq[:, rd]          # proper X not<= rad(N)
-        above = proper_l & L.leq[rt]                # proper a > (N:I_M)
-        above[rt] = False
-        return {
-            "definition": ctx.cls[n].pseudo_primary,
-            "residual-fixed": bool((ctx.res_mm[n, outside] == rt).all()),
-            "residual-bound": bool(M.leq[ctx.res_ml[n, above], rd].all()),
-            "compact-definition": _pp_compact_definition(ctx, n),
-        }
-    return _equivalence(ctx, sides)
+    M, L, ids = ctx.M, ctx.L, ctx.proper_ids
+    rt, rd = ctx.res_mm[ids, M.top], ctx.rad_of[ids]
+    outside = ctx.proper_m & ~M.leq[:, rd].T       # [N, X]: proper X not<= rad(N)
+    above = (np.arange(L.element_count) != L.top) & L.leq[rt]  # [N, a]: proper a > (N:I_M)
+    above[np.arange(ids.size), rt] = False
+    sides = {n: {"definition": ctx.cls[n].pseudo_primary, "residual-fixed": fixed,
+                 "residual-bound": bound, "compact-definition": compact}
+             for n, fixed, bound, compact in zip(
+                 ctx.propers,
+                 ((ctx.res_mm[ids] == rt[:, None]) | ~outside).all(axis=1).tolist(),
+                 (M.leq[ctx.res_ml[ids], rd[:, None]] | ~above).all(axis=1).tolist(),
+                 _pp_compact_definition(ctx, ids).tolist())}
+    return _equivalence(ctx, sides.__getitem__)
 
 
 _check("chain-pseudo-primary",
@@ -821,23 +879,24 @@ _check("chain-pseudo-primary",
         "rad(A ^ B) = rad(A) ^ rad(B) for proper A, B, plus sampled larger families",
         BUNDLE)
 def _k_rad_meet(ctx: Ctx):
-    M, rad_of = ctx.M, ctx.rad_of                   # -1 at the top, where rad is undefined
-    ids = np.array(ctx.propers, dtype=np.int64)
+    M, rad_of, ids = ctx.M, ctx.rad_of, ctx.proper_ids   # rad is -1 at the top
     lhs = rad_of[M.meet_table[np.ix_(ids, ids)]]    # a meet of proper elements is proper
     rhs = M.meet_table[np.ix_(rad_of[ids], rad_of[ids])]
     viols = [_v("rad-meet", pair=(ids[i], ids[j]), label=f"{M.label(ids[i])}, {M.label(ids[j])}")
              for i, j in np.argwhere(lhs != rhs)]
-    count = ids.size ** 2
+    families = 50 if len(ctx.propers) >= 2 else 0
+    # By induction on its size (a meet of proper elements is proper), a
+    # family can fail only where a pair does, so the families are drawn only
+    # then; all of them count as evaluated either way.
     rng = ctx.rng("lem-rad-meet")
-    for _ in range(50 if len(ctx.propers) >= 2 else 0):
+    for _ in range(families if viols else 0):
         family = rng.sample(ctx.propers, rng.randint(2, len(ctx.propers)))
-        count += 1
         lhs = ctx.rad(M.meet_all(family))
         rhs = M.meet_all(ctx.rad(x) for x in family)
         if lhs != rhs:
             viols.append(_v("rad-meet", family=sorted(family), lhs=lhs, rhs=rhs,
                             label=", ".join(M.label(x) for x in sorted(family))))
-    return count, viols
+    return ids.size ** 2 + families, viols
 
 
 @_check("thm-rad-eq", "(rad(N):I_M) = sqrt(N:I_M) for every proper N", BUNDLE)
@@ -1021,35 +1080,34 @@ def _k_pp_residual_chain(ctx: Ctx):
 # saturation
 
 
+def _saturation_pairs(ctx: Ctx) -> list[tuple[int, int, int]]:
+    """(N, p, S_p(N)) for every pseudo-primary N and every prime p of L above
+    (N:I_M), p ascending."""
+    above = ctx.L.leq[ctx.res_mm[:, ctx.M.top]][:, ctx.lprimes]     # [N, j]: (N:I_M) <= p_j
+    return [(n, p, s) for n in ctx.flagged("pseudo_primary")
+            for p, s, a in zip(ctx.lprimes.tolist(), ctx.saturations[n].tolist(),
+                               above[n].tolist()) if a]
+
+
 @_check("lem-saturation-below-rad",
         "S_p(N) <= rad(N) for pseudo-primary N and every prime p above (N:I_M)")
 def _k_saturation_below(ctx: Ctx):
-    M, viols, count = ctx.M, [], 0
-    for n in ctx.flagged("pseudo_primary"):
-        for p in variety_l(M, n):
-            count += 1
-            s = saturation(M, n, p)
-            if not M.le(s, ctx.rad(n)):
-                viols.append(_violation_at(ctx, "saturation", n, p=p, saturation=s,
-                                           rad=ctx.rad(n)))
-    return count, viols
+    M = ctx.M
+    pairs = _saturation_pairs(ctx)
+    viols = [_violation_at(ctx, "saturation", n, p=p, saturation=s, rad=ctx.rad(n))
+             for n, p, s in pairs if not M.le(s, ctx.rad(n))]
+    return len(pairs), viols
 
 
 @_check("thm-saturation-prime-rad-prime",
         "if N is pseudo-primary and S_p(N) is prime for some prime p above (N:I_M), "
         "then rad(N) is prime")
 def _k_saturation_prime(ctx: Ctx):
-    M, viols, count = ctx.M, [], 0
-    for n in ctx.flagged("pseudo_primary"):
-        for p in variety_l(M, n):
-            s = saturation(M, n, p)
-            if s == M.top or not ctx.cls[s].prime:
-                continue
-            count += 1
-            r = ctx.rad(n)
-            if r == M.top or not ctx.cls[r].prime:
-                viols.append(_violation_at(ctx, "rad-flag", n, p=p, rad=r, expected="prime"))
-    return count, viols
+    M, cls = ctx.M, ctx.cls
+    pairs = [(n, p) for n, p, s in _saturation_pairs(ctx) if s != M.top and cls[s].prime]
+    viols = [_violation_at(ctx, "rad-flag", n, p=p, rad=ctx.rad(n), expected="prime")
+             for n, p in pairs if ctx.rad(n) == M.top or not cls[ctx.rad(n)].prime]
+    return len(pairs), viols
 
 
 @_check("thm-rad-pseudo-primary-iff-prime",
@@ -1113,48 +1171,46 @@ _check("chain-pseudo-classical-primary",
         "(Q:K) is prime and sqrt(X:K) <= (Q:K), for prime Q, X <= Q and proper K not<= Q")
 def _k_prime_residual_bound(ctx: Ctx):
     M, viols, count = ctx.M, [], 0
-    for q in ctx.flagged("prime"):
-        ks = [k for k in ctx.propers if not M.le(k, q)]
-        xs = [x for x in M.elements() if M.le(x, q)]
-        for k in ks:
-            qk = int(ctx.res_mm[q, k])
-            if not ctx.lflags[qk].prime:
-                viols.append(_violation_at(ctx, "residual-flag", q, K=k, residual=qk,
+    sqrt_res = ctx.sqrts[ctx.res_mm.T]              # [K, X] = sqrt(X:K)
+    primes = np.array(ctx.flagged("prime"), dtype=np.int64)
+    for block in _row_blocks(primes.size, M.element_count ** 2):
+        qs = primes[block]
+        xs = M.leq.T[qs]                            # [Q, X]: X <= Q
+        ks = ctx.proper_m & ~xs                     # [Q, K]: proper K not<= Q
+        qk = ctx.res_mm[qs]                         # [Q, K] = (Q:K)
+        count += int(ks.sum(axis=1) @ xs.sum(axis=1))
+        bounded = ctx.L.leq[sqrt_res, qk[:, :, None]]   # [Q, K, X]: sqrt(X:K) <= (Q:K)
+        bad = ks & ~(ctx.lprime[qk] & (bounded | ~xs[:, None, :]).all(axis=2))
+        for i, k in (np.argwhere(bad).tolist() if bad.any() else ()):
+            q, rhs = int(qs[i]), int(qk[i, k])
+            if not ctx.lprime[rhs]:
+                viols.append(_violation_at(ctx, "residual-flag", q, K=k, residual=rhs,
                                            expected="prime"))
-            for x in xs:
-                count += 1
-                lhs = int(ctx.sqrts[int(ctx.res_mm[x, k])])
-                if not ctx.L.le(lhs, qk):
-                    viols.append(_violation_at(ctx, "lattice-leq", q, X=x, K=k, lhs=lhs, rhs=qk))
+            viols += [_violation_at(ctx, "lattice-leq", q, X=x, K=k, lhs=sqrt_res[k, x], rhs=rhs)
+                      for x in np.flatnonzero(xs[i] & ~bounded[i, k]).tolist()]
     return count, viols
 
 
 @_check("lem-sqrt-residual-rad-bound",
         "sqrt(N:K) <= (rad(N):K) for proper N and proper K not<= N")
 def _k_sqrt_residual_rad(ctx: Ctx):
-    M, viols, count = ctx.M, [], 0
-    for n in ctx.propers:
-        rd = ctx.rad(n)
-        for k in ctx.propers:
-            if M.le(k, n):
-                continue
-            count += 1
-            lhs = int(ctx.sqrts[int(ctx.res_mm[n, k])])
-            rhs = int(ctx.res_mm[rd, k])
-            if not ctx.L.le(lhs, rhs):
-                viols.append(_violation_at(ctx, "lattice-leq", n, K=k, lhs=lhs, rhs=rhs))
-    return count, viols
+    ids = ctx.proper_ids
+    domain = ~ctx.M.leq[np.ix_(ids, ids)].T         # [N, K]: K not<= N
+    lhs = ctx.sqrts[ctx.res_mm[np.ix_(ids, ids)]]
+    rhs = ctx.res_mm[np.ix_(ctx.rad_of[ids], ids)]
+    viols = [_violation_at(ctx, "lattice-leq", ids[i], K=ids[j], lhs=lhs[i, j], rhs=rhs[i, j])
+             for i, j in np.argwhere(domain & ~ctx.L.leq[lhs, rhs]).tolist()]
+    return int(domain.sum()), viols
 
 
 @_check("thm-residual-primary-implies-pcp",
         "if (N:K) is primary in L for every K not<= N (the top element included), "
         "then N is pseudo-classical primary")
 def _k_residual_primary_pcp(ctx: Ctx):
-    M = ctx.M
-    domain = [n for n in ctx.propers
-              if all(ctx.lflags[int(ctx.res_mm[n, k])].primary
-                     for k in M.elements() if not M.le(k, n))]
-    return _implication(ctx, domain, "residuals-primary", "pseudo_classical_primary")
+    ids = ctx.proper_ids
+    lprimary = np.array([f.primary for f in ctx.lflags])
+    holds = (lprimary[ctx.res_mm[ids]] | ctx.M.leq[:, ids].T).all(axis=1)
+    return _implication(ctx, ids[holds].tolist(), "residuals-primary", "pseudo_classical_primary")
 
 
 @_check("lem-sqrt-action-bound",
@@ -1198,9 +1254,13 @@ def list_checks() -> list[dict]:
 def _select(checks) -> list[TheoremCheck]:
     if checks == "all" or checks is None:
         return list(_REGISTRY.values())
+    seen = set()
     for cid in checks:
         if cid not in _REGISTRY:
             raise KeyError(f"unknown check id {cid!r}")
+        if cid in seen:
+            raise ValueError(f"check id {cid!r} is named more than once")
+        seen.add(cid)
     return [_REGISTRY[cid] for cid in checks]
 
 
@@ -1230,8 +1290,9 @@ def run_suite(instances, checks="all", seed: int = 0,
 
     Results are ordered by (instance name, check id) regardless of evaluation
     order, so reports are deterministic for fixed inputs and seed.  Raises
-    ``ValueError`` when two instances share a name, since the report keys
-    both by that name.
+    ``KeyError`` for an unknown check id, and ``ValueError`` when a check is
+    named twice, which would run and count it twice, or when two instances
+    share a name, since the report keys both by that name.
     """
     selected = _select(checks)
     results = []
@@ -1247,6 +1308,10 @@ def run_suite(instances, checks="all", seed: int = 0,
             "hypotheses": {name + (" (auto)" if name in AUTO_HYPOTHESES else ""): value
                            for name, value in ctx.hypotheses.items()},
         }
+        if selected:
+            # shared by the checks like the hypotheses, so built with them
+            # rather than inside the first check's ``seconds``
+            ctx.cls
         # positional (ctx, check) through the module global, so a wrapper
         # installed on ``run_check`` (perfbench/tracing.py) sees every check
         for check in selected:

@@ -155,11 +155,13 @@ def gen_zn_square_module(n: int, cap: int = DEFAULT_SQUARE_CAP) -> LatticeModule
 
 
 # name -> (generator of (n, cap) returning (lattice, module or None), largest n
-# that ``verify --family`` runs by default, or None: no module)
+# that ``verify --family`` runs by default, or None: no module).  ``cap`` is a
+# function returning the bound on the modulus; only a family that takes the
+# bound calls it.
 FAMILIES = {
     "zn-ideals": (lambda n, cap: (gen_zn_ideal_lattice(n), None), None),
     "zn-self": (lambda n, cap: ((M := gen_zn_self_module(n)).lattice, M), 30),
-    "zn-square": (lambda n, cap: ((M := gen_zn_square_module(n, cap=cap)).lattice, M), 8),
+    "zn-square": (lambda n, cap: ((M := gen_zn_square_module(n, cap=cap())).lattice, M), 8),
 }
 DEFAULT_FAMILY = tuple([("zn-self", n) for n in range(2, 31)]
                        + [("zn-square", n) for n in (2, 3, 4, 8)])
@@ -173,10 +175,16 @@ class InstanceSpec:
     n: int | None = None
     path: str | None = None
 
-    def build(self, cap: int = DEFAULT_SQUARE_CAP):
-        """Returns (name, lattice, module-or-None)."""
+    def build(self, cap=DEFAULT_SQUARE_CAP):
+        """Returns (name, lattice, module-or-None).
+
+        ``cap`` bounds the zn-square modulus: an int, or a function returning
+        one, called only when the family takes the bound, so that a caller
+        reads it only then.
+        """
         if self.family in FAMILIES:
-            return (f"{self.family}-{self.n}", *FAMILIES[self.family][0](self.n, cap))
+            bound = cap if callable(cap) else lambda: cap
+            return (f"{self.family}-{self.n}", *FAMILIES[self.family][0](self.n, bound))
         if self.family == "file":
             with open(self.path, encoding="utf-8") as fh:
                 L, M = parse_instance(fh.read())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
+from math import prod
 
 import numpy as np
 
@@ -196,9 +197,10 @@ def _order_violations(leq: np.ndarray) -> list[Violation]:
     return out
 
 
-# Cells of the boolean block in :func:`_least_common_bounds`.  The block is
-# its only O(n^3)-sized array, so this caps its extra memory at about 1 MB
-# beyond O(n^2), whatever the carrier size.
+# Cells of the boolean block in :func:`_least_common_bounds`, and of the masks
+# one block of a whole-table pass (:func:`_row_blocks`) holds.  Those blocks
+# are the only arrays of more than two carrier dimensions, so this caps their
+# extra memory at a few MB, whatever the carrier size.
 _BLOCK_CELLS = 1 << 20
 
 
@@ -448,27 +450,95 @@ def sqrt(L: MultiplicativeLattice, a: int) -> int:
 # such a module over itself, acting by ``mul_table`` with ``residual_table_ll``.
 
 
-def _meet_principal(l_meet, meet, act, res, e: int) -> bool:
-    """(b ^ (B:e)) e == be ^ B for all b in L, B in X; ``l_meet``/``meet`` are
-    the meet tables of L and X."""
-    return bool((act[l_meet[:, res[:, e]], e] == meet[act[:, e]]).all())
+def _meet_principal(l_meet, meet, act, res, es) -> np.ndarray:
+    """Bool [i]: (b ^ (B:e)) e == be ^ B for all b in L, B in X, where e is
+    ``es[i]``; ``l_meet``/``meet`` are the meet tables of L and X."""
+    lhs = act[l_meet[:, res[:, es]], es]                                # [b, B, i]
+    return (lhs == meet[act[:, None, es], np.arange(len(meet))[:, None]]).all(axis=(0, 1))
 
 
-def _join_principal(l_join, join, act, res, e: int) -> bool:
-    """b v (B:e) == ((be v B) : e) for all b in L, B in X; ``l_join``/``join``
-    are the join tables of L and X."""
-    return bool((l_join[:, res[:, e]] == res[join[act[:, e]], e]).all())
+def _join_principal(l_join, join, act, res, es) -> np.ndarray:
+    """Bool [i]: b v (B:e) == ((be v B) : e) for all b in L, B in X, where e
+    is ``es[i]``; ``l_join``/``join`` are the join tables of L and X."""
+    rhs = res[join[act[:, None, es], np.arange(len(join))[:, None]], es]   # [b, B, i]
+    return (l_join[:, res[:, es]] == rhs).all(axis=(0, 1))
 
 
-def _pair_violations(leq, act, top: int, n: int, bound: int, powers=slice(None)) -> np.ndarray:
-    """Bool [a, X]: aX <= n, X not<= ``bound`` and a^k top not<= n, where a^k is
-    ``powers[a]``: a itself by default, or the stable power of a.
+def _principal(L, meet, join, act, res) -> np.ndarray:
+    """Bool [e]: e is meet and join principal in the module X over L with
+    meet/join tables ``meet``/``join``, action ``act`` and residuals ``res``;
+    all elements are checked at once, in blocks.  Each e gathers ``act.size``
+    ids of 8 bytes, so a block of them takes as many bytes as a boolean
+    block of ``_BLOCK_CELLS`` cells."""
+    ids = np.arange(len(meet))
+    out = np.empty(len(ids), dtype=bool)
+    for rows in _row_blocks(len(ids), 8 * act.size):
+        out[rows] = (_meet_principal(L.meet_table, meet, act, res, ids[rows])
+                     & _join_principal(L.join_table, join, act, res, ids[rows]))
+    return out
 
-    n is prime when no pair is marked with bound n and a^k = a, primary with
-    bound n and the stable powers, and pseudo-primary with bound rad(n) and
-    a^k = a, since a <= (n:top) iff a top <= n.
+
+def _act_le(leq: np.ndarray, act: np.ndarray, ns) -> np.ndarray:
+    """Bool [N, a, X]: aX <= N, for the ids N in ``ns`` of the order ``leq``
+    and the action table ``act`` [a, X]."""
+    return leq.T[ns].take(act, axis=1)
+
+
+def _pair_violations(act_le, bound_le, power_le) -> np.ndarray:
+    """Bool [N, a, X]: aX <= N, X not<= the bound of N and a^k top not<= N,
+    read from ``act_le`` [N, a, X] (:func:`_act_le`), ``bound_le`` [N, X]
+    (X <= the bound) and ``power_le`` [N, a] (a^k top <= N).
+
+    N is prime when its row marks no pair with bound N and a^k = a, primary
+    with bound N and a^k the stable power of a (:func:`_prime_violations`),
+    and pseudo-primary with bound rad(N) and a^k = a, since a <= (N:top) iff
+    a top <= N.
     """
-    return leq[act, n] & ~leq[:, bound] & ~leq[act[powers, top], n][:, None]
+    return act_le & ~bound_le[:, None, :] & ~power_le[:, :, None]
+
+
+def _prime_violations(act_le, unit: int, top: int, powers=slice(None)) -> np.ndarray:
+    """:func:`_pair_violations` with bound N: the prime condition, or with
+    ``powers`` the stable powers the primary one.  ``unit`` is the top of the
+    acting lattice, so ``act_le[:, unit]`` is [N, X]: X <= N."""
+    return _pair_violations(act_le, act_le[:, unit], act_le[:, powers, top])
+
+
+def _row_blocks(count: int, row_cells: int) -> list[slice]:
+    """Slices of ``range(count)`` whose masks of ``row_cells`` cells per row
+    hold at most ``_BLOCK_CELLS`` cells together (or one row, if a row alone
+    is larger): a whole-table pass over them keeps its memory bounded."""
+    step = max(1, _BLOCK_CELLS // max(1, row_cells))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _unmarked(violations, ids: np.ndarray, row_cells: int) -> np.ndarray:
+    """Bool [i]: ``violations(block)``, a mask with one row per id of the
+    block, marks nothing in the row of ``ids[i]``; ids are taken in
+    :func:`_row_blocks` of ``row_cells`` cells per row."""
+    out = np.empty(len(ids), dtype=bool)
+    for rows in _row_blocks(len(ids), row_cells):
+        marks = violations(ids[rows])
+        out[rows] = ~marks.reshape(marks.shape[0], -1).any(axis=1)
+    return out
+
+
+def _first_marked(marks: np.ndarray) -> list[tuple[int, ...] | None]:
+    """Per row of ``marks`` (axis 0): the lexicographically first marked index
+    into the remaining axes, or None where the row marks nothing."""
+    shape = marks.shape[1:]
+    flat = marks.reshape(marks.shape[0], prod(shape))
+    return [_unravel(j, shape) if flat.item(i, j) else None
+            for i, j in enumerate(flat.argmax(axis=1).tolist())]
+
+
+def _unravel(index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The index into an array of ``shape`` at flat position ``index`` (C order)."""
+    out = []
+    for size in reversed(shape):
+        index, rest = divmod(index, size)
+        out.append(rest)
+    return tuple(reversed(out))
 
 
 def _principally_generated(leq: np.ndarray, principal) -> bool:
@@ -487,12 +557,14 @@ def _coatoms(leq: np.ndarray) -> np.ndarray:
 
 def is_meet_principal_l(L: MultiplicativeLattice, e: int) -> bool:
     """a ^ (b*e) == ((a:e) ^ b) * e for all a, b."""
-    return _meet_principal(L.meet_table, L.meet_table, L.mul_table, residual_table_ll(L), e)
+    return bool(_meet_principal(L.meet_table, L.meet_table, L.mul_table,
+                                residual_table_ll(L), [e])[0])
 
 
 def is_join_principal_l(L: MultiplicativeLattice, e: int) -> bool:
     """((a*e) v b) : e == (b:e) v a for all a, b."""
-    return _join_principal(L.join_table, L.join_table, L.mul_table, residual_table_ll(L), e)
+    return bool(_join_principal(L.join_table, L.join_table, L.mul_table,
+                                residual_table_ll(L), [e])[0])
 
 
 def is_principal_l(L: MultiplicativeLattice, e: int) -> bool:
@@ -501,22 +573,24 @@ def is_principal_l(L: MultiplicativeLattice, e: int) -> bool:
 
 @_memo
 def lattice_flags(L: MultiplicativeLattice) -> tuple[LElementFlags, ...]:
-    """Flags for every element, computed by exhaustive quantification."""
+    """Flags for every element, computed by exhaustive quantification: each
+    condition for all elements at once, in blocks."""
     n = L.element_count
+    ids = np.arange(n)
+    proper = ids != L.top
     stable = _stable_power_table(L)
-    sqrts = sqrt_table(L)
-    principal = [is_principal_l(L, e) for e in range(n)]
-    maximal = _coatoms(L.leq)
-    flags = []
-    for a in range(n):
-        proper = a != L.top
-        prime = proper and not _pair_violations(L.leq, L.mul_table, L.top, a, a).any()
-        primary = proper and not _pair_violations(L.leq, L.mul_table, L.top, a, a, stable).any()
-        flags.append(LElementFlags(
-            element=a, proper=proper, prime=prime, primary=primary,
-            maximal=bool(maximal[a]), principal=principal[a], compact=True, sqrt=int(sqrts[a]),
-        ))
-    return tuple(flags)
+    prime = proper & _unmarked(
+        lambda a: _prime_violations(_act_le(L.leq, L.mul_table, a), L.top, L.top), ids, n * n)
+    primary = proper & _unmarked(
+        lambda a: _prime_violations(_act_le(L.leq, L.mul_table, a), L.top, L.top, stable),
+        ids, n * n)
+    principal = _principal(L, L.meet_table, L.join_table, L.mul_table, residual_table_ll(L))
+    return tuple(
+        LElementFlags(element=a, proper=p, prime=pr, primary=pm, maximal=mx,
+                      principal=pc, compact=True, sqrt=s)
+        for a, p, pr, pm, mx, pc, s in zip(range(n), proper.tolist(), prime.tolist(),
+                                           primary.tolist(), _coatoms(L.leq).tolist(),
+                                           principal.tolist(), sqrt_table(L).tolist()))
 
 
 def l_element_flags(L: MultiplicativeLattice, a: int) -> LElementFlags:

@@ -36,6 +36,7 @@ from .lattice import (
     ValidationError,
     Violation,
     _FiniteLattice,
+    _act_le,
     _coatoms,
     _freeze,
     _join_of_members,
@@ -44,8 +45,10 @@ from .lattice import (
     _least_upper_bounds,
     _meet_principal,
     _memo,
-    _pair_violations,
+    _prime_violations,
+    _principal,
     _principally_generated,
+    _unmarked,
     lattice_flags,
 )
 
@@ -314,10 +317,20 @@ def _require_id(M: LatticeModule, N: int, message: str) -> None:
 
 
 @_memo
+def _proper_ids(M: LatticeModule) -> np.ndarray:
+    """Ids of the elements strictly below the top, ascending."""
+    return _freeze(np.flatnonzero(np.arange(M.element_count) != M.top))
+
+
+@_memo
 def prime_elements(M: LatticeModule) -> tuple[int, ...]:
-    """Ids of the prime elements of M, in ascending order."""
-    return tuple(n for n in M.proper_elements()
-                 if not _pair_violations(M.leq, M.act_table, M.top, n, n).any())
+    """Ids of the prime elements of M, in ascending order; the condition is
+    checked for all proper elements at once, in blocks."""
+    ids = _proper_ids(M)
+    prime = _unmarked(
+        lambda ns: _prime_violations(_act_le(M.leq, M.act_table, ns), M.lattice.top, M.top),
+        ids, M.lattice.element_count * M.element_count)
+    return tuple(ids[prime].tolist())
 
 
 @_memo
@@ -360,6 +373,17 @@ def rad(M: LatticeModule, N: int) -> int:
     return int(_rad_table(M)[N])
 
 
+def _saturations(M: LatticeModule, ns, ps) -> np.ndarray:
+    """Entry [i, j] is S_p(N) for N = ``ns[i]`` and the prime p = ``ps[j]`` of L.
+
+    c X <= N for some c not<= p iff (N:X) not<= p, since (N:X) is the
+    largest such c, so S_p(N) is the join of the X with (N:X) not<= p.
+    """
+    keep = ~M.lattice.leq[residual_mm_table(M)[ns]][:, :, ps]    # [N, X, p]
+    joins = _least_upper_bounds(M.leq, keep.transpose(0, 2, 1).reshape(-1, M.element_count))
+    return joins.reshape(keep.shape[0], keep.shape[2])
+
+
 def saturation(M: LatticeModule, N: int, p: int) -> int:
     """S_p(N): the join of all X with c X <= N for some c not below the prime p."""
     L = M.lattice
@@ -367,8 +391,7 @@ def saturation(M: LatticeModule, N: int, p: int) -> int:
     if not lattice_flags(L)[p].prime:
         raise ValueError(f"saturation requires a prime element of L, got {L.label(p)}")
     _require_id(M, N, "saturation is defined for proper elements only")
-    keep = M.leq[M.act_table[~L.leq[:, p]], N].any(axis=0)
-    return int(_least_upper_bounds(M.leq, keep[None, :])[0])
+    return int(_saturations(M, [N], [p])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +411,14 @@ def is_multiplication_module(M: LatticeModule) -> bool:
 
 def is_meet_principal_m(M: LatticeModule, N: int) -> bool:
     """(b ^ (B:N)) N == bN ^ B for all b in L, B in M."""
-    return _meet_principal(M.lattice.meet_table, M.meet_table, M.act_table,
-                           residual_mm_table(M), N)
+    return bool(_meet_principal(M.lattice.meet_table, M.meet_table, M.act_table,
+                                residual_mm_table(M), [N])[0])
 
 
 def is_join_principal_m(M: LatticeModule, N: int) -> bool:
     """b v (B:N) == ((bN v B) : N) for all b in L, B in M."""
-    return _join_principal(M.lattice.join_table, M.join_table, M.act_table,
-                           residual_mm_table(M), N)
+    return bool(_join_principal(M.lattice.join_table, M.join_table, M.act_table,
+                                residual_mm_table(M), [N])[0])
 
 
 def is_principal_m(M: LatticeModule, N: int) -> bool:
@@ -404,7 +427,9 @@ def is_principal_m(M: LatticeModule, N: int) -> bool:
 
 @_memo
 def _principal_elements_m(M: LatticeModule) -> tuple[int, ...]:
-    return tuple(n for n in M.elements() if is_principal_m(M, n))
+    principal = _principal(M.lattice, M.meet_table, M.join_table, M.act_table,
+                           residual_mm_table(M))
+    return tuple(np.flatnonzero(principal).tolist())
 
 
 def is_pg_module(M: LatticeModule) -> bool:

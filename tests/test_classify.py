@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
 from latmod import (
@@ -16,12 +19,17 @@ from latmod import (
     is_two_absorbing,
     l_element_flags,
     p_attachments,
+    parse_instance,
     prime_elements,
     rad,
 )
+from latmod import lattice
 from latmod.harness import default_instances
+from latmod.lattice import _row_blocks
 
 from conftest import label_index
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def replay_pair(M, N, witness, with_rad):
@@ -182,6 +190,68 @@ def test_classify_aggregates_predicates(m8square):
         assert c.pseudo_primary == is_pseudo_primary(m8square, n)[0]
         assert c.pseudo_classical_primary == is_pseudo_classical_primary(m8square, n)[0]
         assert c.rad == rad(m8square, n)
+
+
+PREDICATES = {
+    "prime": is_prime_m,
+    "primary": is_primary_m,
+    "semiprime": is_semiprime,
+    "radical_element": is_radical_element,
+    "classical_prime": is_classical_prime,
+    "two_absorbing": is_two_absorbing,
+    "pseudo_primary": is_pseudo_primary,
+    "pseudo_classical_primary": is_pseudo_classical_primary,
+}
+
+
+def agreement_modules():
+    """Newly built modules, nothing memoized yet: the default family,
+    zn-square 6/9/10/12/16 and every valid module fixture."""
+    modules = [inst.module for inst in default_instances()]
+    modules += [gen_zn_square_module(n) for n in (6, 9, 10, 12, 16)]
+    for path in sorted(FIXTURES.glob("v*.mlat")):
+        M = parse_instance(path.read_text(encoding="utf-8"))[1]
+        if M is not None:
+            modules.append(M)
+    return modules
+
+
+@pytest.mark.parametrize("block_cells", [None, 600], ids=["default-blocks", "small-blocks"])
+def test_whole_table_pass_matches_predicates(monkeypatch, block_cells):
+    # classify_all evaluates each condition for every proper element at once,
+    # in blocks of elements; the predicates evaluate one element
+    if block_cells is not None:
+        monkeypatch.setattr(lattice, "_BLOCK_CELLS", block_cells)
+    blocked = 0
+    for M in agreement_modules():
+        cells = M.lattice.element_count ** 2 * M.element_count
+        blocked += len(_row_blocks(M.element_count - 1, cells)) > 1
+        primes = prime_elements(M)
+        for n, c in classify_all(M).items():
+            for flag, predicate in PREDICATES.items():
+                assert (c.flag(flag), c.witnesses.get(flag)) == predicate(M, n), (M, n, flag)
+            attached = p_attachments(M, n)
+            assert (c.p_prime, c.p_primary, c.p_pseudo_primary) == (
+                attached.p_prime, attached.p_primary, attached.p_pseudo_primary)
+            assert c.rad == rad(M, n)
+            assert c.minimal_prime_over == (tuple(
+                x for x in M.elements() if M.le(x, n) and is_minimal_prime_over(M, n, x))
+                if n in primes else ())
+    assert (blocked > 0) == (block_cells is not None)
+
+
+def test_classify_all_memory_bounded():
+    # zn-self-5040 (60/60): one unblocked [N, a, b, K] mask over the 59 proper
+    # elements would take 59 * 60**3 bytes, about 12.7 MB
+    M = gen_zn_self_module(5040)
+    tracemalloc.start()
+    try:
+        cls = classify_all(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cls) == 59
+    assert peak < 59 * 60 ** 3, f"peak {peak / 2**20:.1f} MB"
 
 
 def plain_prime_elements(M):

@@ -140,6 +140,16 @@ def test_verify_unknown_check(capsys):
     assert code == 2 and "unknown check" in err
 
 
+def test_verify_repeated_check(tmp_path, capsys):
+    # a check named twice would run and be counted twice
+    path = tmp_path / "zn-self-2.mlat"
+    run_cli(capsys, "gen", "zn-self", "2", "-o", str(path))
+    code, out, err = run_cli(capsys, "verify", str(path), "--checks",
+                             "lem-rad-meet,fig1-implications,lem-rad-meet")
+    assert (code, out) == (2, "")
+    assert err == "error: check id 'lem-rad-meet' is named more than once\n"
+
+
 def test_verify_nothing_selected(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2 and "nothing to verify" in err
@@ -182,14 +192,22 @@ def test_mlat_cap_env(tmp_path, capsys, monkeypatch):
 
 
 def test_mlat_cap_read_only_for_a_family(capsys, monkeypatch):
-    # verifying files generates nothing, so a malformed cap does not matter
+    # verifying files generates nothing, and zn-self takes no cap, so a
+    # malformed cap does not matter to either
     monkeypatch.setenv("MLAT_CAP", "x")
     code, out, err = run_cli(capsys, "verify", str(FIXTURES / "v02_two_chain_module.mlat"))
     assert (code, err) == (0, "") and "0 fail" in out
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--family", "zn-self", "--max-n", "3"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err == "error: MLAT_CAP must be an integer, got 'x'\n"
+    code, out, err = run_cli(capsys, "verify", "--family", "zn-self", "--max-n", "3")
+    assert (code, err) == (0, "") and "0 fail" in out
+    code, out, err = run_cli(capsys, "gen", "zn-self", "3")
+    assert (code, err) == (0, "") and out.startswith("mlat 1\n")
+    # zn-square takes the cap, and so does the default family, which holds it
+    for argv in (("gen", "zn-square", "3"), ("verify", "--family", "zn-square", "--max-n", "3"),
+                 ("verify", "--family", "default")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: MLAT_CAP must be an integer, got 'x'\n")
 
 
 @pytest.mark.parametrize("family, top", [("zn-self", 30), ("zn-square", 8)])

@@ -123,6 +123,12 @@ def test_unknown_check_rejected(inst12):
         run_suite([inst12], checks=["no-such-check"])
 
 
+def test_repeated_check_rejected(inst12):
+    # a check named twice would run and be counted twice
+    with pytest.raises(ValueError, match="'lem-rad-meet' is named more than once"):
+        run_suite([inst12], checks=["lem-rad-meet", "fig1-implications", "lem-rad-meet"])
+
+
 def test_report_deterministic(inst12, inst8sq):
     a = run_suite([inst12, inst8sq], seed=7).as_dict()
     b = run_suite([inst12, inst8sq], seed=7).as_dict()
@@ -291,19 +297,24 @@ def test_fault_reads_the_one_classification(monkeypatch):
     # ``latmod.classify`` is the classify function; the submodule is patched
     # through sys.modules
     classify_module = sys.modules["latmod.classify"]
-    calls = []
-    predicate = classify_module.is_classical_prime
+    builds = []
 
-    def counted(M, n):
-        calls.append(n)
-        return predicate(M, n)
+    class Counted(classify_module._Rows):
+        """Records the elements of each whole-table block it is built for."""
 
-    monkeypatch.setattr(classify_module, "is_classical_prime", counted)
+        def __init__(self, M, ns):
+            builds.append((M, list(ns)))
+            super().__init__(M, ns)
+
+    monkeypatch.setattr(classify_module, "_Rows", Counted)
     inst = make_instance("zn-square-4", gen_zn_square_module(4))
+    other = make_instance("zn-self-12", gen_zn_self_module(12))
+    assert not run_suite([inst, other], fault=Fault("pseudo_primary")).ok()
+    assert run_suite([inst, other]).ok()
+    # one pass over every proper element per instance; the fault adds none
+    assert builds == [(i.module, list(i.module.proper_elements())) for i in (inst, other)]
+
     M = inst.module
-    assert not run_suite([inst], fault=Fault("pseudo_primary")).ok()
-    assert run_suite([inst]).ok()
-    assert sorted(calls) == list(M.proper_elements())
 
     clean = [is_prime_m(M, n) for n in M.proper_elements()]
     faulted = Ctx(inst, fault=Fault("prime")).cls
