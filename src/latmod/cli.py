@@ -449,9 +449,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top level has only flag options, so when argv[0] names a command,
-    # argparse hands every later token to that command's subparser, and only
-    # that subparser needs building.
+    # The top level has only flag options, so a leading "--" ends none, and
+    # before a command it is dropped: Python 3.11's argparse would take it for
+    # the command name.  When argv[0] then names a command, argparse hands
+    # every later token to that command's subparser, and only that subparser
+    # needs building.
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
+        del argv[0]
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:

@@ -17,6 +17,9 @@ by induction on the size of the family, (join_{i<=k} a_i) A ==
 cases fails does it spot-check the family forms, to name the families the
 failure breaks; when all hold, no subset can fail.  The 200 spot-check
 subsets come from a fixed seed and all 200 are evaluated in one numpy pass.
+They depend only on the sizes of L and M, so each (|L|, |M|) shape's 200
+families are drawn once per process and kept, read-only, in a memo bounded
+to ``_SUBSET_DRAW_SHAPES`` shapes.
 
 This module also provides the structural operators: residuals in both
 directions, the prime-radical ``rad``, saturation, varieties, and the
@@ -25,6 +28,7 @@ faithful / multiplication-module / principally-generated predicates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -173,12 +177,21 @@ def _check_module(L: MultiplicativeLattice, leq, act_table, top, bottom):
     return (leq, join, meet, act, derived_top, derived_bottom), out
 
 
+# Shapes whose spot-check draws stay memoized; a (4, 40) entry is about 12 KB.
+_SUBSET_DRAW_SHAPES = 16
+
+
+@functools.lru_cache(maxsize=_SUBSET_DRAW_SHAPES)
 def _subset_draws(nl: int, m: int):
     """The 200 draws of ``random.Random(0)`` for an L of ``nl`` and an M of ``m`` elements.
 
     Returns ``(lsets, x, a, msets)``.  Row i of the bool masks ``lsets``
     (200 x nl) and ``msets`` (200 x m) is the family a_i of L in (1) and the
     family A_i of M in (2); ``x[i]`` is the A of (1) and ``a[i]`` the a of (2).
+    A shape's draws are made once per process and kept in a memo of the last
+    ``_SUBSET_DRAW_SHAPES`` shapes, so only the first rejected module of each
+    shape pays for them; the arrays are read-only, since every later reject
+    of that shape reads them.
     """
     rng = random.Random(0)
     lrows, x, a, mrows = [], [], [], []
@@ -187,7 +200,7 @@ def _subset_draws(nl: int, m: int):
         x.append(rng.randrange(m))
         a.append(rng.randrange(nl))
         mrows.append(rng.sample(range(m), rng.randint(0, m)))
-    return _masks(lrows, nl), np.array(x), np.array(a), _masks(mrows, m)
+    return tuple(map(_freeze, (_masks(lrows, nl), np.array(x), np.array(a), _masks(mrows, m))))
 
 
 def _masks(rows, n: int) -> np.ndarray:

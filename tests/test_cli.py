@@ -426,3 +426,14 @@ def test_module_entry_point_matches_main(capsys, argv):
     assert proc.returncode == code == 0
     assert proc.stdout == captured.out.encode()
     assert proc.stderr == captured.err.encode() == b""
+
+
+def test_leading_separator_before_a_command_is_dropped(capsys):
+    argv = ["verify", str(FIXTURES / "v02_two_chain_module.mlat"), "--format", "json"]
+    code, out, err = run_cli(capsys, "--", *argv)
+    assert (code, err) == (0, "") and out
+    assert run_cli(capsys, *argv) == (code, out, err)
+    with pytest.raises(SystemExit) as err:
+        main(["--", "bogus"])
+    assert err.value.code == 2
+    assert "invalid choice: '--'" in capsys.readouterr().err

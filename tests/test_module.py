@@ -22,7 +22,7 @@ from latmod import (
     variety_l,
 )
 from latmod.harness import default_instances
-from latmod.module import _subset_draws, module_violations
+from latmod.module import _SUBSET_DRAW_SHAPES, _subset_draws, module_violations
 
 from conftest import label_index
 
@@ -48,16 +48,50 @@ def test_act_mutation_axiom5(m8self):
     assert "axiom-5" in axioms or "axiom-1" in axioms
 
 
+# (8, 222) is zn-square-24's shape: samples of up to 21 of its 222 module
+# elements take the set-based branch of random.sample, larger ones the pool.
 def test_subset_draws_replay_the_seeded_sequence():
-    nl, m = 4, 40
-    lsets, xs, scalars, msets = _subset_draws(nl, m)
-    assert lsets.shape == (200, nl) and msets.shape == (200, m)
-    rng = random.Random(0)
-    for i in range(200):
-        assert np.flatnonzero(lsets[i]).tolist() == sorted(rng.sample(range(nl), rng.randint(0, nl)))
-        assert xs[i] == rng.randrange(m)
-        assert scalars[i] == rng.randrange(nl)
-        assert np.flatnonzero(msets[i]).tolist() == sorted(rng.sample(range(m), rng.randint(0, m)))
+    for nl, m in [(1, 1), (2, 4), (6, 6), (4, 40), (8, 222)]:
+        draws = _subset_draws(nl, m)
+        lsets, xs, scalars, msets = draws
+        assert lsets.shape == (200, nl) and msets.shape == (200, m)
+        rng = random.Random(0)
+        for i in range(200):
+            assert np.flatnonzero(lsets[i]).tolist() == sorted(rng.sample(range(nl), rng.randint(0, nl)))
+            assert xs[i] == rng.randrange(m)
+            assert scalars[i] == rng.randrange(nl)
+            assert np.flatnonzero(msets[i]).tolist() == sorted(rng.sample(range(m), rng.randint(0, m)))
+        for arr in draws:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[-1]
+        again = _subset_draws(nl, m)
+        assert all(np.array_equal(a, b) for a, b in zip(again, draws))
+
+
+def test_subset_draws_memo_is_bounded():
+    _subset_draws.cache_clear()
+    for m in range(1, _SUBSET_DRAW_SHAPES + 4):
+        _subset_draws(1, m)
+    assert _subset_draws.cache_info().currsize == _SUBSET_DRAW_SHAPES
+
+
+def test_same_shape_rejects_draw_once(monkeypatch, m8self):
+    made = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    _subset_draws.cache_clear()
+    monkeypatch.setattr("latmod.module.random.Random", CountingRandom)
+    L = m8self.lattice
+    for cell in [(L.top, 1), (L.bottom, 0)]:
+        act = m8self.act_table.copy()
+        act[cell] = (act[cell] + 1) % m8self.element_count
+        assert module_violations(L, m8self.leq, act)
+    assert made == [(0,)]
 
 
 def test_single_element_module(l12):
