@@ -24,6 +24,7 @@ import numpy as np
 
 from .lattice import (
     _act_le,
+    _bool_matmul,
     _first_marked,
     _memo,
     _pair_violations,
@@ -234,7 +235,7 @@ def _minimal_over(M: LatticeModule) -> np.ndarray:
     below = M.leq.T[primes]                             # [i, X]: X <= the i-th prime
     others = below[:, primes]                           # [i, j]: the j-th prime <= the i-th
     np.fill_diagonal(others, False)
-    return below & ~(others @ below)                    # no other prime q with X <= q
+    return below & ~_bool_matmul(others, below)         # no other prime q with X <= q
 
 
 def is_minimal_prime_over(M: LatticeModule, N: int, X: int) -> bool:

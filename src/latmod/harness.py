@@ -61,7 +61,7 @@ import numpy as np
 
 from .classify import FLAG_NAMES, Classification, _attachments, classify_all
 from .instances import DEFAULT_FAMILY, DEFAULT_SQUARE_CAP, InstanceSpec, serialize_instance
-from .lattice import _row_blocks, is_pg_lattice, lattice_flags, sqrt_table
+from .lattice import _bool_matmul, _row_blocks, is_pg_lattice, lattice_flags, sqrt_table
 from .module import (
     LatticeModule,
     _rad_table,
@@ -296,7 +296,7 @@ class Ctx:
     def breaks(self):
         """Boolean [z, w]: some a, b in L have ab <= z, a not<= z and b not<= w."""
         leq = self.L.leq
-        return _read_only((self.mul_le & ~leq[:, None, :]).any(axis=0).T @ ~leq)
+        return _read_only(_bool_matmul((self.mul_le & ~leq[:, None, :]).any(axis=0).T, ~leq))
 
     @cached_property
     def res_mm(self):
@@ -819,7 +819,8 @@ def _k_cp_residual_product(ctx: Ctx):
     bad_pair = ctx.mul_le & ~leq[:, None, :] & ~leq[None, :, :]        # [u, v, z]
     taken = np.zeros((m, l), dtype=bool)
     taken[np.arange(m), res] = True
-    pairs = (taken @ bad_pair.reshape(l, l * l)).reshape(m, l, l)     # [K, v, z]: some taken u
+    # [K, v, z]: some taken u
+    pairs = _bool_matmul(taken, bad_pair.reshape(l, l * l)).reshape(m, l, l)
     breaks = (pairs & taken[:, :, None]).any(axis=1)
     residual_product = ~breaks[np.arange(m), res].any(axis=1)
     return _equivalence(ctx, lambda n: {"definition": ctx.cls[n].classical_prime,

@@ -36,7 +36,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .lattice import MultiplicativeLattice, validate_lattice
+from .lattice import MultiplicativeLattice, _bool_matmul, validate_lattice
 from .module import LatticeModule, validate_module
 
 __all__ = [
@@ -200,7 +200,7 @@ class InstanceSpec:
 def _covers(leq: np.ndarray) -> list[tuple[int, int]]:
     n = leq.shape[0]
     lt = leq & ~np.eye(n, dtype=bool)
-    between = lt @ lt
+    between = _bool_matmul(lt, lt)
     return [(int(i), int(j)) for i, j in np.argwhere(lt & ~between)]
 
 
@@ -415,7 +415,7 @@ def _build_block(block: _Block, rows: int | None) -> dict:
     leq.flat[block.leq_cells] = True
     # reflexive-transitive closure
     while True:
-        closed = leq | (leq @ leq)
+        closed = leq | _bool_matmul(leq, leq)
         if (closed == leq).all():
             break
         leq = closed

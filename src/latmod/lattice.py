@@ -189,7 +189,7 @@ def _order_violations(leq: np.ndarray) -> list[Violation]:
         if i < j:
             out.append(Violation("order-antisymmetric", (int(i), int(j)),
                                  f"{i} <= {j} and {j} <= {i} with {i} != {j}"))
-    reach = leq @ leq
+    reach = _bool_matmul(leq, leq)
     for i, j in np.argwhere(reach & ~leq):
         k = int(np.flatnonzero(leq[i] & leq[:, j])[0])
         out.append(Violation("order-transitive", (int(i), k, int(j)),
@@ -202,6 +202,22 @@ def _order_violations(leq: np.ndarray) -> list[Violation]:
 # are the only arrays of more than two carrier dimensions, so this caps their
 # extra memory at a few MB, whatever the carrier size.
 _BLOCK_CELLS = 1 << 20
+
+# Boolean products of at least this many multiply-adds run as float32 BLAS
+# matmuls (:func:`_bool_matmul`); numpy's boolean matmul has no BLAS path.
+# Measured with one BLAS thread and a non-contiguous left operand, bool
+# against float32: 8^3 1.9 against 4.6 us, 16^3 4.4 against 5.2, 20^3 5.9
+# against 5.8, 40^3 48 against 9.5.  The float32 result is exact at every
+# size: each term is 0 or 1, so the sum is > 0 iff some term is 1, and
+# rounding never turns a positive sum of nonnegative terms into 0.
+_BLAS_MIN_PRODUCTS = 1 << 13
+
+
+def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The boolean product of 2-D boolean arrays: [i, j] = some k has a[i, k] & b[k, j]."""
+    if a.shape[0] * a.shape[1] * b.shape[1] < _BLAS_MIN_PRODUCTS:
+        return a @ b
+    return np.matmul(a, b, dtype=np.float32) > 0
 
 
 def _least_common_bounds(above: np.ndarray) -> np.ndarray:
@@ -385,9 +401,10 @@ def _least_upper_bounds(leq: np.ndarray, members: np.ndarray) -> np.ndarray:
     The upper bounds of a family hold the top and are meet-closed, so in the
     reversed order ``leq.T`` they are a join-closed set holding its bottom,
     whose greatest member there is the least upper bound (:func:`_join_of_members`).
-    One boolean matmul finds them: y is an upper bound iff no member is not below y.
+    One :func:`_bool_matmul` finds them: y is an upper bound iff no member is
+    not below y.
     """
-    return _join_of_members(leq.T, lambda xs: ~(members @ ~leq[:, xs]))
+    return _join_of_members(leq.T, lambda xs: ~_bool_matmul(members, ~leq[:, xs]))
 
 
 @_memo

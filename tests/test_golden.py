@@ -28,6 +28,7 @@ from latmod import (
     parse_instance,
     serialize_instance,
 )
+from latmod import lattice
 from latmod.classify import FLAG_NAMES, classify_all
 from latmod.cli import main
 from latmod.harness import Ctx, Fault, make_instance, run_suite
@@ -307,6 +308,19 @@ def test_square_10_validator_outputs_pinned():
     for act in itertools.islice(mutants, 0, None, 3):
         digest.update(json.dumps([v.as_dict() for v in module_violations(M.lattice, M.leq, act)]).encode())
     assert digest.hexdigest() == SQUARE_10_VALIDATOR_SHA256
+
+
+@pytest.mark.parametrize("pinned", [test_validator_outputs_pinned,
+                                    test_square_10_validator_outputs_pinned,
+                                    test_reduction_checks_pinned, test_classifications_pinned],
+                         ids=lambda test: test.__name__)
+@pytest.mark.parametrize("cutoff", [0, 1 << 62], ids=["float32", "bool"])
+def test_pins_hold_on_each_matmul_path(monkeypatch, cutoff, pinned):
+    # the pinned tests above run the shipped cutoff, where a sweep mixes both
+    # paths; here every boolean product runs in float32 (cutoff 0), or in
+    # numpy's boolean matmul (a cutoff above every product), against the same digests
+    monkeypatch.setattr(lattice, "_BLAS_MIN_PRODUCTS", cutoff)
+    pinned()
 
 
 def _line_edits(line: str):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from latmod import (
 from latmod import lattice
 from latmod.lattice import (
     Violation,
+    _bool_matmul,
     _derive_join_meet,
     _least_upper_bounds,
     lattice_violations,
@@ -158,6 +160,41 @@ def test_least_upper_bounds_match_join_fold(leq, data):
             out = int(join[out, x])
         folds.append(out)
     assert _least_upper_bounds(leq, families).tolist() == folds
+
+
+@st.composite
+def bool_operands(draw):
+    """Boolean a (n x k) and b (k x m) with n, k, m all in 0..20 (n*k*m below
+    the default ``lattice._BLAS_MIN_PRODUCTS``) or all in 21..40 (above it).
+    Each is a plain array, a transposed view, a strided view, or negated
+    fancy-indexed columns like ``~leq[:, xs]``."""
+    sizes = st.integers(21, 40) if draw(st.booleans()) else st.integers(0, 20)
+    n, k, m = draw(sizes), draw(sizes), draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def operand(rows, cols):
+        p = draw(st.sampled_from([0.02, 0.3, 0.9]))
+        layout = draw(st.sampled_from(["plain", "T", "strided", "fancy"]))
+        if layout == "T":
+            return (rng.random((cols, rows)) < p).T
+        if layout == "strided":
+            return (rng.random((rows, 2 * cols)) < p)[:, ::2]
+        if layout == "fancy":
+            return ~(rng.random((rows, cols)) < p)[:, rng.permutation(cols)]
+        return rng.random((rows, cols)) < p
+
+    return operand(n, k), operand(k, m)
+
+
+@given(bool_operands(), st.sampled_from([0, lattice._BLAS_MIN_PRODUCTS, 1 << 62]))
+def test_bool_matmul_is_any_of_ands(operands, cutoff):
+    # cutoff 0 runs every product in float32 and 1 << 62 every one in bool,
+    # zero sizes included: an inner size of 0 gives all False either way
+    a, b = operands
+    with mock.patch.object(lattice, "_BLAS_MIN_PRODUCTS", cutoff):
+        got = _bool_matmul(a, b)
+    assert got.dtype == bool
+    assert got.tolist() == (a[:, :, None] & b[None, :, :]).any(axis=1).tolist()
 
 
 def least_common_bounds_by_row(above):

@@ -69,19 +69,25 @@ def test_no_global_statements():
     assert found == []
 
 
+def owners(tree: ast.Module, nodes) -> list[str]:
+    """The name of the innermost function around each of ``nodes``, or ``<module>``."""
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    out = []
+    for node in nodes:
+        around = [fn for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno]
+        out.append(max(around, key=lambda fn: fn.lineno).name if around else "<module>")
+    return out
+
+
 def kernel_reads(tree: ast.Module) -> list[str]:
     """Each read of a ``.kernel`` attribute, as ``function:call`` or
     ``function:read``; the function is the innermost one around it."""
     called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    functions = [node for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "kernel":
-            around = [fn for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno]
-            owner = max(around, key=lambda fn: fn.lineno).name if around else "<module>"
-            out.append(f"{owner}:{'call' if id(node) in called else 'read'}")
-    return out
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "kernel"]
+    return [f"{owner}:{'call' if id(node) in called else 'read'}"
+            for node, owner in zip(reads, owners(tree, reads))]
 
 
 def test_kernels_run_only_in_run_check():
@@ -91,6 +97,19 @@ def test_kernels_run_only_in_run_check():
              for path in Path(latmod.__file__).parent.glob("*.py")}
     assert {name: found for name, found in reads.items() if found} == {
         "harness.py": ["run_check:call"]}
+
+
+def test_matmuls_only_in_bool_matmul():
+    # boolean products go through lattice._bool_matmul, which picks the exact
+    # float32 BLAS path for large ones; the one other `@` is an integer count
+    sites = {}
+    for path in Path(latmod.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        products = [node for node in ast.walk(tree) if isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)]
+        if products:
+            sites[path.name] = owners(tree, products)
+    assert sites == {"lattice.py": ["_bool_matmul"], "harness.py": ["_k_prime_residual_bound"]}
 
 
 def _docstrings(tree: ast.Module) -> set[int]:
