@@ -194,10 +194,9 @@ def cmd_validate(args) -> int:
         print(f"{args.path}: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
-        print(f"{args.path}: invalid instance", file=sys.stderr)
-        for violation in exc.violations:
-            print(f"  [{violation.axiom}] witness {violation.witness}: {violation.message}",
-                  file=sys.stderr)
+        # one write: a reject lists dozens of violations
+        sys.stderr.write("".join([f"{args.path}: invalid instance\n"] + [
+            f"  [{v.axiom}] witness {v.witness}: {v.message}\n" for v in exc.violations]))
         return 1
     lattice, module = parse_result
     blocks = "lattice" + ("+module" if module is not None else "")

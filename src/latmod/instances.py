@@ -279,6 +279,12 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
     """Parse MLAT text; axiom violations are raised by the validators."""
     header_seen = False
     blocks: list[_Block] = []
+    # The current block's count and the lattice's, None until declared, and
+    # the block's table statement.  Once both counts are known the block is
+    # ``hot``: its mul/act, leq and label lines are read inline (see below).
+    n = lattice_count = None
+    table_word = None
+    hot = False
 
     # Tokens are whitespace-split; a column is found only for an error.
     def fail(message: str, k: int = 0) -> ParseError:
@@ -319,6 +325,30 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
         toks = content.split()
         if not toks:
             continue
+        if hot:
+            # The statements a block repeats, when the checks of the path
+            # below all pass: the arity, int() of each id, each id's bound and
+            # no conflicting table entry.  A line that fails one takes that
+            # path, which raises its error or accepts it as before.
+            word = toks[0]
+            try:
+                if word == table_word and len(toks) == 4:
+                    i, j, v = int(toks[1]), int(toks[2]), int(toks[3])
+                    if (0 <= i < lattice_count and 0 <= j < n and 0 <= v < n
+                            and cells.setdefault(i * n + j, v) == v):
+                        continue
+                elif word == "leq" and len(toks) == 3:
+                    i, j = int(toks[1]), int(toks[2])
+                    if 0 <= i < n and 0 <= j < n:
+                        leq_cells.append(i * n + j)
+                        continue
+                elif word == "label" and len(toks) > 2:
+                    i = int(toks[1])
+                    if 0 <= i < n:
+                        labels[i] = content.split(None, 2)[2].rstrip()
+                        continue
+            except ValueError:
+                pass
         if not header_seen:
             if toks != ["mlat", "1"]:
                 raise fail("expected version header 'mlat 1'")
@@ -334,26 +364,28 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
                 raise fail("module block requires a preceding lattice block")
             if word == "module" and len(blocks) > 1:
                 raise fail("duplicate module block")
-            blocks.append(_Block(word, lineno))
+            block = _Block(word, lineno)
+            blocks.append(block)
+            cells, leq_cells, labels = block.cells, block.leq_cells, block.labels
+            n = None
+            table_word = "mul" if word == "lattice" else "act"
+            hot = False
             continue
         if not blocks:
             raise fail(f"statement {word!r} outside any block")
-        block = blocks[-1]
-        n = block.count
 
         if word == "mul" or word == "act":
-            expected = "mul" if block.kind == "lattice" else "act"
-            if word != expected:
+            if word != table_word:
                 raise fail(f"{word!r} statement is not allowed in a {block.kind} block")
             arity(3)
-            i, j, v = ids((blocks[0].count, n, n), ints_first=True)
-            seen = block.cells.setdefault(i * n + j, v)
+            i, j, v = ids((lattice_count, n, n), ints_first=True)
+            seen = cells.setdefault(i * n + j, v)
             if seen != v:
                 raise fail(f"conflicting {word} entry for ({i}, {j}): {seen} vs {v}")
         elif word == "leq":
             arity(2)
             i, j = ids((n, n))
-            block.leq_cells.append(i * n + j)
+            leq_cells.append(i * n + j)
         elif word == "elements":
             arity(1)
             if n is not None:
@@ -361,7 +393,10 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
             value = read(1)
             if value < 1:
                 raise fail("element count must be positive", 1)
-            block.count = value
+            block.count = n = value
+            if block.kind == "lattice":
+                lattice_count = value
+            hot = lattice_count is not None
         elif word in ("top", "bot"):
             arity(1)
             (value,) = ids((n,))
@@ -377,7 +412,7 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
             if len(toks) < 3:
                 raise fail("'label' takes an id and a label text")
             (i,) = ids((n,))
-            block.labels[i] = content.split(None, 2)[2].rstrip()
+            labels[i] = content.split(None, 2)[2].rstrip()
         else:
             raise fail(f"unknown directive {word!r}")
 

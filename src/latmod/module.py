@@ -32,6 +32,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .lattice import (
     _prime_violations,
     _principal,
     _principally_generated,
+    _row_blocks,
     _unmarked,
     lattice_flags,
 )
@@ -181,13 +183,32 @@ def _check_module(L: MultiplicativeLattice, leq, act_table, top, bottom):
 _SUBSET_DRAW_SHAPES = 16
 
 
+class _Draws(NamedTuple):
+    """The spot-check families of one (|L|, |M|) shape, and where their images lie.
+
+    The k-th image a_j x of a family of (1) is ``act.flat[cells1[k]]``, and
+    ``rows1[k]`` is i * m for its family i, the offset of row i in a flat
+    (200, m) member mask; ``cells2``/``rows2`` do the same for the a A_j of (2).
+    """
+
+    lsets: np.ndarray
+    x: np.ndarray
+    a: np.ndarray
+    msets: np.ndarray
+    cells1: np.ndarray
+    rows1: np.ndarray
+    cells2: np.ndarray
+    rows2: np.ndarray
+
+
 @functools.lru_cache(maxsize=_SUBSET_DRAW_SHAPES)
-def _subset_draws(nl: int, m: int):
+def _subset_draws(nl: int, m: int) -> _Draws:
     """The 200 draws of ``random.Random(0)`` for an L of ``nl`` and an M of ``m`` elements.
 
-    Returns ``(lsets, x, a, msets)``.  Row i of the bool masks ``lsets``
-    (200 x nl) and ``msets`` (200 x m) is the family a_i of L in (1) and the
-    family A_i of M in (2); ``x[i]`` is the A of (1) and ``a[i]`` the a of (2).
+    Row i of the bool masks ``lsets`` (200 x nl) and ``msets`` (200 x m) is
+    the family a_i of L in (1) and the family A_i of M in (2); ``x[i]`` is
+    the A of (1) and ``a[i]`` the a of (2).  The scatter indices of
+    :class:`_Draws` depend on the shape only, so they are kept with the draws.
     A shape's draws are made once per process and kept in a memo of the last
     ``_SUBSET_DRAW_SHAPES`` shapes, so only the first rejected module of each
     shape pays for them; the arrays are read-only, since every later reject
@@ -200,7 +221,11 @@ def _subset_draws(nl: int, m: int):
         x.append(rng.randrange(m))
         a.append(rng.randrange(nl))
         mrows.append(rng.sample(range(m), rng.randint(0, m)))
-    return tuple(map(_freeze, (_masks(lrows, nl), np.array(x), np.array(a), _masks(mrows, m))))
+    lsets, msets, x, a = _masks(lrows, nl), _masks(mrows, m), np.array(x), np.array(a)
+    draw1, j1 = np.nonzero(lsets)       # a_j1 x of (1) is act[j1, x]
+    draw2, j2 = np.nonzero(msets)       # a A_j2 of (2) is act[a, j2]
+    return _Draws(*map(_freeze, (lsets, x, a, msets, j1 * m + x[draw1], draw1 * m,
+                                 a[draw2] * m + j2, draw2 * m)))
 
 
 def _masks(rows, n: int) -> np.ndarray:
@@ -212,21 +237,23 @@ def _masks(rows, n: int) -> np.ndarray:
     return out
 
 
-def _join_of_images(leq, family, image) -> np.ndarray:
-    """Entry [i] is the join in ``leq`` of ``image[i, j]`` over the j in ``family[i]``."""
-    draw, j = np.nonzero(family)
-    members = np.zeros((family.shape[0], leq.shape[0]), dtype=bool)
-    members[draw, image[draw, j]] = True
-    return _least_upper_bounds(leq, members)
+def _join_of_images(leq, act, cells, rows, count: int) -> np.ndarray:
+    """Entry [i] is the join in ``leq`` of the ``act.flat[cells[k]]`` with
+    ``rows[k] == i * m``, for ``m`` the size of ``leq`` and i below ``count``."""
+    members = np.zeros(count * leq.shape[0], dtype=bool)
+    members[rows + act.take(cells)] = True
+    return _least_upper_bounds(leq, members.reshape(count, -1))
 
 
 def _subset_violations(L: MultiplicativeLattice, act, leq) -> list[Violation]:
     """Family forms of (1) and (2) on the 200 draws of :func:`_subset_draws`."""
-    lsets, xs, scalars, msets = _subset_draws(*act.shape)
+    draws = _subset_draws(*act.shape)
+    lsets, xs, scalars, msets = draws.lsets, draws.x, draws.a, draws.msets
+    count = len(xs)
     got1 = act[_least_upper_bounds(L.leq, lsets), xs]
-    want1 = _join_of_images(leq, lsets, act[:, xs].T)
+    want1 = _join_of_images(leq, act, draws.cells1, draws.rows1, count)
     got2 = act[scalars, _least_upper_bounds(leq, msets)]
-    want2 = _join_of_images(leq, msets, act[scalars])
+    want2 = _join_of_images(leq, act, draws.cells2, draws.rows2, count)
     bad1, bad2 = got1 != want1, got2 != want2
     out = []
     for i in np.flatnonzero(bad1 | bad2):
@@ -390,11 +417,18 @@ def _saturations(M: LatticeModule, ns, ps) -> np.ndarray:
     """Entry [i, j] is S_p(N) for N = ``ns[i]`` and the prime p = ``ps[j]`` of L.
 
     c X <= N for some c not<= p iff (N:X) not<= p, since (N:X) is the
-    largest such c, so S_p(N) is the join of the X with (N:X) not<= p.
+    largest such c, so S_p(N) is the join of the X with (N:X) not<= p.  The
+    N are taken in :func:`_row_blocks`, bounding the float32 product's cells.
     """
-    keep = ~M.lattice.leq[residual_mm_table(M)[ns]][:, :, ps]    # [N, X, p]
-    joins = _least_upper_bounds(M.leq, keep.transpose(0, 2, 1).reshape(-1, M.element_count))
-    return joins.reshape(keep.shape[0], keep.shape[2])
+    ns, ps = np.asarray(ns), np.asarray(ps)
+    m = M.element_count
+    res = residual_mm_table(M)
+    not_below = ~M.lattice.leq[:, ps].T                         # [p, c]: c not<= p
+    out = np.empty((ns.size, ps.size), dtype=np.int64)
+    for rows in _row_blocks(ns.size, 4 * ps.size * m):
+        keep = not_below[:, res[ns[rows]]].transpose(1, 0, 2)  # [N, p, X]
+        out[rows] = _least_upper_bounds(M.leq, keep.reshape(-1, m)).reshape(-1, ps.size)
+    return out
 
 
 def saturation(M: LatticeModule, N: int, p: int) -> int:

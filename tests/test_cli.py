@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latmod import gen_zn_self_module, gen_zn_square_module
+from latmod import gen_zn_self_module, gen_zn_square_module, serialize_instance
 from latmod.classify import FLAG_NAMES, classify_all
 from latmod.cli import _json_dumps, main
 from latmod.harness import Fault, default_instances, make_instance, run_suite
+from latmod.module import module_violations
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +54,24 @@ def test_validate_axiom_failure(tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 1
     assert "mul-identity" in err and "witness" in err
+
+
+def test_validate_reject_report_is_one_write(tmp_path, monkeypatch):
+    # a zn-square-4 act mutant lists ten violations, one line each
+    M = gen_zn_square_module(4)
+    act = M.act_table.copy()
+    act[1, 5] = (act[1, 5] + 1) % M.element_count
+    text = serialize_instance(M.lattice, M).replace(
+        f"act 1 5 {M.act_table[1, 5]}\n", f"act 1 5 {act[1, 5]}\n")
+    path = tmp_path / "mutant.mlat"
+    path.write_text(text, encoding="utf-8")
+    writes = []
+    monkeypatch.setattr(sys, "stderr", argparse.Namespace(write=writes.append))
+    assert main(["validate", str(path)]) == 1
+    violations = module_violations(M.lattice, M.leq, act)
+    assert len(violations) == 10
+    assert writes == ["".join([f"{path}: invalid instance\n"] + [
+        f"  [{v.axiom}] witness {v.witness}: {v.message}\n" for v in violations])]
 
 
 def test_validate_parse_error(tmp_path, capsys):

@@ -369,3 +369,95 @@ def test_parse_errors_pinned():
         count += 1
     assert count == PARSE_CORPUS_SIZE
     assert digest.hexdigest() == PARSE_SHA256
+
+
+# Recorded at a1149f9: one digest over ``_parse_outcome`` of each edit in
+# ``_table_statement_corpus``, with the serialized instance of each valid
+# one, pinning the parse of the statements a block repeats (mul, act, leq,
+# label) beyond the first 40 lines that ``_parse_corpus`` edits.
+TABLE_STATEMENT_SHA256 = "1330a628f7285e18b672dd3a0bab3a012ccedf6d6d477bf087612633fd1cdf15"
+TABLE_STATEMENT_CORPUS_SIZE = 4097
+TABLE_WORDS = ("mul", "act", "leq", "label")
+# Spellings of an id that ``int()`` accepts or rejects beyond those of
+# ``_line_edits``: a sign, a leading zero, a digit separator, an Arabic-Indic
+# three, a superscript two (a digit to ``str.isdigit`` but not to ``int``)
+# and a negative zero.
+ID_SPELLINGS = ("+1", "01", "1_0", "٣", "²", "-0")
+
+
+def _table_statement_corpus():
+    """Edits of serialized zn-square-4 at its mul, act, leq and label lines:
+    each ``_line_edits`` edit; each id respelled by ID_SPELLINGS, set to its
+    bound or one below, or set off by a tab; a table line's first id out of
+    range and its last not an integer; a repeated act line with a
+    conflicting value; a trailing comment; act lines moved above the
+    module's elements line; mul and act lines moved between the blocks; an
+    elements line dropped or moved to the end; and an empty lattice block."""
+    M = gen_zn_square_module(4)
+    m = M.element_count
+    lines = serialize_instance(M.lattice, M).split("\n")
+
+    def replaced(k, *edits):
+        return "\n".join(lines[:k] + list(edits) + lines[k + 1:])
+
+    words = [line.split()[0] if line.split() else "" for line in lines]
+    module = lines.index("module")
+    lattice_count = M.lattice.element_count
+    for k, line in enumerate(lines):
+        if words[k] not in TABLE_WORDS:
+            continue
+        for edit in _line_edits(line):
+            yield replaced(k, edit)
+        spans = [mt.span() for mt in re.finditer(r"\S+", line)]
+        ids = spans[1:2] if words[k] == "label" else spans[1:]
+        bounds = [m if k > module else lattice_count] * len(ids)
+        if words[k] == "act":
+            bounds[0] = lattice_count
+        for (start, end), bound in zip(ids, bounds):
+            for token in (*ID_SPELLINGS, str(bound - 1), str(bound)):
+                yield replaced(k, line[:start] + token + line[end:])
+            yield replaced(k, line[:start - 1] + "\t" + line[start:])
+        yield replaced(k, line + " # comment")
+        yield replaced(k, line + "#")
+        if words[k] in ("mul", "act"):
+            i, j, v = line.split()[1:]
+            yield replaced(k, f"{words[k]} 99 {j} x")
+            yield replaced(k, line, f"{words[k]} {i} {j} {(int(v) + 1) % m}")
+
+    mod_elements = next(k for k in range(module, len(lines)) if words[k] == "elements")
+    lat_elements = words.index("elements")
+    acts = [k for k, word in enumerate(words) if word == "act"]
+    muls = [k for k, word in enumerate(words) if word == "mul"]
+
+    def moved(k, to):
+        rest = lines[:k] + lines[k + 1:]
+        to = to if to < k else to - 1
+        return "\n".join(rest[:to] + [lines[k]] + rest[to:])
+
+    for k in (acts[0], acts[len(acts) // 2], acts[-1]):
+        yield moved(k, mod_elements)        # above the module's elements line
+        yield moved(k, module)              # into the lattice block
+        yield moved(k, lat_elements)        # above the lattice's elements line
+    for k in (muls[0], muls[-1]):
+        yield moved(k, mod_elements + 1)    # into the module block
+        yield moved(k, lat_elements)        # above the lattice's elements line
+    swapped = list(lines)
+    swapped[muls[0]], swapped[acts[0]] = lines[acts[0]], lines[muls[0]]
+    yield "\n".join(swapped)
+    for k in (lat_elements, mod_elements):
+        yield replaced(k, "")               # no elements declaration
+        yield moved(k, len(lines))          # declared after the block's table
+    yield "\n".join(lines[:lat_elements] + lines[module:])    # an empty lattice block
+
+
+def test_table_statement_parse_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for text in _table_statement_corpus():
+        outcome = _parse_outcome(text)
+        if outcome == ["valid"]:    # pin what was read: tables, order and labels
+            outcome.append(serialize_instance(*parse_instance(text)))
+        digest.update(json.dumps(outcome).encode())
+        count += 1
+    assert count == TABLE_STATEMENT_CORPUS_SIZE
+    assert digest.hexdigest() == TABLE_STATEMENT_SHA256

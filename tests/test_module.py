@@ -12,6 +12,7 @@ from latmod import (
     is_pg_module,
     is_principal_m,
     l_element_flags,
+    lattice_flags,
     prime_elements,
     rad,
     residual_ml,
@@ -21,8 +22,9 @@ from latmod import (
     variety,
     variety_l,
 )
+from latmod import lattice
 from latmod.harness import default_instances
-from latmod.module import _SUBSET_DRAW_SHAPES, _subset_draws, module_violations
+from latmod.module import _SUBSET_DRAW_SHAPES, _saturations, _subset_draws, module_violations
 
 from conftest import label_index
 
@@ -53,7 +55,7 @@ def test_act_mutation_axiom5(m8self):
 def test_subset_draws_replay_the_seeded_sequence():
     for nl, m in [(1, 1), (2, 4), (6, 6), (4, 40), (8, 222)]:
         draws = _subset_draws(nl, m)
-        lsets, xs, scalars, msets = draws
+        lsets, xs, scalars, msets = draws[:4]
         assert lsets.shape == (200, nl) and msets.shape == (200, m)
         rng = random.Random(0)
         for i in range(200):
@@ -67,6 +69,14 @@ def test_subset_draws_replay_the_seeded_sequence():
                 arr[0] = arr[-1]
         again = _subset_draws(nl, m)
         assert all(np.array_equal(a, b) for a, b in zip(again, draws))
+        # the scatter indices name the images of each family's members
+        act = np.arange(nl * m).reshape(nl, m)
+        draw, j = np.nonzero(lsets)
+        assert np.array_equal(act.take(draws.cells1), act[j, xs[draw]])
+        assert np.array_equal(draws.rows1, draw * m)
+        draw, j = np.nonzero(msets)
+        assert np.array_equal(act.take(draws.cells2), act[scalars[draw], j])
+        assert np.array_equal(draws.rows2, draw * m)
 
 
 def test_subset_draws_memo_is_bounded():
@@ -182,6 +192,24 @@ def test_saturation_matches_definition():
                 keep = [x for x in M.elements()
                         if any(M.le(M.act(c, x), n) for c in L.elements() if not L.le(c, p))]
                 assert saturation(M, n, p) == M.join_all(keep), (inst.name, n, p)
+
+
+@pytest.mark.parametrize("block_cells", [1, 200], ids=["one-row-blocks", "small-blocks"])
+def test_saturation_table_in_blocks_matches_saturation(monkeypatch, block_cells):
+    # the whole table takes its N in row blocks, so several run here; the
+    # one-cell saturation and the table in one block are the references
+    for inst in default_instances():
+        M = inst.module
+        flags = lattice_flags(M.lattice)
+        primes = [p for p in M.lattice.elements() if flags[p].prime]
+        ids = np.arange(M.element_count)
+        whole = _saturations(M, ids, primes)
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "_BLOCK_CELLS", block_cells)
+            blocked = _saturations(M, ids, primes)
+            assert np.array_equal(blocked, whole), inst.name
+            for n in M.proper_elements():
+                assert blocked[n].tolist() == [saturation(M, n, p) for p in primes], (inst.name, n)
 
 
 def test_structural_predicates(m8self, m8square):
