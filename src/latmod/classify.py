@@ -29,6 +29,7 @@ from .lattice import (
     _memo,
     _pair_violations,
     _prime_violations,
+    _require_in,
     _row_blocks,
     _stable_power_table,
     lattice_flags,
@@ -39,7 +40,6 @@ from .module import (
     _proper_ids,
     _rad_table,
     _require_id,
-    _require_in,
     maximal_elements,
     prime_elements,
     residual_mm_table,

@@ -28,7 +28,11 @@ only in a flag (chains, rad(N) prime, a residual prime, q I_M flagged).
 and every selected check of that instance runs on it through
 :func:`run_check`, so the hypotheses, the classification, the residual and
 rad tables and the arrays derived from them are gathered once per instance,
-not once per check.
+not once per check.  A kernel reads a value of one proper element N (a flag,
+an attachment, rad(N), (N:I_M) or sqrt(N:I_M)) from its classification
+``ctx.cls[n]``, and a whole table from a ``Ctx`` member (``ctx.res_mm``,
+``ctx.rad_of``, ``ctx.sqrts``, ...); a value that may be the top, which has
+no classification, is read from a table.
 
 The quantifier-heavy sides are numpy reductions over the residual tables the
 instance memoizes: residual-split gathers (N:ab) for every N at once,
@@ -37,7 +41,8 @@ the product criterion, the join-meet condition, the pseudo-primary sides,
 the two residual bounds and the residual-shift theorem are masks over every
 N at once (the join-meet condition and the prime residual bound, which read
 m x m cells per N, in blocks of N), and the residual-shift side of the
-pseudo-classical primary equivalence is one mask per N.  The "compact-definition" sides use the residuation identity xK <= N iff
+pseudo-classical primary equivalence is one mask per N.  The
+"compact-definition" sides use the residuation identity xK <= N iff
 x <= (N:K), so N enters only through the pairs ((N:K), (bound:K)); one l x l
 table per instance, ``Ctx.breaks``, says which pairs break the definition,
 and the classifier's action tensors are never read; the plain-loop references
@@ -64,8 +69,8 @@ from .instances import DEFAULT_FAMILY, DEFAULT_SQUARE_CAP, InstanceSpec, seriali
 from .lattice import _bool_matmul, _row_blocks, is_pg_lattice, lattice_flags, sqrt_table
 from .module import (
     LatticeModule,
+    _proper_ids,
     _rad_table,
-    _require_id,
     _saturations,
     is_faithful,
     is_multiplication_module,
@@ -252,6 +257,8 @@ class Ctx:
     itself are read-only, as the memo tables are: a kernel cannot change what
     a later check reads.  Under a :class:`Fault`, ``cls`` is a faulted view of
     the memoized classification; every other table is the instance's own.
+    A fault replaces only a flag, its witness and the attachments: the
+    ``rad``, ``residual_top`` and ``sqrt_residual_top`` of ``cls`` stay true.
     """
 
     def __init__(self, instance: Instance, seed: int = 0, fault: Fault | None = None):
@@ -277,11 +284,6 @@ class Ctx:
     @cached_property
     def propers(self):
         return tuple(self.M.proper_elements())
-
-    @cached_property
-    def proper_ids(self):
-        """``propers`` as an array."""
-        return _read_only(np.array(self.propers, dtype=np.int64))
 
     @cached_property
     def propers_l(self):
@@ -339,36 +341,10 @@ class Ctx:
         """[N, j]: S_p(N) for every N of M and the prime p = ``lprimes[j]`` of L."""
         return _read_only(_saturations(self.M, np.arange(self.M.element_count), self.lprimes))
 
-    # Lists, for the point reads the kernels make once per element.
-
-    @cached_property
-    def _rads(self) -> list[int]:
-        return self.rad_of.tolist()
-
-    @cached_property
-    def _res_tops(self) -> list[int]:
-        return self.res_mm[:, self.M.top].tolist()
-
-    @cached_property
-    def _sqrt_res_tops(self) -> list[int]:
-        return self.sqrts[self.res_mm[:, self.M.top]].tolist()
-
     @cached_property
     def _flagged(self) -> dict[str, tuple[int, ...]]:
         return {flag: tuple(n for n, c in self.cls.items() if getattr(c, flag))
                 for flag in FLAG_NAMES}
-
-    def rad(self, N: int) -> int:
-        rads = self._rads
-        if not 0 <= N < len(rads) or rads[N] < 0:
-            _require_id(self.M, N, "rad is undefined for the top element")
-        return rads[N]
-
-    def res_top(self, N: int) -> int:
-        return self._res_tops[N]
-
-    def sqrt_res_top(self, N: int) -> int:
-        return self._sqrt_res_tops[N]
 
     def flagged(self, flag: str) -> tuple[int, ...]:
         """The proper elements carrying ``flag``, ascending."""
@@ -478,8 +454,8 @@ def _equivalence(ctx: Ctx, sides_of: Callable, domain=None, guard=None, witness=
 # Sides shared by several equivalences; any other side name is the classifier
 # flag it spells with dashes.
 _SIDES: dict[str, Callable[[Ctx, int], bool]] = {
-    "residual-prime": lambda ctx, n: bool(ctx.lflags[ctx.res_top(n)].prime),
-    "residual-primary": lambda ctx, n: bool(ctx.lflags[ctx.res_top(n)].primary),
+    "residual-prime": lambda ctx, n: bool(ctx.lflags[ctx.cls[n].residual_top].prime),
+    "residual-primary": lambda ctx, n: bool(ctx.lflags[ctx.cls[n].residual_top].primary),
     "primary-generator": lambda ctx, n: any(            # N = q I_M for a primary q
         ctx.lflags[q].primary and ctx.M.act(q, ctx.M.top) == n for q in ctx.L.elements()),
     "primary-and-classical-prime":
@@ -532,17 +508,17 @@ def _rad_prime_kernel(ctx: Ctx, flag: str):
     domain = ctx.flagged(flag)
     viols = []
     for n in domain:
-        r = ctx.rad(n)
+        r = ctx.cls[n].rad
         if r == ctx.M.top or not ctx.cls[r].prime:
             viols.append(_violation_at(ctx, "rad-flag", n, rad=r, expected="prime"))
     return len(domain), viols
 
 
-def _residual_prime_kernel(ctx: Ctx, flag: str, residual: Callable[[int], int]):
-    """``residual(N)``, e.g. (N:I_M), is a prime element of L for every N carrying ``flag``."""
+def _residual_prime_kernel(ctx: Ctx, flag: str, residual: str):
+    """N's classification field ``residual`` is prime in L for every N carrying ``flag``."""
     domain = ctx.flagged(flag)
-    viols = [_violation_at(ctx, "residual-flag", n, residual=residual(n))
-             for n in domain if not ctx.lflags[residual(n)].prime]
+    viols = [_violation_at(ctx, "residual-flag", n, residual=r) for n in domain
+             if not ctx.lflags[r := getattr(ctx.cls[n], residual)].prime]
     return len(domain), viols
 
 
@@ -617,13 +593,13 @@ def _k_sqrt_meet(ctx: Ctx):
 @_check("thm-prime-rad-fixed", "rad(N) = N for every prime element N")
 def _k_prime_rad_fixed(ctx: Ctx):
     domain = ctx.flagged("prime")
-    viols = [_violation_at(ctx, "rad-value", n, rad=ctx.rad(n))
-             for n in domain if ctx.rad(n) != n]
+    viols = [_violation_at(ctx, "rad-value", n, rad=ctx.cls[n].rad)
+             for n in domain if ctx.cls[n].rad != n]
     return len(domain), viols
 
 
 _check("thm-prime-residual-prime", "(N:I_M) is a prime element of L for every prime N")(
-    lambda ctx: _residual_prime_kernel(ctx, "prime", ctx.res_top))
+    lambda ctx: _residual_prime_kernel(ctx, "prime", "residual_top"))
 
 
 @_check("thm-radical-primary-pseudo-primary",
@@ -639,8 +615,8 @@ def _k_radical_primary(ctx: Ctx):
 def _k_sqrt_res_below(ctx: Ctx):
     viols = []
     for n in ctx.propers:
-        s = ctx.sqrt_res_top(n)
-        r = int(ctx.res_mm[ctx.rad(n), ctx.M.top])
+        s = ctx.cls[n].sqrt_residual_top
+        r = int(ctx.res_mm[ctx.cls[n].rad, ctx.M.top])
         if not ctx.L.le(s, r):
             viols.append(_violation_at(ctx, "lattice-leq", n, lhs=s, rhs=r))
     return len(ctx.propers), viols
@@ -664,15 +640,15 @@ _check("cor-maximal-classical-prime", "every maximal element of M is classical p
 def _k_rad_idempotent(ctx: Ctx):
     viols = []
     for n in ctx.propers:
-        r = ctx.rad(n)
-        if r == ctx.M.top or ctx.rad(r) != r:
+        r = ctx.cls[n].rad
+        if r == ctx.M.top or ctx.cls[r].rad != r:
             viols.append(_violation_at(ctx, "rad-value", n, rad=r))
     return len(ctx.propers), viols
 
 
 def _rad_is_top(ctx: Ctx, n: int) -> dict | None:
     """The violation "rad(N) is the top", or None when rad(N) is proper."""
-    r = ctx.rad(n)
+    r = ctx.cls[n].rad
     return _violation_at(ctx, "rad-value", n, rad=r) if r == ctx.M.top else None
 
 
@@ -702,7 +678,7 @@ def _k_cp_residuals(ctx: Ctx):
 
 _check("thm-classical-prime-residual-top-prime",
        "(N:I_M) is prime in L for every classical prime N")(
-    lambda ctx: _residual_prime_kernel(ctx, "classical_prime", ctx.res_top))
+    lambda ctx: _residual_prime_kernel(ctx, "classical_prime", "residual_top"))
 
 
 @_check("thm-classical-prime-residual-shift",
@@ -754,7 +730,7 @@ def _k_cp_cg(ctx: Ctx):
 @_check("thm-join-meet-condition-classical-prime",
         "if (N:X) != (N:Y) always forces N = (N v X) ^ (N v Y), then N is classical prime")
 def _k_join_meet_condition(ctx: Ctx):
-    M, ids = ctx.M, ctx.proper_ids
+    M, ids = ctx.M, _proper_ids(ctx.M)
     holds = np.empty(ids.size, dtype=bool)
     for block in _row_blocks(ids.size, 8 * M.element_count ** 2):    # 8-byte ids
         ns = ids[block]
@@ -777,7 +753,7 @@ _check("chain-classical-prime",
 def _k_cp_mult(ctx: Ctx):
     M, L = ctx.M, ctx.L
     def sides(n):
-        rt = ctx.res_top(n)
+        rt = ctx.cls[n].residual_top
         return {
             "definition": ctx.cls[n].classical_prime,
             "residual-above": all(int(ctx.res_mm[n, b]) == rt
@@ -856,7 +832,7 @@ def _pp_compact_definition(ctx: Ctx, ns):
         "iff (N:a) <= rad(N) for every proper a > (N:I_M) "
         "iff the definition quantified over compact elements", CG)
 def _k_pp_cg(ctx: Ctx):
-    M, L, ids = ctx.M, ctx.L, ctx.proper_ids
+    M, L, ids = ctx.M, ctx.L, _proper_ids(ctx.M)
     rt, rd = ctx.res_mm[ids, M.top], ctx.rad_of[ids]
     outside = ctx.proper_m & ~M.leq[:, rd].T       # [N, X]: proper X not<= rad(N)
     above = (np.arange(L.element_count) != L.top) & L.leq[rt]  # [N, a]: proper a > (N:I_M)
@@ -880,7 +856,7 @@ _check("chain-pseudo-primary",
         "rad(A ^ B) = rad(A) ^ rad(B) for proper A, B, plus sampled larger families",
         BUNDLE)
 def _k_rad_meet(ctx: Ctx):
-    M, rad_of, ids = ctx.M, ctx.rad_of, ctx.proper_ids   # rad is -1 at the top
+    M, rad_of, ids = ctx.M, ctx.rad_of, _proper_ids(ctx.M)   # rad is -1 at the top
     lhs = rad_of[M.meet_table[np.ix_(ids, ids)]]    # a meet of proper elements is proper
     rhs = M.meet_table[np.ix_(rad_of[ids], rad_of[ids])]
     viols = [_v("rad-meet", pair=(ids[i], ids[j]), label=f"{M.label(ids[i])}, {M.label(ids[j])}")
@@ -892,8 +868,8 @@ def _k_rad_meet(ctx: Ctx):
     rng = ctx.rng("lem-rad-meet")
     for _ in range(families if viols else 0):
         family = rng.sample(ctx.propers, rng.randint(2, len(ctx.propers)))
-        lhs = ctx.rad(M.meet_all(family))
-        rhs = M.meet_all(ctx.rad(x) for x in family)
+        lhs = ctx.cls[M.meet_all(family)].rad
+        rhs = M.meet_all(ctx.cls[x].rad for x in family)
         if lhs != rhs:
             viols.append(_v("rad-meet", family=sorted(family), lhs=lhs, rhs=rhs,
                             label=", ".join(M.label(x) for x in sorted(family))))
@@ -904,8 +880,8 @@ def _k_rad_meet(ctx: Ctx):
 def _k_rad_eq(ctx: Ctx):
     viols = []
     for n in ctx.propers:
-        lhs = int(ctx.res_mm[ctx.rad(n), ctx.M.top])
-        rhs = ctx.sqrt_res_top(n)
+        lhs = int(ctx.res_mm[ctx.cls[n].rad, ctx.M.top])
+        rhs = ctx.cls[n].sqrt_residual_top
         if lhs != rhs:
             viols.append(_violation_at(ctx, "lattice-equality", n, lhs=lhs, rhs=rhs))
     return len(ctx.propers), viols
@@ -916,9 +892,9 @@ def _k_rad_eq(ctx: Ctx):
 def _k_rad_action(ctx: Ctx):
     M, viols = ctx.M, []
     for n in ctx.propers:
-        want = M.act(ctx.sqrt_res_top(n), M.top)
-        if ctx.rad(n) != want:
-            viols.append(_violation_at(ctx, "rad-value", n, rad=ctx.rad(n), expected=want))
+        want = M.act(ctx.cls[n].sqrt_residual_top, M.top)
+        if ctx.cls[n].rad != want:
+            viols.append(_violation_at(ctx, "rad-value", n, rad=ctx.cls[n].rad, expected=want))
     return len(ctx.propers), viols
 
 
@@ -967,7 +943,7 @@ _check("equiv-pseudo-primary-4way",
 
 _check("cor-pseudo-primary-sqrt-prime",
        "sqrt(N:I_M) is prime in L for every pseudo-primary N", BUNDLE)(
-    lambda ctx: _residual_prime_kernel(ctx, "pseudo_primary", ctx.sqrt_res_top))
+    lambda ctx: _residual_prime_kernel(ctx, "pseudo_primary", "sqrt_residual_top"))
 
 
 _check("thm-pseudo-primary-rad-prime",
@@ -979,7 +955,7 @@ _check("thm-pseudo-primary-rad-prime",
         "a pseudo-primary N with (N:I_M) prime in L is prime", MULT)
 def _k_pp_converse(ctx: Ctx):
     domain = [n for n in ctx.flagged("pseudo_primary")
-              if ctx.lflags[ctx.res_top(n)].prime]
+              if ctx.lflags[ctx.cls[n].residual_top].prime]
     return _implication(ctx, domain, "pseudo_primary", "prime")
 
 
@@ -995,23 +971,23 @@ def _p_joins(ctx: Ctx) -> list[tuple[int, int, int]]:
         BUNDLE)
 def _k_ppp_join(ctx: Ctx):
     joins, cls, top = _p_joins(ctx), ctx.cls, ctx.M.top
-    viols = [_violation_at(ctx, "p-join", n, p=p, join=j, rad=ctx.rad(n))
+    viols = [_violation_at(ctx, "p-join", n, p=p, join=j, rad=cls[n].rad)
              for n, p, j in joins
-             if j == top or not cls[j].prime or j != ctx.rad(n) or not cls[ctx.rad(n)].prime]
+             if j == top or not cls[j].prime or j != cls[n].rad or not cls[cls[n].rad].prime]
     return len(joins), viols
 
 
 @_check("cor-rad-join-p",
         "rad(N) = rad(N v p I_M) for p-pseudo-primary N with p = sqrt(N:I_M)", BUNDLE)
 def _k_rad_join_p(ctx: Ctx):
-    joins = _p_joins(ctx)
-    viols = [_violation_at(ctx, "p-join", n, p=p, join=j, rad=ctx.rad(n))
-             for n, p, j in joins if j == ctx.M.top or ctx.rad(n) != ctx.rad(j)]
+    joins, cls = _p_joins(ctx), ctx.cls
+    viols = [_violation_at(ctx, "p-join", n, p=p, join=j, rad=cls[n].rad)
+             for n, p, j in joins if j == ctx.M.top or cls[n].rad != cls[j].rad]
     return len(joins), viols
 
 
 def _rad_attachment_sides(ctx: Ctx, n: int) -> dict:
-    r = ctx.rad(n)
+    r = ctx.cls[n].rad
     if r == ctx.M.top:
         return {"rad-proper": False,
                 "p-pseudo-primary": ctx.cls[n].p_pseudo_primary is not None}
@@ -1033,7 +1009,7 @@ def _k_rad_attachments(ctx: Ctx):
     def attachment_mismatch(n, sides):
         if not sides.get("p-pseudo-primary"):
             return None
-        rt = int(ctx.res_mm[ctx.rad(n), ctx.M.top])
+        rt = int(ctx.res_mm[ctx.cls[n].rad, ctx.M.top])
         primes = {int(ctx.cls[n].p_pseudo_primary), rt, int(ctx.sqrts[rt])}
         if len(primes) == 1:
             return None
@@ -1057,7 +1033,7 @@ def _k_pp_residual_chain(ctx: Ctx):
     M, viols = ctx.M, []
     domain = ctx.flagged("pseudo_primary")
     for n in domain:
-        rd = ctx.rad(n)
+        rd = ctx.cls[n].rad
         outside = [k for k in M.elements() if not M.le(k, rd)]
         sqrts = set()
         for k in outside:
@@ -1095,8 +1071,8 @@ def _saturation_pairs(ctx: Ctx) -> list[tuple[int, int, int]]:
 def _k_saturation_below(ctx: Ctx):
     M = ctx.M
     pairs = _saturation_pairs(ctx)
-    viols = [_violation_at(ctx, "saturation", n, p=p, saturation=s, rad=ctx.rad(n))
-             for n, p, s in pairs if not M.le(s, ctx.rad(n))]
+    viols = [_violation_at(ctx, "saturation", n, p=p, saturation=s, rad=ctx.cls[n].rad)
+             for n, p, s in pairs if not M.le(s, ctx.cls[n].rad)]
     return len(pairs), viols
 
 
@@ -1106,16 +1082,17 @@ def _k_saturation_below(ctx: Ctx):
 def _k_saturation_prime(ctx: Ctx):
     M, cls = ctx.M, ctx.cls
     pairs = [(n, p) for n, p, s in _saturation_pairs(ctx) if s != M.top and cls[s].prime]
-    viols = [_violation_at(ctx, "rad-flag", n, p=p, rad=ctx.rad(n), expected="prime")
-             for n, p in pairs if ctx.rad(n) == M.top or not cls[ctx.rad(n)].prime]
+    viols = [_violation_at(ctx, "rad-flag", n, p=p, rad=cls[n].rad, expected="prime")
+             for n, p in pairs if cls[n].rad == M.top or not cls[cls[n].rad].prime]
     return len(pairs), viols
 
 
 @_check("thm-rad-pseudo-primary-iff-prime",
         "rad(N) is pseudo-primary iff rad(N) is prime, for every proper N")
 def _k_rad_pp_iff_prime(ctx: Ctx):
-    return _equivalence(ctx, lambda n: {"rad-pseudo-primary": ctx.cls[ctx.rad(n)].pseudo_primary,
-                                        "rad-prime": ctx.cls[ctx.rad(n)].prime},
+    cls = ctx.cls
+    return _equivalence(ctx, lambda n: {"rad-pseudo-primary": cls[cls[n].rad].pseudo_primary,
+                                        "rad-prime": cls[cls[n].rad].prime},
                         guard=lambda n: _rad_is_top(ctx, n))
 
 
@@ -1135,12 +1112,12 @@ def _k_pcp_cg(ctx: Ctx):
     rx = M.act_table[list(ctx.propers_l)]           # [r, X] = rX
     def residual_shift(n):
         row = ctx.res_mm[n]
-        bad = ~M.leq[:, n] & ~M.leq[rx, ctx.rad(n)] & (row != row[rx])
+        bad = ~M.leq[:, n] & ~M.leq[rx, ctx.cls[n].rad] & (row != row[rx])
         return not bad.any()
     return _equivalence(ctx, lambda n: {
         "definition": ctx.cls[n].pseudo_classical_primary,
         "residual-shift": residual_shift(n),
-        "compact-definition": _compact_definition(ctx, n, ctx.rad(n))})
+        "compact-definition": _compact_definition(ctx, n, ctx.cls[n].rad)})
 
 
 _check("equiv-pseudo-classical-primary-4way",
@@ -1195,7 +1172,7 @@ def _k_prime_residual_bound(ctx: Ctx):
 @_check("lem-sqrt-residual-rad-bound",
         "sqrt(N:K) <= (rad(N):K) for proper N and proper K not<= N")
 def _k_sqrt_residual_rad(ctx: Ctx):
-    ids = ctx.proper_ids
+    ids = _proper_ids(ctx.M)
     domain = ~ctx.M.leq[np.ix_(ids, ids)].T         # [N, K]: K not<= N
     lhs = ctx.sqrts[ctx.res_mm[np.ix_(ids, ids)]]
     rhs = ctx.res_mm[np.ix_(ctx.rad_of[ids], ids)]
@@ -1208,7 +1185,7 @@ def _k_sqrt_residual_rad(ctx: Ctx):
         "if (N:K) is primary in L for every K not<= N (the top element included), "
         "then N is pseudo-classical primary")
 def _k_residual_primary_pcp(ctx: Ctx):
-    ids = ctx.proper_ids
+    ids = _proper_ids(ctx.M)
     lprimary = np.array([f.primary for f in ctx.lflags])
     holds = (lprimary[ctx.res_mm[ids]] | ctx.M.leq[:, ids].T).all(axis=1)
     return _implication(ctx, ids[holds].tolist(), "residuals-primary", "pseudo_classical_primary")
@@ -1224,7 +1201,7 @@ def _k_sqrt_action_bound(ctx: Ctx):
             continue
         s = int(ctx.sqrts[q])
         stop = M.act(s, M.top)
-        rd = ctx.rad(n)
+        rd = ctx.cls[n].rad
         for y in M.elements():
             count += 1
             if not M.le(M.act(s, y), stop) or not M.le(stop, rd):

@@ -127,6 +127,12 @@ class _FiniteLattice:
         return self.labels[a] if self.labels is not None else str(a)
 
 
+def _require_in(S: _FiniteLattice, x: int, name: str) -> None:
+    """Reject an id outside the carrier of ``S``, the structure called ``name``."""
+    if not 0 <= x < S.element_count:
+        raise ValueError(f"{x} is not an element id of {name} (0..{S.element_count - 1})")
+
+
 @dataclass(frozen=True, eq=False)
 class MultiplicativeLattice(_FiniteLattice):
     """Validated finite multiplicative lattice.
@@ -350,21 +356,40 @@ def lattice_violations(leq, mul_table, top=None, bottom=None) -> list[Violation]
     return _check_lattice(leq, mul_table, top, bottom)[1]
 
 
+def _checked_labels(labels, count: int) -> tuple[str, ...] | None:
+    """``labels`` as a tuple of ``count`` strings, each one that MLAT carries.
+
+    A label is written as the rest of its ``label`` line, so one that is
+    empty, has leading or trailing whitespace, or holds ``#``, ``\\n`` or
+    ``\\r`` would not read back as itself; each such label is a ``labels``
+    violation naming its id.
+    """
+    if labels is None:
+        return None
+    labels = tuple(str(x) for x in labels)
+    if len(labels) != count:
+        raise ValidationError([Violation("labels", (), f"expected {count} labels, got {len(labels)}")])
+    bad = [Violation("labels", (i,), f"label {i} {text!r} cannot be written to MLAT: "
+                                     "it is empty, padded, or holds '#', '\\n' or '\\r'")
+           for i, text in enumerate(labels)
+           if not text or text != text.strip() or "#" in text or "\n" in text or "\r" in text]
+    if bad:
+        raise ValidationError(bad)
+    return labels
+
+
 def validate_lattice(leq, mul_table, top=None, bottom=None, labels=None) -> MultiplicativeLattice:
     """Validate raw tables and return the frozen structure.
 
     Join and meet are derived from the order.  Raises :class:`ValidationError`
-    carrying the violation report when an axiom fails.
+    carrying the violation report when an axiom fails or a label is one
+    that MLAT cannot carry (:func:`_checked_labels`).
     """
     fields, violations = _check_lattice(leq, mul_table, top, bottom)
     if violations:
         raise ValidationError(violations)
     leq, join, meet, mul, top, bottom = fields
-    n = leq.shape[0]
-    if labels is not None:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n:
-            raise ValidationError([Violation("labels", (), f"expected {n} labels, got {len(labels)}")])
+    labels = _checked_labels(labels, leq.shape[0])
     return MultiplicativeLattice(
         leq=_freeze(leq),
         join_table=_freeze(join),
@@ -419,6 +444,8 @@ def residual_table_ll(L: MultiplicativeLattice) -> np.ndarray:
 
 def residual_ll(L: MultiplicativeLattice, a: int, b: int) -> int:
     """(a:b), the largest x with x*b <= a."""
+    _require_in(L, a, "L")
+    _require_in(L, b, "L")
     return int(residual_table_ll(L)[a, b])
 
 
@@ -439,6 +466,7 @@ def _stable_power_table(L: MultiplicativeLattice) -> np.ndarray:
 
 def stable_power(L: MultiplicativeLattice, a: int) -> int:
     """The limit of the descending chain a >= a^2 >= a^3 >= ..."""
+    _require_in(L, a, "L")
     return int(_stable_power_table(L)[a])
 
 
@@ -455,6 +483,7 @@ def sqrt_table(L: MultiplicativeLattice) -> np.ndarray:
 
 def sqrt(L: MultiplicativeLattice, a: int) -> int:
     """Radical of a: the join of all x with x^k <= a for some k >= 1."""
+    _require_in(L, a, "L")
     return int(sqrt_table(L)[a])
 
 
@@ -574,12 +603,14 @@ def _coatoms(leq: np.ndarray) -> np.ndarray:
 
 def is_meet_principal_l(L: MultiplicativeLattice, e: int) -> bool:
     """a ^ (b*e) == ((a:e) ^ b) * e for all a, b."""
+    _require_in(L, e, "L")
     return bool(_meet_principal(L.meet_table, L.meet_table, L.mul_table,
                                 residual_table_ll(L), [e])[0])
 
 
 def is_join_principal_l(L: MultiplicativeLattice, e: int) -> bool:
     """((a*e) v b) : e == (b:e) v a for all a, b."""
+    _require_in(L, e, "L")
     return bool(_join_principal(L.join_table, L.join_table, L.mul_table,
                                 residual_table_ll(L), [e])[0])
 
@@ -611,11 +642,14 @@ def lattice_flags(L: MultiplicativeLattice) -> tuple[LElementFlags, ...]:
 
 
 def l_element_flags(L: MultiplicativeLattice, a: int) -> LElementFlags:
+    _require_in(L, a, "L")
     return lattice_flags(L)[a]
 
 
 def is_p_primary_l(L: MultiplicativeLattice, q: int, p: int) -> bool:
     """q primary with prime radical p."""
+    _require_in(L, q, "L")
+    _require_in(L, p, "L")
     f = lattice_flags(L)[q]
     return f.primary and f.sqrt == p and lattice_flags(L)[p].prime
 

@@ -42,6 +42,7 @@ from .lattice import (
     Violation,
     _FiniteLattice,
     _act_le,
+    _checked_labels,
     _coatoms,
     _freeze,
     _join_of_members,
@@ -53,6 +54,7 @@ from .lattice import (
     _prime_violations,
     _principal,
     _principally_generated,
+    _require_in,
     _row_blocks,
     _unmarked,
     lattice_flags,
@@ -284,11 +286,7 @@ def validate_module(L: MultiplicativeLattice, leq, act_table,
     if violations:
         raise ValidationError(violations)
     leq, join, meet, act, top, bottom = fields
-    m = leq.shape[0]
-    if labels is not None:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != m:
-            raise ValidationError([Violation("labels", (), f"expected {m} labels, got {len(labels)}")])
+    labels = _checked_labels(labels, leq.shape[0])
     return LatticeModule(
         lattice=L,
         leq=_freeze(leq),
@@ -341,12 +339,6 @@ def residual_mm(M: LatticeModule, A: int, B: int) -> int:
 
 # ---------------------------------------------------------------------------
 # primes, radical, saturation, variety
-
-
-def _require_in(S: _FiniteLattice, x: int, name: str) -> None:
-    """Reject an id outside the carrier of ``S``, the structure called ``name``."""
-    if not 0 <= x < S.element_count:
-        raise ValueError(f"{x} is not an element id of {name} (0..{S.element_count - 1})")
 
 
 def _require_id(M: LatticeModule, N: int, message: str) -> None:
@@ -458,12 +450,14 @@ def is_multiplication_module(M: LatticeModule) -> bool:
 
 def is_meet_principal_m(M: LatticeModule, N: int) -> bool:
     """(b ^ (B:N)) N == bN ^ B for all b in L, B in M."""
+    _require_in(M, N, "M")
     return bool(_meet_principal(M.lattice.meet_table, M.meet_table, M.act_table,
                                 residual_mm_table(M), [N])[0])
 
 
 def is_join_principal_m(M: LatticeModule, N: int) -> bool:
     """b v (B:N) == ((bN v B) : N) for all b in L, B in M."""
+    _require_in(M, N, "M")
     return bool(_join_principal(M.lattice.join_table, M.join_table, M.act_table,
                                 residual_mm_table(M), [N])[0])
 

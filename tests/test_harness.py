@@ -12,6 +12,7 @@ from latmod import (
     gen_zn_square_module,
     l_element_flags,
     residual_mm,
+    sqrt,
 )
 from latmod.classify import FLAG_NAMES, classify_all, is_prime_m, is_pseudo_classical_primary
 from latmod import harness
@@ -429,13 +430,19 @@ def test_run_suite_calls_run_check_once_per_check(monkeypatch, inst12, inst8sq):
         assert len({id(args[0]) for args, _ in block}) == 1
 
 
-def test_ctx_rad_rejects_the_top(inst8sq):
-    ctx = Ctx(inst8sq)
-    M = inst8sq.module
-    assert [ctx.rad(n) for n in ctx.propers] == [rad(M, n) for n in ctx.propers]
-    for n in (M.top, -1, M.element_count):
-        with pytest.raises(ValueError):
-            ctx.rad(n)
+@pytest.mark.parametrize("flag", (None, *FLAG_NAMES), ids=lambda flag: flag or "no-fault")
+def test_ctx_classification_carries_the_point_values(inst8sq, inst12, flag):
+    # the kernels read rad(N), (N:I_M) and sqrt(N:I_M) from ``ctx.cls[n]``;
+    # a fault inverts a flag there, never these values
+    for inst in (inst8sq, inst12):
+        ctx = Ctx(inst, fault=None if flag is None else Fault(flag))
+        M, L = inst.module, inst.lattice
+        assert (ctx.cls is classify_all(M)) == (flag is None)
+        for n in ctx.propers:
+            c = ctx.cls[n]
+            assert c.rad == rad(M, n)
+            assert c.residual_top == residual_mm(M, n, M.top)
+            assert c.sqrt_residual_top == sqrt(L, residual_mm(M, n, M.top))
 
 
 def test_fault_rejects_an_unknown_flag():

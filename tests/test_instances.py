@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from latmod import (
     ParseError,
@@ -20,6 +21,8 @@ from latmod import (
     parse_instance,
     serialize_instance,
     sqrt,
+    validate_lattice,
+    validate_module,
 )
 from latmod.instances import FAMILIES, InstanceSpec, divisors
 
@@ -235,6 +238,36 @@ def test_label_with_spaces_preserved():
     L, _ = parse_instance((FIXTURES / "v03_comments_blank.mlat").read_text(encoding="utf-8"))
     assert L.labels == ("the zero element", "the one element")
     assert "label 0 the zero element" in serialize_instance(L)
+
+
+# labels that the rest of a "label" line cannot carry: each would read back
+# as another label ("a", "pad") or not parse at all
+UNWRITABLE_LABELS = ["", " pad", "pad ", "\tpad\x0c", "a#b", "two\nlines", "two\rlines"]
+
+
+@pytest.mark.parametrize("label", UNWRITABLE_LABELS, ids=ascii)
+def test_unwritable_label_is_a_labels_violation(label):
+    L, M = gen_zn_ideal_lattice(12), gen_zn_square_module(4)
+    with pytest.raises(ValidationError) as err:
+        validate_lattice(L.leq, L.mul_table, labels=L.labels[:2] + (label,) + L.labels[3:])
+    assert [(v.axiom, v.witness) for v in err.value.violations] == [("labels", (2,))]
+    assert f"label 2 {label!r}" in str(err.value)
+    labels = list(M.labels)
+    labels[5] = labels[9] = label
+    with pytest.raises(ValidationError) as err:
+        validate_module(M.lattice, M.leq, M.act_table, labels=labels)
+    assert [(v.axiom, v.witness) for v in err.value.violations] == [("labels", (5,)), ("labels", (9,))]
+
+
+@given(st.text(max_size=6))
+def test_every_validated_label_round_trips(label):
+    L = gen_zn_ideal_lattice(2)
+    try:
+        L = validate_lattice(L.leq, L.mul_table, labels=(label, "one"))
+    except ValidationError:
+        assert not label or label != label.strip() or any(ch in label for ch in "#\n\r")
+        return
+    assert parse_instance(serialize_instance(L))[0].labels == (label, "one")
 
 
 TWO_CHAIN = "lattice\nelements 2\nleq 0 1\nmul 0 0 0\nmul 0 1 0\nmul 1 0 0\nmul 1 1 1\n"

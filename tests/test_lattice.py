@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,9 @@ from latmod.lattice import (
     _bool_matmul,
     _derive_join_meet,
     _least_upper_bounds,
+    is_join_principal_l,
+    is_meet_principal_l,
+    is_p_primary_l,
     lattice_violations,
     sqrt_table,
 )
@@ -422,6 +426,21 @@ def test_pg_and_principal(l12):
     assert is_pg_lattice(l12)
     assert all(is_principal_l(l12, e) for e in l12.elements())
     assert is_pg_lattice(two_chain())
+
+
+def test_point_queries_reject_out_of_range_ids(l12):
+    # -1 would otherwise read the last id, and the carrier size would raise
+    # IndexError
+    p = next(a for a in l12.elements() if l_element_flags(l12, a).prime)
+    for bad in (-1, l12.element_count):
+        queries = [lambda: residual_ll(l12, bad, 0), lambda: residual_ll(l12, 0, bad),
+                   lambda: is_p_primary_l(l12, bad, p), lambda: is_p_primary_l(l12, p, bad)]
+        queries += [partial(query, l12, bad) for query in (
+            stable_power, sqrt, l_element_flags, is_meet_principal_l, is_join_principal_l,
+            is_principal_l)]
+        for query in queries:
+            with pytest.raises(ValueError, match=rf"{bad} is not an element id of L \(0\.\.5\)"):
+                query()
 
 
 def test_mul_below_meet(l12, l8):

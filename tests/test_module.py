@@ -24,7 +24,14 @@ from latmod import (
 )
 from latmod import lattice
 from latmod.harness import default_instances
-from latmod.module import _SUBSET_DRAW_SHAPES, _saturations, _subset_draws, module_violations
+from latmod.module import (
+    _SUBSET_DRAW_SHAPES,
+    _saturations,
+    _subset_draws,
+    is_join_principal_m,
+    is_meet_principal_m,
+    module_violations,
+)
 
 from conftest import label_index
 
@@ -299,6 +306,9 @@ def test_residuals_and_saturation_reject_out_of_range_ids(m4square):
                       lambda: residual_mm(M, n, bad)):
             with pytest.raises(ValueError, match=rf"{bad} is not an element id of M \(0\.\.14\)"):
                 query()
+        for query in (is_meet_principal_m, is_join_principal_m, is_principal_m):
+            with pytest.raises(ValueError, match=rf"{bad} is not an element id of M \(0\.\.14\)"):
+                query(M, bad)
     # the top stays a valid argument of the residuals
     assert residual_ml(M, M.top, L.top) == M.top
     assert residual_mm(M, M.top, M.top) == L.top
