@@ -3,13 +3,14 @@
 Exit status contract: 0 = success / all asserted checks pass, 1 = validation
 or check failure, 2 = usage or parse error.  Machine-readable reports
 (``--format json``) are byte-identical for identical inputs and seed; wall
--clock timings appear only in the text format.  Each call builds only the
-invoked subcommand's parser.
+-clock timings appear only in the text format.  Each process builds each
+invoked command's parser once, on first use.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -426,8 +427,12 @@ _COMMANDS = {"gen": _add_gen, "validate": _add_validate,
              "classify": _add_classify, "verify": _add_verify}
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or with only ``command``."""
+    """The CLI parser with every subcommand, or with only ``command``, built
+    on first use and kept for the process: nothing it holds varies between
+    calls (help wraps to ``COLUMNS`` when it is formatted, ``MLAT_CAP`` is
+    read per call), and parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="latmod",
         description="Finite multiplicative lattices and lattice modules: "

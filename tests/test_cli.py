@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latmod import gen_zn_self_module, gen_zn_square_module, serialize_instance
+from latmod import cli
 from latmod.classify import FLAG_NAMES, classify_all
 from latmod.cli import _json_dumps, main
 from latmod.harness import Fault, default_instances, make_instance, run_suite
@@ -404,28 +405,85 @@ def test_json_dumps_matches_stdlib_on_reports():
         assert _json_dumps(payload) == _stdlib_json(payload), name
 
 
-def _added_subparsers(monkeypatch, argv) -> list[str]:
-    names = []
+def _added_subparsers(monkeypatch, *argvs) -> list[list[str]]:
+    """The subparsers that each of ``argvs`` adds, run in turn through
+    ``main`` in one process, starting from an empty parser memo."""
+    cli.build_parser.cache_clear()
+    added = []
     add_parser = argparse._SubParsersAction.add_parser
 
     def spy(self, name, **kwargs):
-        names.append(name)
+        added[-1].append(name)
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    with pytest.raises(SystemExit):
-        main(argv)
-    return names
+    for argv in argvs:
+        added.append([])
+        with pytest.raises(SystemExit):
+            main(argv)
+    return added
 
 
 @pytest.mark.parametrize("command", ["gen", "validate", "classify", "verify"])
 def test_only_the_invoked_subparser_is_built(monkeypatch, capsys, command):
-    assert _added_subparsers(monkeypatch, [command, "-h"]) == [command]
+    assert _added_subparsers(monkeypatch, [command, "-h"]) == [[command]]
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["bogus"], []], ids=["help", "unknown", "empty"])
 def test_every_subparser_is_built_without_a_command(monkeypatch, capsys, argv):
-    assert _added_subparsers(monkeypatch, argv) == ["gen", "validate", "classify", "verify"]
+    assert _added_subparsers(monkeypatch, argv) == [["gen", "validate", "classify", "verify"]]
+
+
+@pytest.mark.parametrize("argvs", [
+    *[([command, "-h"], [command, "--bogus"]) for command in ["gen", "validate", "classify", "verify"]],
+    (["-h"], ["bogus"]),
+], ids=["gen", "validate", "classify", "verify", "no-command"])
+def test_a_second_call_builds_no_subparser(monkeypatch, capsys, argvs):
+    first, second = _added_subparsers(monkeypatch, *argvs)
+    assert first and second == []
+
+
+def _outcome(capsys, argv) -> tuple:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_warm_parser_answers_as_a_cold_one(monkeypatch, capsys):
+    # every step runs twice on parsers that earlier steps used, and each
+    # answer must equal that of a parser built for it alone; classify and
+    # verify run with --format json because their text reports print wall times
+    path = str(FIXTURES / "v02_two_chain_module.mlat")
+    steps = [
+        ({}, ["classify", path, "--id", "0", "--format", "json"]),
+        ({}, ["classify", path, "--all", "--format", "json"]),
+        ({}, ["classify", path]),
+        ({}, ["verify", path, "--format", "json"]),
+        ({}, ["verify"]),
+        ({}, ["--version"]),
+        ({"COLUMNS": "40"}, ["verify", "-h"]),
+        ({"COLUMNS": "200"}, ["verify", "-h"]),
+        ({}, ["--", "verify", path, "--format", "json"]),
+    ]
+
+    def run(env, argv):
+        with monkeypatch.context() as m:
+            for name, value in env.items():
+                m.setenv(name, value)
+            return _outcome(capsys, argv)
+
+    cli.build_parser.cache_clear()
+    warm = [run(env, argv) for env, argv in steps * 2]
+    cold = []
+    for env, argv in steps:
+        cli.build_parser.cache_clear()
+        cold.append(run(env, argv))
+    assert warm == cold * 2
+    assert [code for code, _, _ in cold] == [0, 0, 2, 0, 2, 0, 0, 0, 0]
+    assert cold[6][1] != cold[7][1]  # help wraps to COLUMNS
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from latmod import (
-    ValidationError,
     gen_zn_self_module,
     is_faithful,
     is_multiplication_module,
