@@ -20,10 +20,10 @@ from itertools import chain, compress, repeat
 from . import __version__
 from .classify import FLAG_NAMES, classify_all
 from .harness import (
+    _select,
     default_instances,
     list_checks,
     make_instance,
-    registry,
     run_suite,
 )
 from .instances import (
@@ -350,12 +350,10 @@ def cmd_verify(args) -> int:
         selection = [c.strip() for c in args.checks.split(",") if c.strip()]
         if not selection:
             return _usage_error(f"--checks {args.checks!r} names no check")
-        known = registry()
-        for i, cid in enumerate(selection):
-            if cid not in known:
-                return _usage_error(f"unknown check id {cid!r}")
-            if cid in selection[:i]:
-                return _usage_error(f"check id {cid!r} is named more than once")
+        try:
+            _select(selection)      # the rule run_suite applies, checked before any check runs
+        except (KeyError, ValueError) as exc:
+            return _usage_error(exc.args[0])
 
     report = run_suite(instances, checks=selection, seed=args.seed)
     payload = {

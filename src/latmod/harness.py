@@ -18,11 +18,14 @@ on a new context.  To show that a check can fail, :func:`run_suite` and
 :func:`replay_violation` take a :class:`Fault`, which inverts one classifier
 flag in what their contexts read, and nowhere else.
 
-Each statement shape is written once: an equivalence of named sides
-(:func:`_equivalence`, with recurring sides named in ``_SIDES``), an
-implication between classes (:func:`_implication`; the implication figure is
-``ARROWS``), and one parametrised kernel per family of statements that differ
-only in a flag (chains, rad(N) prime, a residual prime, q I_M flagged).
+Each statement shape is written once.  A pointwise statement, with at most
+one violation per member of its domain, is :func:`_each`; an equivalence of
+named sides (:func:`_equivalence`, recurring sides in ``_SIDES``) is
+pointwise in :func:`_disagreement`, and further conditions at a member join
+it with ``or``.  An implication between classes is :func:`_implication` (the
+figure is ``ARROWS``), and one parametrised kernel serves each family of
+statements that differ only in a flag or a condition (chains, rad(N) prime,
+a residual prime, q I_M flagged, N v p I_M).
 
 :func:`run_suite` builds one evaluation context (:class:`Ctx`) per instance,
 and every selected check of that instance runs on it through
@@ -48,14 +51,16 @@ table per instance, ``Ctx.breaks``, says which pairs break the definition,
 and the classifier's action tensors are never read; the plain-loop references
 for both, and a brute-force loop for ``Ctx.breaks``, live in
 ``tests/test_harness.py``.  The saturation checks read one table of S_p(N)
-over (N, prime p).  The rest (identities, chain conditions, implications)
-are plain loops.  Every entry registers through :func:`_check`, which rejects
-duplicate ids and unknown hypotheses.
+over (N, prime p).  The chains, the two residual-chain theorems and the
+implication figure, which can report several violations per element, are
+plain loops; the rest are pointwise.  Every entry registers through
+:func:`_check`, which rejects duplicate ids and unknown hypotheses.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import time
 from dataclasses import dataclass, replace
@@ -404,6 +409,11 @@ def _violation_at(ctx: Ctx, kind: str, n: int, **detail) -> dict:
     return _v(kind, element=n, label=ctx.M.label(n), **detail)
 
 
+def _proper_prime(ctx: Ctx, x: int) -> bool:
+    """x is a proper prime element of M; the top, which has no classification, is not."""
+    return x != ctx.M.top and ctx.cls[x].prime
+
+
 _REGISTRY: dict[str, TheoremCheck] = {}
 
 
@@ -426,29 +436,26 @@ def _check(check_id: str, description: str, hypotheses: tuple[str, ...] = (),
 # statement shapes
 
 
-def _equivalence(ctx: Ctx, sides_of: Callable, domain=None, guard=None, witness=None,
-                 agreed=None):
-    """Equivalence: the named boolean sides ``sides_of(n)`` agree for every n in
-    ``domain`` (default: the proper elements).
+def _each(domain, violation: Callable):
+    """Pointwise statement: ``violation(x)`` is the violation of the member x
+    of ``domain``, or None where the statement holds at x.  Returns the
+    domain's size and the violations, in domain order."""
+    return len(domain), [v for v in map(violation, domain) if v is not None]
 
-    Optional hooks: ``guard(n)`` returns a violation that replaces the
-    comparison for n (a precondition of the sides failed), ``witness(n)`` adds
-    a ``witness`` field to a disagreement, and ``agreed(n, sides)`` returns a
-    further violation when the sides agree.
-    """
-    domain = ctx.propers if domain is None else domain
-    viols = []
-    for n in domain:
-        if guard is not None and (stop := guard(n)) is not None:
-            viols.append(stop)
-            continue
-        sides = sides_of(n)
-        if len(set(sides.values())) > 1:
-            extra = {} if witness is None else {"witness": witness(n)}
-            viols.append(_violation_at(ctx, "equivalence", n, sides=sides, **extra))
-        elif agreed is not None and (more := agreed(n, sides)) is not None:
-            viols.append(more)
-    return len(domain), viols
+
+def _disagreement(ctx: Ctx, n: int, sides: dict, **extra) -> dict | None:
+    """The "equivalence" violation of n when its named boolean ``sides``
+    disagree (with the fields ``extra``), or None when they agree."""
+    if len(set(sides.values())) > 1:
+        return _violation_at(ctx, "equivalence", n, sides=sides, **extra)
+    return None
+
+
+def _equivalence(ctx: Ctx, sides_of: Callable, domain=None):
+    """Equivalence: the named boolean sides ``sides_of(n)`` agree for every n in
+    ``domain`` (default: the proper elements)."""
+    return _each(ctx.propers if domain is None else domain,
+                 lambda n: _disagreement(ctx, n, sides_of(n)))
 
 
 # Sides shared by several equivalences; any other side name is the classifier
@@ -474,10 +481,8 @@ def _named_equivalence(ctx: Ctx, *names: str):
 def _implication(ctx: Ctx, domain, antecedent: str, consequent: str, dashed: bool = False):
     """Implication: every n in ``domain`` (the elements satisfying
     ``antecedent``) carries the classifier flag ``consequent``."""
-    viols = [_violation_at(ctx, "flag-implication", n, antecedent=antecedent,
-                           consequent=consequent, dashed=dashed)
-             for n in domain if not ctx.cls[n].flag(consequent)]
-    return len(domain), viols
+    return _each(domain, lambda n: None if ctx.cls[n].flag(consequent) else _violation_at(
+        ctx, "flag-implication", n, antecedent=antecedent, consequent=consequent, dashed=dashed))
 
 
 def _compact_definition(ctx: Ctx, n: int, bound: int) -> bool:
@@ -505,35 +510,35 @@ def _chain_kernel(ctx: Ctx, flag: str):
 
 def _rad_prime_kernel(ctx: Ctx, flag: str):
     """rad(N) is a prime element of M for every N carrying ``flag``."""
-    domain = ctx.flagged(flag)
-    viols = []
-    for n in domain:
+    def violation(n):
         r = ctx.cls[n].rad
-        if r == ctx.M.top or not ctx.cls[r].prime:
-            viols.append(_violation_at(ctx, "rad-flag", n, rad=r, expected="prime"))
-    return len(domain), viols
+        return None if _proper_prime(ctx, r) else _violation_at(ctx, "rad-flag", n, rad=r,
+                                                                 expected="prime")
+    return _each(ctx.flagged(flag), violation)
 
 
 def _residual_prime_kernel(ctx: Ctx, flag: str, residual: str):
     """N's classification field ``residual`` is prime in L for every N carrying ``flag``."""
-    domain = ctx.flagged(flag)
-    viols = [_violation_at(ctx, "residual-flag", n, residual=r) for n in domain
-             if not ctx.lflags[r := getattr(ctx.cls[n], residual)].prime]
-    return len(domain), viols
+    def violation(n):
+        r = getattr(ctx.cls[n], residual)
+        return None if ctx.lflags[r].prime else _violation_at(ctx, "residual-flag", n, residual=r)
+    return _each(ctx.flagged(flag), violation)
+
+
+def _action_is_top(ctx: Ctx, q: int) -> dict | None:
+    """The violation "q I_M is the top", or None when q I_M is proper."""
+    top = ctx.M.top
+    return _v("action-proper", q=q, label=ctx.L.label(q)) if ctx.M.act(q, top) == top else None
 
 
 def _action_kernel(ctx: Ctx, lflag: str, flag: str):
     """q I_M is proper and carries ``flag`` for every proper q in L carrying ``lflag``."""
     M = ctx.M
-    domain = [q for q in ctx.propers_l if getattr(ctx.lflags[q], lflag)]
-    viols = []
-    for q in domain:
+    def violation(q):
         n = M.act(q, M.top)
-        if n == M.top:
-            viols.append(_v("action-proper", q=q, label=ctx.L.label(q)))
-        elif not ctx.cls[n].flag(flag):
-            viols.append(_v("action-flag", q=q, element=n, label=M.label(n), expected=flag))
-    return len(domain), viols
+        return _action_is_top(ctx, q) or (None if ctx.cls[n].flag(flag) else _v(
+            "action-flag", q=q, element=n, label=M.label(n), expected=flag))
+    return _each([q for q in ctx.propers_l if getattr(ctx.lflags[q], lflag)], violation)
 
 
 # ---------------------------------------------------------------------------
@@ -579,23 +584,22 @@ for _src, _dst, _dashed in ARROWS:
 
 @_check("lem-sqrt-meet", "sqrt(a ^ b) = sqrt(a) ^ sqrt(b) for all lattice elements a, b")
 def _k_sqrt_meet(ctx: Ctx):
-    L, viols = ctx.L, []
-    for a in L.elements():
-        for b in L.elements():
-            lhs = int(ctx.sqrts[L.meet(a, b)])
-            rhs = L.meet(int(ctx.sqrts[a]), int(ctx.sqrts[b]))
-            if lhs != rhs:
-                viols.append(_v("lattice-equality", pair=(a, b), lhs=lhs, rhs=rhs,
-                                label=f"{L.label(a)}, {L.label(b)}"))
-    return L.element_count ** 2, viols
+    L = ctx.L
+    def violation(pair):
+        a, b = pair
+        lhs = int(ctx.sqrts[L.meet(a, b)])
+        rhs = L.meet(int(ctx.sqrts[a]), int(ctx.sqrts[b]))
+        return None if lhs == rhs else _v("lattice-equality", pair=pair, lhs=lhs, rhs=rhs,
+                                          label=f"{L.label(a)}, {L.label(b)}")
+    return _each(list(itertools.product(L.elements(), repeat=2)), violation)
 
 
 @_check("thm-prime-rad-fixed", "rad(N) = N for every prime element N")
 def _k_prime_rad_fixed(ctx: Ctx):
-    domain = ctx.flagged("prime")
-    viols = [_violation_at(ctx, "rad-value", n, rad=ctx.cls[n].rad)
-             for n in domain if ctx.cls[n].rad != n]
-    return len(domain), viols
+    def violation(n):
+        r = ctx.cls[n].rad
+        return None if r == n else _violation_at(ctx, "rad-value", n, rad=r)
+    return _each(ctx.flagged("prime"), violation)
 
 
 _check("thm-prime-residual-prime", "(N:I_M) is a prime element of L for every prime N")(
@@ -613,13 +617,11 @@ def _k_radical_primary(ctx: Ctx):
 @_check("lem-sqrt-residual-below-rad-residual",
         "sqrt(N:I_M) <= (rad(N):I_M) for every proper N")
 def _k_sqrt_res_below(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
+    def violation(n):
         s = ctx.cls[n].sqrt_residual_top
         r = int(ctx.res_mm[ctx.cls[n].rad, ctx.M.top])
-        if not ctx.L.le(s, r):
-            viols.append(_violation_at(ctx, "lattice-leq", n, lhs=s, rhs=r))
-    return len(ctx.propers), viols
+        return None if ctx.L.le(s, r) else _violation_at(ctx, "lattice-leq", n, lhs=s, rhs=r)
+    return _each(ctx.propers, violation)
 
 
 _check("thm-semiprime-iff-residual-prime",
@@ -638,12 +640,11 @@ _check("cor-maximal-classical-prime", "every maximal element of M is classical p
 
 @_check("prop-rad-idempotent", "rad(rad(N)) = rad(N) for every proper N")
 def _k_rad_idempotent(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
+    def violation(n):
         r = ctx.cls[n].rad
-        if r == ctx.M.top or ctx.cls[r].rad != r:
-            viols.append(_violation_at(ctx, "rad-value", n, rad=r))
-    return len(ctx.propers), viols
+        ok = r != ctx.M.top and ctx.cls[r].rad == r
+        return None if ok else _violation_at(ctx, "rad-value", n, rad=r)
+    return _each(ctx.propers, violation)
 
 
 def _rad_is_top(ctx: Ctx, n: int) -> dict | None:
@@ -655,8 +656,7 @@ def _rad_is_top(ctx: Ctx, n: int) -> dict | None:
 @_check("prop-variety-nonempty",
         "every proper N lies below a prime element (rad(N) is proper)")
 def _k_variety_nonempty(ctx: Ctx):
-    viols = [v for v in (_rad_is_top(ctx, n) for n in ctx.propers) if v is not None]
-    return len(ctx.propers), viols
+    return _each(ctx.propers, partial(_rad_is_top, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -667,13 +667,13 @@ def _k_variety_nonempty(ctx: Ctx):
         "N is classical prime iff (N:K) is prime in L for every K not<= N")
 def _k_cp_residuals(ctx: Ctx):
     M = ctx.M
-    def nonprime_residual(n):       # the first K not<= N with (N:K) not prime, as (K,)
+    def violation(n):               # witness: the first K not<= N with (N:K) not prime
         k = next((k for k in M.elements() if not M.le(k, n)
                   and not ctx.lflags[int(ctx.res_mm[n, k])].prime), None)
-        return None if k is None else (k,)
-    return _equivalence(ctx, lambda n: {"classical-prime": ctx.cls[n].classical_prime,
-                                        "residuals-prime": nonprime_residual(n) is None},
-                        witness=nonprime_residual)
+        return _disagreement(ctx, n, {"classical-prime": ctx.cls[n].classical_prime,
+                                      "residuals-prime": k is None},
+                             witness=None if k is None else (k,))
+    return _each(ctx.propers, violation)
 
 
 _check("thm-classical-prime-residual-top-prime",
@@ -773,10 +773,11 @@ def _k_cp_zero_residuals(ctx: Ctx):
     M, bottom = ctx.M, ctx.M.bottom
     if bottom == M.top or not ctx.cls[bottom].classical_prime:
         return 0, []
-    domain = [b for b in ctx.propers if b != bottom]
-    viols = [_violation_at(ctx, "residual-flag", bottom, B=b, residual=int(ctx.res_mm[bottom, b]))
-             for b in domain if int(ctx.res_mm[bottom, b]) != ctx.L.bottom]
-    return len(domain), viols
+    def violation(b):
+        r = int(ctx.res_mm[bottom, b])
+        return None if r == ctx.L.bottom else _violation_at(ctx, "residual-flag", bottom, B=b,
+                                                            residual=r)
+    return _each([b for b in ctx.propers if b != bottom], violation)
 
 
 @_check("equiv-classical-prime-residual-product",
@@ -878,24 +879,21 @@ def _k_rad_meet(ctx: Ctx):
 
 @_check("thm-rad-eq", "(rad(N):I_M) = sqrt(N:I_M) for every proper N", BUNDLE)
 def _k_rad_eq(ctx: Ctx):
-    viols = []
-    for n in ctx.propers:
+    def violation(n):
         lhs = int(ctx.res_mm[ctx.cls[n].rad, ctx.M.top])
         rhs = ctx.cls[n].sqrt_residual_top
-        if lhs != rhs:
-            viols.append(_violation_at(ctx, "lattice-equality", n, lhs=lhs, rhs=rhs))
-    return len(ctx.propers), viols
+        return None if lhs == rhs else _violation_at(ctx, "lattice-equality", n, lhs=lhs, rhs=rhs)
+    return _each(ctx.propers, violation)
 
 
 @_check("thm-rad-action-formula",
         "rad(N) = sqrt(N:I_M) I_M for every proper N", BUNDLE)
 def _k_rad_action(ctx: Ctx):
-    M, viols = ctx.M, []
-    for n in ctx.propers:
-        want = M.act(ctx.cls[n].sqrt_residual_top, M.top)
-        if ctx.cls[n].rad != want:
-            viols.append(_violation_at(ctx, "rad-value", n, rad=ctx.cls[n].rad, expected=want))
-    return len(ctx.propers), viols
+    M = ctx.M
+    def violation(n):
+        want, r = M.act(ctx.cls[n].sqrt_residual_top, M.top), ctx.cls[n].rad
+        return None if r == want else _violation_at(ctx, "rad-value", n, rad=r, expected=want)
+    return _each(ctx.propers, violation)
 
 
 _check("lem-prime-iff-residual-prime",
@@ -906,11 +904,7 @@ _check("lem-prime-iff-residual-prime",
 @_check("thm-proper-action-proper",
         "q I_M is proper for every proper q in L", BUNDLE)
 def _k_proper_action(ctx: Ctx):
-    M, viols = ctx.M, []
-    for q in ctx.propers_l:
-        if M.act(q, M.top) == M.top:
-            viols.append(_v("action-proper", q=q, label=ctx.L.label(q)))
-    return len(ctx.propers_l), viols
+    return _each(ctx.propers_l, partial(_action_is_top, ctx))
 
 
 _check("lem-primary-action-primary",
@@ -959,31 +953,27 @@ def _k_pp_converse(ctx: Ctx):
     return _implication(ctx, domain, "pseudo_primary", "prime")
 
 
-def _p_joins(ctx: Ctx) -> list[tuple[int, int, int]]:
-    """(N, p, N v p I_M) for every p-pseudo-primary N."""
+def _p_join_kernel(ctx: Ctx, holds: Callable[[int, int], bool]):
+    """``holds(N, N v p I_M)`` for every p-pseudo-primary N."""
     M = ctx.M
-    return [(n, p, M.join(n, M.act(p, M.top))) for n in ctx.propers
-            if (p := ctx.cls[n].p_pseudo_primary) is not None]
+    def violation(n):
+        p = ctx.cls[n].p_pseudo_primary
+        j = M.join(n, M.act(p, M.top))
+        return None if holds(n, j) else _violation_at(ctx, "p-join", n, p=p, join=j,
+                                                      rad=ctx.cls[n].rad)
+    return _each([n for n in ctx.propers if ctx.cls[n].p_pseudo_primary is not None], violation)
 
 
-@_check("thm-p-pseudo-primary-join",
-        "N v p I_M equals rad(N) and is prime, for p-pseudo-primary N with p = sqrt(N:I_M)",
-        BUNDLE)
-def _k_ppp_join(ctx: Ctx):
-    joins, cls, top = _p_joins(ctx), ctx.cls, ctx.M.top
-    viols = [_violation_at(ctx, "p-join", n, p=p, join=j, rad=cls[n].rad)
-             for n, p, j in joins
-             if j == top or not cls[j].prime or j != cls[n].rad or not cls[cls[n].rad].prime]
-    return len(joins), viols
+_check("thm-p-pseudo-primary-join",
+       "N v p I_M equals rad(N) and is prime, for p-pseudo-primary N with p = sqrt(N:I_M)",
+       BUNDLE)(
+    lambda ctx: _p_join_kernel(ctx, lambda n, j: j == ctx.cls[n].rad and _proper_prime(ctx, j)))
 
 
-@_check("cor-rad-join-p",
-        "rad(N) = rad(N v p I_M) for p-pseudo-primary N with p = sqrt(N:I_M)", BUNDLE)
-def _k_rad_join_p(ctx: Ctx):
-    joins, cls = _p_joins(ctx), ctx.cls
-    viols = [_violation_at(ctx, "p-join", n, p=p, join=j, rad=cls[n].rad)
-             for n, p, j in joins if j == ctx.M.top or cls[n].rad != cls[j].rad]
-    return len(joins), viols
+_check("cor-rad-join-p",
+       "rad(N) = rad(N v p I_M) for p-pseudo-primary N with p = sqrt(N:I_M)", BUNDLE)(
+    lambda ctx: _p_join_kernel(
+        ctx, lambda n, j: j != ctx.M.top and ctx.cls[n].rad == ctx.cls[j].rad))
 
 
 def _rad_attachment_sides(ctx: Ctx, n: int) -> dict:
@@ -1014,8 +1004,10 @@ def _k_rad_attachments(ctx: Ctx):
         if len(primes) == 1:
             return None
         return _violation_at(ctx, "attachment-mismatch", n, primes=sorted(primes))
-    return _equivalence(ctx, lambda n: _rad_attachment_sides(ctx, n),
-                        agreed=attachment_mismatch)
+    def violation(n):
+        sides = _rad_attachment_sides(ctx, n)
+        return _disagreement(ctx, n, sides) or attachment_mismatch(n, sides)
+    return _each(ctx.propers, violation)
 
 
 @_check("cor-rad-attachments-pseudo-primary",
@@ -1069,31 +1061,34 @@ def _saturation_pairs(ctx: Ctx) -> list[tuple[int, int, int]]:
 @_check("lem-saturation-below-rad",
         "S_p(N) <= rad(N) for pseudo-primary N and every prime p above (N:I_M)")
 def _k_saturation_below(ctx: Ctx):
-    M = ctx.M
-    pairs = _saturation_pairs(ctx)
-    viols = [_violation_at(ctx, "saturation", n, p=p, saturation=s, rad=ctx.cls[n].rad)
-             for n, p, s in pairs if not M.le(s, ctx.cls[n].rad)]
-    return len(pairs), viols
+    def violation(pair):
+        n, p, s = pair
+        r = ctx.cls[n].rad
+        return None if ctx.M.le(s, r) else _violation_at(ctx, "saturation", n, p=p, saturation=s,
+                                                         rad=r)
+    return _each(_saturation_pairs(ctx), violation)
 
 
 @_check("thm-saturation-prime-rad-prime",
         "if N is pseudo-primary and S_p(N) is prime for some prime p above (N:I_M), "
         "then rad(N) is prime")
 def _k_saturation_prime(ctx: Ctx):
-    M, cls = ctx.M, ctx.cls
-    pairs = [(n, p) for n, p, s in _saturation_pairs(ctx) if s != M.top and cls[s].prime]
-    viols = [_violation_at(ctx, "rad-flag", n, p=p, rad=cls[n].rad, expected="prime")
-             for n, p in pairs if cls[n].rad == M.top or not cls[cls[n].rad].prime]
-    return len(pairs), viols
+    def violation(pair):
+        n, p = pair
+        r = ctx.cls[n].rad
+        return None if _proper_prime(ctx, r) else _violation_at(ctx, "rad-flag", n, p=p, rad=r,
+                                                                 expected="prime")
+    return _each([(n, p) for n, p, s in _saturation_pairs(ctx) if _proper_prime(ctx, s)],
+                 violation)
 
 
 @_check("thm-rad-pseudo-primary-iff-prime",
         "rad(N) is pseudo-primary iff rad(N) is prime, for every proper N")
 def _k_rad_pp_iff_prime(ctx: Ctx):
     cls = ctx.cls
-    return _equivalence(ctx, lambda n: {"rad-pseudo-primary": cls[cls[n].rad].pseudo_primary,
-                                        "rad-prime": cls[cls[n].rad].prime},
-                        guard=lambda n: _rad_is_top(ctx, n))
+    return _each(ctx.propers, lambda n: _rad_is_top(ctx, n) or _disagreement(
+        ctx, n, {"rad-pseudo-primary": cls[cls[n].rad].pseudo_primary,
+                 "rad-prime": cls[cls[n].rad].prime}))
 
 
 # ---------------------------------------------------------------------------
@@ -1194,20 +1189,16 @@ def _k_residual_primary_pcp(ctx: Ctx):
 @_check("lem-sqrt-action-bound",
         "sqrt(q) Y <= sqrt(q) I_M <= rad(q I_M) for proper q with q I_M proper", BUNDLE)
 def _k_sqrt_action_bound(ctx: Ctx):
-    M, viols, count = ctx.M, [], 0
-    for q in ctx.propers_l:
-        n = M.act(q, M.top)
-        if n == M.top:
-            continue
-        s = int(ctx.sqrts[q])
-        stop = M.act(s, M.top)
-        rd = ctx.cls[n].rad
-        for y in M.elements():
-            count += 1
-            if not M.le(M.act(s, y), stop) or not M.le(stop, rd):
-                viols.append(_v("action-bound", q=q, Y=y, label=ctx.L.label(q),
-                                action=M.act(s, y), top_action=stop, rad=rd))
-    return count, viols
+    M = ctx.M
+    top_of, sqrt_of = M.act_table[:, M.top].tolist(), ctx.sqrts.tolist()  # a I_M, sqrt(a)
+    def violation(pair):
+        q, y = pair
+        s = sqrt_of[q]
+        sy, stop, rd = M.act(s, y), top_of[s], ctx.cls[top_of[q]].rad
+        return None if M.le(sy, stop) and M.le(stop, rd) else _v(
+            "action-bound", q=q, Y=y, label=ctx.L.label(q), action=sy, top_action=stop, rad=rd)
+    return _each([(q, y) for q in ctx.propers_l if top_of[q] != M.top for y in M.elements()],
+                 violation)
 
 
 # ---------------------------------------------------------------------------

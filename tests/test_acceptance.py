@@ -6,7 +6,6 @@ Run with plain ``pytest`` (the lines bypass capture) or ``pytest -v``.
 import itertools
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +29,6 @@ from latmod.harness import (
     Fault,
     default_instances,
     make_instance,
-    registry,
     replay_violation,
     run_suite,
 )

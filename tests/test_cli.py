@@ -154,10 +154,15 @@ def test_verify_list(capsys):
     assert "fig1-maximal-implies-prime [dashed]" in out
 
 
-def test_verify_unknown_check(capsys):
-    code, _, err = run_cli(capsys, "verify", "--family", "zn-self", "--max-n", "4",
-                           "--checks", "bogus")
-    assert code == 2 and "unknown check" in err
+def test_verify_unknown_check(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "--family", "zn-self", "--max-n", "4",
+                             "--checks", "bogus")
+    assert (code, out, err) == (2, "", "error: unknown check id 'bogus'\n")
+    # a file error is reported before a check-id error
+    missing = tmp_path / "missing.mlat"
+    code, out, err = run_cli(capsys, "verify", str(missing), "--checks", "bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(missing) in err and "unknown check" not in err
 
 
 def test_verify_repeated_check(tmp_path, capsys):

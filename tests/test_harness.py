@@ -3,6 +3,7 @@ import itertools
 import sys
 import threading
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from latmod import harness
 from latmod.harness import (
     AUTO_HYPOTHESES,
     BUNDLE,
+    HYPOTHESES,
     Ctx,
     Fault,
     TheoremCheck,
@@ -32,7 +34,8 @@ from latmod.harness import (
     run_check,
     run_suite,
 )
-from latmod.module import rad
+from latmod.lattice import validate_lattice
+from latmod.module import rad, validate_module
 
 from conftest import label_index
 
@@ -505,3 +508,75 @@ def test_checks_no_classifier_fault_reaches():
                 report = run_suite([inst], fault=Fault(flag, elements))
                 failed |= {r.check_id for r in report.failures()}
     assert set(registry()) - failed == UNREACHABLE_BY_A_FAULT
+
+
+def _action_bound(y, action):
+    return {"kind": "action-bound", "q": 3, "Y": y, "label": "(4)", "action": action,
+            "top_action": 1, "rad": 3}
+
+
+# Rows: a check, the classification fields of zn-self-12 that one context
+# reads changed ({element: {field: value}}), and the evaluated count and
+# violations that the check then reports.  In zn-self-12, L and M both number
+# (1), (2), (3), (4), (6), (0) as 0-5 with the top (1) = 0, and N = (2), (3),
+# (4), (6), (0) have rad(N) = sqrt(N:I_M) = (2), (3), (2), (6), (6).  These
+# are the violation branches that no classifier fault reaches.
+VIOLATION_BRANCHES = [
+    ("lem-sqrt-residual-below-rad-residual", {3: {"sqrt_residual_top": 0}}, 5,
+     [{"kind": "lattice-leq", "element": 3, "label": "(4)", "lhs": 0, "rhs": 1}]),
+    ("prop-rad-idempotent", {4: {"rad": 0}, 5: {"rad": 3}}, 5,
+     [{"kind": "rad-value", "element": 4, "label": "(6)", "rad": 0},
+      {"kind": "rad-value", "element": 5, "label": "(0)", "rad": 3}]),
+    ("prop-variety-nonempty", {4: {"rad": 0}}, 5,
+     [{"kind": "rad-value", "element": 4, "label": "(6)", "rad": 0}]),
+    ("thm-rad-eq", {3: {"sqrt_residual_top": 0}}, 5,
+     [{"kind": "lattice-equality", "element": 3, "label": "(4)", "lhs": 1, "rhs": 0}]),
+    ("thm-rad-action-formula", {5: {"rad": 3}}, 5,
+     [{"kind": "rad-value", "element": 5, "label": "(0)", "rad": 3, "expected": 4}]),
+    ("lem-sqrt-action-bound", {3: {"rad": 3}}, 30,
+     [_action_bound(y, action) for y, action in enumerate([1, 3, 4, 3, 5, 5])]),
+    ("cor-rad-join-p", {2: {"p_pseudo_primary": 0}, 3: {"rad": 3}}, 3,
+     [{"kind": "p-join", "element": 2, "label": "(3)", "p": 0, "join": 0, "rad": 2},
+      {"kind": "p-join", "element": 3, "label": "(4)", "p": 1, "join": 1, "rad": 3}]),
+    # rad(N) = top is reported before the sides, which would read cls[top]
+    ("thm-rad-pseudo-primary-iff-prime", {4: {"rad": 0}}, 5,
+     [{"kind": "rad-value", "element": 4, "label": "(6)", "rad": 0}]),
+    # the sides agree, but the attached primes do not
+    ("equiv-rad-attachments", {3: {"p_pseudo_primary": 2}}, 5,
+     [{"kind": "attachment-mismatch", "element": 3, "label": "(4)", "primes": [1, 2]}]),
+]
+
+
+@pytest.mark.parametrize("check_id, changes, evaluated, violations", VIOLATION_BRANCHES,
+                         ids=[row[0] for row in VIOLATION_BRANCHES])
+def test_violation_branches_pinned(inst12, check_id, changes, evaluated, violations):
+    ctx = Ctx(inst12)
+    ctx.cls = {n: replace(c, **changes.get(n, {})) for n, c in ctx.cls.items()}
+    result = run_check(ctx, registry()[check_id])
+    assert (result.evaluated, result.violations) == (evaluated, violations)
+
+
+def test_sqrt_meet_violation_pinned(inst12):
+    ctx = Ctx(inst12)
+    ctx.sqrts = ctx.sqrts.copy()
+    ctx.sqrts[5] = 5                    # sqrt((0)) read as (0), not (6)
+    result = run_check(ctx, registry()["lem-sqrt-meet"])
+    assert result.evaluated == 36
+    assert result.violations == [
+        {"kind": "lattice-equality", "pair": [a, b], "lhs": 5, "rhs": 4,
+         "label": f"{inst12.lattice.label(a)}, {inst12.lattice.label(b)}"}
+        for a, b in ((2, 3), (3, 2), (3, 4), (4, 3))]
+
+
+def test_proper_action_violation_pinned():
+    # L is the chain 0 < a < 1 with product = meet, M the chain 0 < 1 with
+    # aX = 1X = X: the proper a has a I_M = I_M.  The bundle fails here (L is
+    # not pg), so the context reads it as met.
+    L = validate_lattice(np.arange(3)[:, None] <= np.arange(3), np.minimum.outer(range(3), range(3)),
+                         labels=["0", "a", "1"])
+    M = validate_module(L, [[True, True], [False, True]], [[0, 0], [0, 1], [0, 1]])
+    ctx = Ctx(make_instance("chain-3-on-chain-2", M))
+    ctx.hypotheses = dict.fromkeys(HYPOTHESES, True)
+    result = run_check(ctx, registry()["thm-proper-action-proper"])
+    assert (result.evaluated, result.violations) == (
+        2, [{"kind": "action-proper", "q": 1, "label": "a"}])

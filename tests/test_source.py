@@ -34,7 +34,12 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+# perfbench/ is left out: it changes only together with the benchmark it defines
+IMPORTERS = SOURCES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
+
+
+@pytest.mark.parametrize("path", IMPORTERS,
+                         ids=lambda p: p.name if p in SOURCES else p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
