@@ -3,8 +3,8 @@
 Exit status contract: 0 = success / all asserted checks pass, 1 = validation
 or check failure, 2 = usage or parse error.  Machine-readable reports
 (``--format json``) are byte-identical for identical inputs and seed; wall
--clock timings appear only in the text format.  Each process builds each
-invoked command's parser once, on first use.
+-clock timings appear only in the text format.  Each process builds one
+parser, with every command, on first use.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from itertools import chain, compress, repeat
@@ -212,11 +213,13 @@ class _InvalidFile(ValueError):
 
 
 def _load_instance(path: str):
-    """The module instance in an MLAT file.  Parse errors (``ParseError``) and
+    """The module instance in an MLAT file, named by the file's last path
+    component without ``.mlat``.  Parse errors (``ParseError``) and
     validation errors (``_InvalidFile``) are raised with messages that name
     the file."""
     try:
-        name, _, module = InstanceSpec(family="file", path=path).build()
+        with open(path, encoding="utf-8") as fh:
+            _, module = parse_instance(fh.read())
     except UnicodeDecodeError as exc:
         raise ParseError(_not_utf8(path, exc)) from None
     except ParseError as exc:
@@ -226,6 +229,7 @@ def _load_instance(path: str):
     if module is None:
         raise ParseError(f"{path} has no module block; classification and "
                          "verification need a module instance")
+    name = re.sub(r"\.mlat$", "", path.replace("\\", "/").rsplit("/", 1)[-1])
     return make_instance(name, module)
 
 
@@ -425,27 +429,21 @@ _COMMANDS = {"gen": _add_gen, "validate": _add_validate,
              "classify": _add_classify, "verify": _add_verify}
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or with only ``command``, built
-    on first use and kept for the process: nothing it holds varies between
-    calls (help wraps to ``COLUMNS`` when it is formatted, ``MLAT_CAP`` is
-    read per call), and parsing leaves it as it was."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, built on first use and kept for
+    the process: nothing it holds varies between calls (help wraps to
+    ``COLUMNS`` when it is formatted, ``MLAT_CAP`` is read per call), and
+    parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="latmod",
         description="Finite multiplicative lattices and lattice modules: "
                     "generate instances, validate files, classify elements, "
                     "and verify the structural theorem suite.")
     parser.add_argument("--version", action="version", version=f"latmod {__version__}")
-    # With one command built, the top usage ("unrecognized arguments" errors)
-    # still lists them all.  Left unset otherwise, since a metavar would also
-    # rename the "command" argument in argparse's own errors.
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
-    for name, add in _COMMANDS.items():
-        if command is None or name == command:
-            add(sub)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for add in _COMMANDS.values():
+        add(sub)
     return parser
 
 
@@ -453,13 +451,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # The top level has only flag options, so a leading "--" ends none, and
     # before a command it is dropped: Python 3.11's argparse would take it for
-    # the command name.  When argv[0] then names a command, argparse hands
-    # every later token to that command's subparser, and only that subparser
-    # needs building.
+    # the command name.
     if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
         del argv[0]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except _OutputError as exc:

@@ -169,11 +169,10 @@ DEFAULT_FAMILY = tuple([("zn-self", n) for n in range(2, 31)]
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """How to obtain one (lattice, module) instance."""
+    """One generated (lattice, module) instance: a FAMILIES entry and its n."""
 
-    family: str                 # a FAMILIES name, or "file"
-    n: int | None = None
-    path: str | None = None
+    family: str
+    n: int
 
     def build(self, cap=DEFAULT_SQUARE_CAP):
         """Returns (name, lattice, module-or-None).
@@ -185,11 +184,6 @@ class InstanceSpec:
         if self.family in FAMILIES:
             bound = cap if callable(cap) else lambda: cap
             return (f"{self.family}-{self.n}", *FAMILIES[self.family][0](self.n, bound))
-        if self.family == "file":
-            with open(self.path, encoding="utf-8") as fh:
-                L, M = parse_instance(fh.read())
-            name = re.sub(r"\.mlat$", "", self.path.replace("\\", "/").rsplit("/", 1)[-1])
-            return name, L, M
         raise ValueError(f"unknown instance family {self.family!r}")
 
 

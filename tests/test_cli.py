@@ -147,6 +147,20 @@ def test_verify_file_single_check(tmp_path, capsys):
     assert "PASS m8 fig1-implications" in out
 
 
+@pytest.mark.parametrize("filename, name", [
+    ("inst.mlat", "inst"), ("dir\\inst.mlat", "inst"), ("inst.txt", "inst.txt")])
+def test_file_instance_is_named_by_its_file(tmp_path, capsys, filename, name):
+    # the last path component without ".mlat", "\\" read as a separator
+    M = gen_zn_self_module(6)
+    path = tmp_path / filename
+    path.write_text(serialize_instance(M.lattice, M), encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path), "--all", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["instance"] == {
+        "name": name, "fingerprint": make_instance("zn-self-6", M).fingerprint,
+        "lattice_elements": 4, "module_elements": 4}
+
+
 def test_verify_list(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0
@@ -429,23 +443,18 @@ def _added_subparsers(monkeypatch, *argvs) -> list[list[str]]:
     return added
 
 
-@pytest.mark.parametrize("command", ["gen", "validate", "classify", "verify"])
-def test_only_the_invoked_subparser_is_built(monkeypatch, capsys, command):
-    assert _added_subparsers(monkeypatch, [command, "-h"]) == [[command]]
+FIRST_ARGVS = {"gen": ["gen", "-h"], "validate": ["validate", "-h"],
+               "classify": ["classify", "-h"], "verify": ["verify", "-h"],
+               "no-command": ["-h"], "unknown": ["bogus"], "empty": []}
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["bogus"], []], ids=["help", "unknown", "empty"])
-def test_every_subparser_is_built_without_a_command(monkeypatch, capsys, argv):
-    assert _added_subparsers(monkeypatch, argv) == [["gen", "validate", "classify", "verify"]]
-
-
-@pytest.mark.parametrize("argvs", [
-    *[([command, "-h"], [command, "--bogus"]) for command in ["gen", "validate", "classify", "verify"]],
-    (["-h"], ["bogus"]),
-], ids=["gen", "validate", "classify", "verify", "no-command"])
-def test_a_second_call_builds_no_subparser(monkeypatch, capsys, argvs):
-    first, second = _added_subparsers(monkeypatch, *argvs)
-    assert first and second == []
+@pytest.mark.parametrize("first", FIRST_ARGVS)
+def test_a_second_call_builds_no_subparser(monkeypatch, capsys, first):
+    # one parser per process: whatever the first call asks, it adds every
+    # command once, in help order, and a later call with any other argv adds none
+    later = [argv for name, argv in FIRST_ARGVS.items() if name != first]
+    added = _added_subparsers(monkeypatch, FIRST_ARGVS[first], *later)
+    assert added == [["gen", "validate", "classify", "verify"]] + [[]] * len(later)
 
 
 def _outcome(capsys, argv) -> tuple:
@@ -455,6 +464,19 @@ def _outcome(capsys, argv) -> tuple:
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "zn-self", "3", "--bogus"], ["validate", "x.mlat", "--bogus"],
+    ["classify", "f", "--all", "--bogus"], ["verify", "--bogus"],
+], ids=lambda argv: argv[0])
+def test_unrecognized_arguments_print_the_top_usage(capsys, argv):
+    # argparse reports an argument that no command takes from the top parser,
+    # so each command's error lists every command, on a cold and a warm parser
+    cli.build_parser.cache_clear()
+    expected = (2, "", "usage: latmod [-h] [--version] {gen,validate,classify,verify} ...\n"
+                       "latmod: error: unrecognized arguments: --bogus\n")
+    assert [_outcome(capsys, argv) for _ in range(2)] == [expected] * 2
 
 
 def test_warm_parser_answers_as_a_cold_one(monkeypatch, capsys):

@@ -143,19 +143,15 @@ def test_square_labels(m8square):
     assert "4Zx2Z" in idx and "<(2,1)>" in idx
 
 
-def test_instance_spec_families(tmp_path):
+def test_instance_spec_families():
     for family, (_, top) in FAMILIES.items():
         name, L, M = InstanceSpec(family=family, n=6).build()
         assert name == f"{family}-6" and L.element_count == 4
         assert (M is None) == (top is None)     # verify --family runs the module families
     name, L, M = InstanceSpec(family="zn-self", n=6).build()
     assert M is not None and M.element_count == 4
-    path = tmp_path / "inst.mlat"
-    path.write_text(serialize_instance(L, M), encoding="utf-8")
-    name, L2, M2 = InstanceSpec(family="file", path=str(path)).build()
-    assert name == "inst" and (M2.act_table == M.act_table).all()
     with pytest.raises(ValueError):
-        InstanceSpec(family="nope").build()
+        InstanceSpec(family="nope", n=6).build()
 
 
 # ---------------------------------------------------------------------------

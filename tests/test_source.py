@@ -74,6 +74,27 @@ def test_no_global_statements():
     assert found == []
 
 
+def _is_process_cache(decorator: ast.expr) -> bool:
+    """``functools.cache`` or ``functools.lru_cache``, called or not."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_process_caches_take_no_structure():
+    # a memo on a structure lives on the structure (lattice._memo); a cache
+    # that lives for the process and took a lattice or a module would keep it
+    # alive (test_structures_freed_after_use)
+    cached = {}
+    for path in Path(latmod.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(map(_is_process_cache,
+                                                             node.decorator_list)):
+                cached[f"{path.stem}.{node.name}"] = [
+                    arg.annotation and ast.unparse(arg.annotation) for arg in node.args.args]
+    assert cached == {"cli.build_parser": [], "module._subset_draws": ["int", "int"]}
+
+
 def owners(tree: ast.Module, nodes) -> list[str]:
     """The name of the innermost function around each of ``nodes``, or ``<module>``."""
     functions = [node for node in ast.walk(tree)
