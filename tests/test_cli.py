@@ -448,6 +448,11 @@ FIRST_ARGVS = {"gen": ["gen", "-h"], "validate": ["validate", "-h"],
                "no-command": ["-h"], "unknown": ["bogus"], "empty": []}
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["bogus"], []], ids=["help", "unknown", "empty"])
+def test_every_subparser_is_built_without_a_command(monkeypatch, capsys, argv):
+    assert _added_subparsers(monkeypatch, argv) == [["gen", "validate", "classify", "verify"]]
+
+
 @pytest.mark.parametrize("first", FIRST_ARGVS)
 def test_a_second_call_builds_no_subparser(monkeypatch, capsys, first):
     # one parser per process: whatever the first call asks, it adds every
