@@ -274,11 +274,9 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
     header_seen = False
     blocks: list[_Block] = []
     # The current block's count and the lattice's, None until declared, and
-    # the block's table statement.  Once both counts are known the block is
-    # ``hot``: its mul/act, leq and label lines are read inline (see below).
+    # the block's table statement.
     n = lattice_count = None
     table_word = None
-    hot = False
 
     # Tokens are whitespace-split; a column is found only for an error.
     def fail(message: str, k: int = 0) -> ParseError:
@@ -286,7 +284,7 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
 
     def arity(k: int) -> None:
         if len(toks) != k + 1:
-            raise fail(f"{word!r} takes {k} argument(s), got {len(toks) - 1}")
+            raise fail(f"{word!r} takes {k} argument(s), got {len(toks) - 1}") from None
 
     def read(k: int) -> int:
         try:
@@ -297,8 +295,10 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
     def ids(bounds, ints_first: bool = False) -> list[int]:
         """The ids after the directive, ``toks[k]`` below ``bounds[k - 1]``
         (``None`` before the block's elements declaration), or the error for
-        the first bad one.  mul/act (``ints_first``) read every id as an integer before
-        checking any bound; the other statements read and check each in turn."""
+        the first bad one.  top and bot read their id here; mul/act, leq and
+        label call it only after their inline read fails, to raise its error.
+        mul/act (``ints_first``) read every id as an integer before checking
+        any bound; the other statements read and check each in turn."""
         ks = range(1, len(bounds) + 1)
         read_first = [read(k) for k in ks] if ints_first else None
         values = []
@@ -307,42 +307,21 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
             if bound is None:
                 # an act statement's first id is bounded by the lattice block
                 owner = "the lattice block's" if word == "act" and k == 1 else "the block's"
-                raise fail(f"{word!r} statement before {owner} elements declaration", k)
+                raise fail(f"{word!r} statement before {owner} elements declaration", k) from None
             if not 0 <= value < bound:
-                raise fail(f"dangling element id {value} ({word})", k)
+                raise fail(f"dangling element id {value} ({word})", k) from None
             values.append(value)
         return values
 
+    # mul/act, leq and label lines, which a block repeats, are read inline:
+    # unpack, int() each id, check each bound (TypeError while a count is
+    # undeclared).  Only a failed read calls arity/ids, to raise its error.
     for lineno, raw in enumerate(_lines(text), 1):
         hash_pos = raw.find("#")
         content = raw if hash_pos < 0 else raw[:hash_pos]
         toks = content.split()
         if not toks:
             continue
-        if hot:
-            # The statements a block repeats, when the checks of the path
-            # below all pass: the arity, int() of each id, each id's bound and
-            # no conflicting table entry.  A line that fails one takes that
-            # path, which raises its error or accepts it as before.
-            word = toks[0]
-            try:
-                if word == table_word and len(toks) == 4:
-                    i, j, v = int(toks[1]), int(toks[2]), int(toks[3])
-                    if (0 <= i < lattice_count and 0 <= j < n and 0 <= v < n
-                            and cells.setdefault(i * n + j, v) == v):
-                        continue
-                elif word == "leq" and len(toks) == 3:
-                    i, j = int(toks[1]), int(toks[2])
-                    if 0 <= i < n and 0 <= j < n:
-                        leq_cells.append(i * n + j)
-                        continue
-                elif word == "label" and len(toks) > 2:
-                    i = int(toks[1])
-                    if 0 <= i < n:
-                        labels[i] = content.split(None, 2)[2].rstrip()
-                        continue
-            except ValueError:
-                pass
         if not header_seen:
             if toks != ["mlat", "1"]:
                 raise fail("expected version header 'mlat 1'")
@@ -363,23 +342,43 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
             cells, leq_cells, labels = block.cells, block.leq_cells, block.labels
             n = None
             table_word = "mul" if word == "lattice" else "act"
-            hot = False
             continue
         if not blocks:
             raise fail(f"statement {word!r} outside any block")
 
-        if word == "mul" or word == "act":
-            if word != table_word:
-                raise fail(f"{word!r} statement is not allowed in a {block.kind} block")
-            arity(3)
-            i, j, v = ids((lattice_count, n, n), ints_first=True)
+        if word == table_word:
+            try:
+                _, i, j, v = toks
+                i, j, v = int(i), int(j), int(v)
+                if not (0 <= i < lattice_count and 0 <= j < n and 0 <= v < n):
+                    raise ValueError
+            except (ValueError, TypeError):
+                arity(3)
+                i, j, v = ids((lattice_count, n, n), ints_first=True)
             seen = cells.setdefault(i * n + j, v)
             if seen != v:
                 raise fail(f"conflicting {word} entry for ({i}, {j}): {seen} vs {v}")
         elif word == "leq":
-            arity(2)
-            i, j = ids((n, n))
+            try:
+                _, i, j = toks
+                i, j = int(i), int(j)
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ValueError
+            except (ValueError, TypeError):
+                arity(2)
+                i, j = ids((n, n))
             leq_cells.append(i * n + j)
+        elif word == "label":
+            try:
+                _, i, label = content.split(None, 2)
+                i = int(i)
+                if not 0 <= i < n:
+                    raise ValueError
+            except (ValueError, TypeError):
+                if len(toks) < 3:
+                    raise fail("'label' takes an id and a label text") from None
+                (i,) = ids((n,))
+            labels[i] = label.rstrip()
         elif word == "elements":
             arity(1)
             if n is not None:
@@ -390,7 +389,6 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
             block.count = n = value
             if block.kind == "lattice":
                 lattice_count = value
-            hot = lattice_count is not None
         elif word in ("top", "bot"):
             arity(1)
             (value,) = ids((n,))
@@ -402,11 +400,8 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
                 if block.bottom is not None:
                     raise fail("duplicate bot declaration")
                 block.bottom = value
-        elif word == "label":
-            if len(toks) < 3:
-                raise fail("'label' takes an id and a label text")
-            (i,) = ids((n,))
-            labels[i] = content.split(None, 2)[2].rstrip()
+        elif word == "mul" or word == "act":
+            raise fail(f"{word!r} statement is not allowed in a {block.kind} block")
         else:
             raise fail(f"unknown directive {word!r}")
 
@@ -415,26 +410,24 @@ def parse_instance(text: str) -> tuple[MultiplicativeLattice, LatticeModule | No
     if not blocks:
         raise ParseError("missing lattice block", 1)
 
-    lat = _build_block(blocks[0], rows=None)
-    L = validate_lattice(lat["leq"], lat["table"], top=lat["top"], bottom=lat["bottom"],
-                         labels=lat["labels"])
+    L = validate_lattice(*_build_block(blocks[0], rows=None))
     if len(blocks) == 1:
         return L, None
-    mod = _build_block(blocks[1], rows=blocks[0].count)
-    M = validate_module(L, mod["leq"], mod["table"], top=mod["top"], bottom=mod["bottom"],
-                        labels=mod["labels"])
-    return L, M
+    return L, validate_module(L, *_build_block(blocks[1], rows=blocks[0].count))
 
 
-def _build_block(block: _Block, rows: int | None) -> dict:
+def _build_block(block: _Block, rows: int | None) -> tuple:
+    """``block``'s (leq, table, top, bottom, labels): the validator's arguments."""
     if block.count is None:
         raise ParseError(f"{block.kind} block has no elements declaration", block.lineno)
     n = block.count
     height = n if rows is None else rows
     # Every cell id is already bounds-checked, so the table is total exactly
     # when it has height * n cells.  Checking that before allocating anything
-    # keeps memory bounded by the input: an "elements 1000000000" line with a
-    # few cells is rejected here instead of allocating n x n arrays.
+    # rejects an "elements 1000000000" line with a few cells here instead of
+    # allocating n x n arrays.  A total table still leaves the n x n order:
+    # memory is quadratic in a module's element count, which its rows * n
+    # act lines bound only linearly.
     if len(block.cells) != height * n:
         i, j = divmod(next(k for k in range(height * n) if k not in block.cells), n)
         stmt = "mul" if block.kind == "lattice" else "act"
@@ -455,5 +448,4 @@ def _build_block(block: _Block, rows: int | None) -> dict:
     labels = None
     if block.labels:
         labels = tuple(block.labels.get(i, str(i)) for i in range(n))
-    return {"leq": leq, "table": table, "top": block.top, "bottom": block.bottom,
-            "labels": labels}
+    return leq, table, block.top, block.bottom, labels

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import latmod
 from latmod import gen_zn_ideal_lattice, gen_zn_self_module, gen_zn_square_module
 
 # Property tests draw the same examples on every run and keep no example
@@ -18,6 +19,12 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "latmod-hypothesis")
 
 # filled by tests/test_acceptance.py; printed after the run
 ACCEPTANCE_LINES = []
+
+
+def pytest_report_header(config):
+    # pyproject.toml's pythonpath puts this checkout's src/ ahead of
+    # PYTHONPATH, so name the tree under test
+    return f"latmod: {Path(latmod.__file__).parent}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from math import gcd, lcm
 from pathlib import Path
@@ -349,3 +350,51 @@ def test_crlf_and_cr_line_ends(eol):
     v01 = (FIXTURES / "v01_two_chain.mlat").read_text(encoding="utf-8")
     assert serialize_instance(*parse_instance(v01.replace("\n", eol))) == \
         serialize_instance(*parse_instance(v01))
+
+
+# What a fuzzed line is made of: an MLAT word, then the words again, ids in
+# and out of range, spellings that int() accepts or rejects, a comment mark,
+# and a tab and a form feed, which separate tokens inside a line
+MLAT_WORDS = ("mlat", "lattice", "module", "elements", "leq", "top", "bot", "mul", "act", "label")
+FUZZ_TOKENS = MLAT_WORDS + ("0", "1", "3", "-1", "99", "x", "#", "٣", "1_0", "+0", "²", "\t",
+                            "\x0c")
+FUZZ_BASES = ([path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.mlat"))]
+              + [serialize_instance(M.lattice, M)
+                 for M in (gen_zn_self_module(4), gen_zn_square_module(2))])
+
+
+@st.composite
+def edited_mlat(draw):
+    """A fixture or a serialized instance with 1-4 line edits: a line
+    deleted, duplicated, swapped with another, given one new token, or
+    inserted: an MLAT word and up to four FUZZ_TOKENS."""
+    lines = draw(st.sampled_from(FUZZ_BASES)).split("\n")
+    token = st.sampled_from(FUZZ_TOKENS)
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "insert"]))
+        if edit == "delete" and len(lines) > 1:
+            del lines[k]
+        elif edit == "duplicate":
+            lines.insert(k, lines[k])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif edit == "replace" and lines[k].split():
+            start, end = draw(st.sampled_from([m.span() for m in re.finditer(r"\S+", lines[k])]))
+            lines[k] = lines[k][:start] + draw(token) + lines[k][end:]
+        elif edit == "insert":
+            words = [draw(st.sampled_from(MLAT_WORDS)), *draw(st.lists(token, max_size=4))]
+            lines.insert(k, " ".join(words))
+    return "\n".join(lines)
+
+
+@given(edited_mlat())
+def test_edited_input_parses_or_raises_a_located_error(text):
+    try:
+        parse_instance(text)
+    except ParseError as err:
+        # MLAT lines end at \n, \r\n or \r only
+        assert err.line is not None and 1 <= err.line <= len(re.split(r"\r\n|\r|\n", text))
+    except ValidationError:
+        pass
