@@ -1,16 +1,17 @@
 """Classification predicates for module elements, with counterexample witnesses.
 
-Every predicate evaluates its defining condition by exhaustive quantification
-over the carrier and returns ``(flag, witness)``, where the witness is the
-lexicographically first violating tuple (quantifiers scanned in ascending id
-order) or ``None`` when the flag holds.  Each condition is written once, for a
-vector of elements: ``classify_all`` classifies a module in one blocked
-whole-table pass, every condition evaluated for all proper elements at once
-in blocks of elements whose masks stay within ``lattice._BLOCK_CELLS`` cells,
-and the predicates are its one-element case.  ``classify`` reads one element
-of it.  ``classify_all`` is memoized on the module and always reports the
-truth; a fault injected to test the theorem harness is a ``harness.Fault``,
-seen only by the check contexts built with it.
+Each class is decided by exhaustive quantification over the carrier; its
+witness is the lexicographically first violating tuple (quantifiers scanned
+in ascending id order), absent when the flag holds.  Each condition is
+evaluated in one place: ``classify_all`` evaluates all of them for all proper
+elements at once (:func:`_witnesses`), in blocks whose masks stay within
+``lattice._BLOCK_CELLS`` cells, and reads the prime one from
+``module._prime_witnesses``, as ``prime_elements`` does.  ``classify``, the
+``is_*`` ``(flag, witness)`` predicates, ``p_attachments`` and
+``is_minimal_prime_over`` read one element of it.  ``classify_all`` is
+memoized on the module and always reports the truth; a fault injected to test
+the theorem harness is a ``harness.Fault``, seen only by the check contexts
+built with it.
 
 All predicates require a proper element; properness is a precondition, not a
 flag failure.
@@ -37,6 +38,7 @@ from .lattice import (
 )
 from .module import (
     LatticeModule,
+    _prime_witnesses,
     _proper_ids,
     _rad_table,
     _require_id,
@@ -75,9 +77,6 @@ FLAG_NAMES = (
     "pseudo_classical_primary",
 )
 
-def _require_proper(M: LatticeModule, N: int) -> None:
-    _require_id(M, N, f"{M.label(M.top)} is not a proper element")
-
 
 def _triple_violations(act_le, mul, bound_le) -> np.ndarray:
     """Bool [N, a, b, K]: (ab)K <= N with aK not<= N and bK not<= the bound
@@ -90,68 +89,39 @@ def _triple_violations(act_le, mul, bound_le) -> np.ndarray:
     return act_le[:, mul] & ~act_le[:, :, None, :] & ~bound_le[:, None, :, :]
 
 
-class _Rows:
-    """The class conditions of the proper elements ``ns``, each written once.
+def _witnesses(M: LatticeModule, ns) -> dict[str, list]:
+    """Per witnessed flag but prime, in FLAG_NAMES order, for each proper
+    element N of ``ns``: the first tuple violating its condition, or None.
 
     A condition is a bool mask, N along axis 0, marking the tuples that
-    violate it (quantifiers in ascending id order); the arrays several
-    conditions read are built once.  The ``is_*`` predicates read the
-    one-element case, ``classify_all`` blocks of every proper element.
+    violate it (quantifiers in ascending id order); each mask is dropped once
+    its witnesses are read.  ``classify_all`` is the only caller.
     """
-
-    def __init__(self, M: LatticeModule, ns):
-        self.M, self.L, self.ns = M, M.lattice, ns
-        self.act_le = _act_le(M.leq, M.act_table, ns)            # [N, a, X]: aX <= N
-        self.top_le = self.act_le[:, :, M.top]                   # [N, a]: a I_M <= N
-        self.ab_top_le = self.act_le[:, self.L.mul_table, M.top]  # [N, a, b]: ab I_M <= N
-        self._rad_act_le = self._classical_prime = None
-
-    def rad_act_le(self):       # [N, b, K]: bK <= rad(N)
-        if self._rad_act_le is None:
-            self._rad_act_le = _act_le(self.M.leq, self.M.act_table, _rad_table(self.M)[self.ns])
-        return self._rad_act_le
-
-    def prime(self):
-        return _prime_violations(self.act_le, self.L.top, self.M.top)
-
-    def primary(self):
-        return _prime_violations(self.act_le, self.L.top, self.M.top,
-                                 _stable_power_table(self.L))
-
-    def semiprime(self):
-        return self.ab_top_le & ~(self.top_le[:, :, None] | self.top_le[:, None, :])
-
-    def radical_element(self):
-        """Not a mask: per N, ((N:I_M), sqrt(N:I_M)) where they differ, else None."""
-        r = residual_mm_table(self.M)[self.ns, self.M.top]
-        s = sqrt_table(self.L)[r]
-        return [None if a == b else (a, b) for a, b in zip(r.tolist(), s.tolist())]
-
-    def classical_prime(self):
-        if self._classical_prime is None:
-            self._classical_prime = _triple_violations(self.act_le, self.L.mul_table,
-                                                       self.act_le)
-        return self._classical_prime
-
-    def two_absorbing(self):
-        return self.classical_prime() & ~self.ab_top_le[..., None]
-
-    def pseudo_primary(self):
-        return _pair_violations(self.act_le, self.rad_act_le()[:, self.L.top], self.top_le)
-
-    def pseudo_classical_primary(self):
-        return _triple_violations(self.act_le, self.L.mul_table, self.rad_act_le())
-
-    def witnesses(self, flag: str) -> list:
-        """Per N: the first tuple violating ``flag``'s condition, or None."""
-        marks = getattr(self, flag)()
-        return marks if flag == "radical_element" else _first_marked(marks)
+    L = M.lattice
+    act_le = _act_le(M.leq, M.act_table, ns)                          # [N, a, X]: aX <= N
+    top_le = act_le[:, :, M.top]                                      # [N, a]: a I_M <= N
+    ab_top_le = act_le[:, L.mul_table, M.top]                         # [N, a, b]: ab I_M <= N
+    rad_act_le = _act_le(M.leq, M.act_table, _rad_table(M)[ns])       # [N, b, K]: bK <= rad(N)
+    residual = residual_mm_table(M)[ns, M.top]
+    classical = _triple_violations(act_le, L.mul_table, act_le)
+    return {
+        "primary": _first_marked(_prime_violations(act_le, L.top, M.top,
+                                                   _stable_power_table(L))),
+        "semiprime": _first_marked(ab_top_le & ~(top_le[:, :, None] | top_le[:, None, :])),
+        # not a mask: ((N:I_M), sqrt(N:I_M)) where they differ
+        "radical_element": [None if r == s else (r, s) for r, s in
+                            zip(residual.tolist(), sqrt_table(L)[residual].tolist())],
+        "classical_prime": _first_marked(classical),
+        "two_absorbing": _first_marked(classical & ~ab_top_le[..., None]),
+        "pseudo_primary": _first_marked(_pair_violations(act_le, rad_act_le[:, L.top], top_le)),
+        "pseudo_classical_primary": _first_marked(
+            _triple_violations(act_le, L.mul_table, rad_act_le)),
+    }
 
 
 def _one(M: LatticeModule, N: int, flag: str):
-    """``(flag, witness)`` of the proper element N."""
-    _require_proper(M, N)
-    witness = _Rows(M, [N]).witnesses(flag)[0]
+    """``(flag, witness)`` of the proper element N, read from its classification."""
+    witness = classify(M, N).witnesses.get(flag)
     return witness is None, witness
 
 
@@ -195,10 +165,6 @@ def is_pseudo_classical_primary(M: LatticeModule, N: int):
     return _one(M, N, "pseudo_classical_primary")
 
 
-# the flags with a defining condition, and so a witness, in FLAG_NAMES order
-_WITNESSED = tuple(flag for flag in FLAG_NAMES if flag != "maximal")
-
-
 @dataclass(frozen=True)
 class PAttachments:
     """Attached primes, when defined: p-prime uses p = (N:I_M), the other two
@@ -220,12 +186,8 @@ def _attachments(lflags, r: int, s: int, prime: bool, primary: bool,
 
 
 def p_attachments(M: LatticeModule, N: int) -> PAttachments:
-    _require_proper(M, N)
-    L = M.lattice
-    r = int(residual_mm_table(M)[N, M.top])
-    s = int(sqrt_table(L)[r])
-    return _attachments(lattice_flags(L), r, s, is_prime_m(M, N)[0],
-                        is_primary_m(M, N)[0], is_pseudo_primary(M, N)[0])
+    c = classify(M, N)
+    return PAttachments(c.p_prime, c.p_primary, c.p_pseudo_primary)
 
 
 def _minimal_over(M: LatticeModule) -> np.ndarray:
@@ -246,7 +208,7 @@ def is_minimal_prime_over(M: LatticeModule, N: int, X: int) -> bool:
         raise ValueError(f"{M.label(N)} is not a prime element")
     if not M.le(X, N):
         raise ValueError(f"{M.label(X)} is not below {M.label(N)}")
-    return bool(_minimal_over(M)[prime_elements(M).index(N), X])
+    return X in classify(M, N).minimal_prime_over
 
 
 @dataclass(frozen=True)
@@ -296,7 +258,7 @@ class Classification:
 
 def classify(M: LatticeModule, N: int) -> Classification:
     """Aggregate classification of a proper element."""
-    _require_proper(M, N)
+    _require_id(M, N, f"{M.label(M.top)} is not a proper element")
     return classify_all(M)[N]
 
 
@@ -310,11 +272,10 @@ def classify_all(M: LatticeModule) -> dict[int, Classification]:
     """
     L = M.lattice
     ids = _proper_ids(M)
-    witnesses = {flag: [] for flag in _WITNESSED}
+    witnesses = {"prime": list(_prime_witnesses(M))}     # then the others, in FLAG_NAMES order
     for block in _row_blocks(ids.size, L.element_count ** 2 * M.element_count):
-        rows = _Rows(M, ids[block])
-        for flag in _WITNESSED:
-            witnesses[flag] += rows.witnesses(flag)
+        for flag, found in _witnesses(M, ids[block]).items():
+            witnesses.setdefault(flag, []).extend(found)
     lflags = lattice_flags(L)
     residual_top = residual_mm_table(M)[:, M.top].tolist()
     sqrts = sqrt_table(L).tolist()

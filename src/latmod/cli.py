@@ -65,6 +65,13 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
     return f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
 
 
+def _read_mlat(path: str) -> str:
+    """The text of an MLAT file without a leading byte-order mark.  The file
+    is decoded whole, so a decoding error's offset counts from its first byte."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().removeprefix("\ufeff")
+
+
 class _OutputError(Exception):
     """The ``-o`` output file cannot be written (exit status 2)."""
 
@@ -183,8 +190,7 @@ def cmd_gen(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_mlat(args.path)
     except OSError as exc:
         return _usage_error(str(exc))
     except UnicodeDecodeError as exc:
@@ -218,8 +224,7 @@ def _load_instance(path: str):
     validation errors (``_InvalidFile``) are raised with messages that name
     the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            _, module = parse_instance(fh.read())
+        _, module = parse_instance(_read_mlat(path))
     except UnicodeDecodeError as exc:
         raise ParseError(_not_utf8(path, exc)) from None
     except ParseError as exc:

@@ -44,6 +44,7 @@ from .lattice import (
     _act_le,
     _checked_labels,
     _coatoms,
+    _first_marked,
     _freeze,
     _join_of_members,
     _join_principal,
@@ -56,7 +57,6 @@ from .lattice import (
     _principally_generated,
     _require_in,
     _row_blocks,
-    _unmarked,
     lattice_flags,
 )
 
@@ -355,14 +355,23 @@ def _proper_ids(M: LatticeModule) -> np.ndarray:
 
 
 @_memo
-def prime_elements(M: LatticeModule) -> tuple[int, ...]:
-    """Ids of the prime elements of M, in ascending order; the condition is
-    checked for all proper elements at once, in blocks."""
+def _prime_witnesses(M: LatticeModule) -> tuple[tuple[int, int] | None, ...]:
+    """Per proper element N, ascending: the first (a, X) with aX <= N, X not<= N
+    and a I_M not<= N, or None where N is prime.  The one evaluation of the
+    prime condition on M, in blocks; ``prime_elements`` and ``classify_all`` read it."""
     ids = _proper_ids(M)
-    prime = _unmarked(
-        lambda ns: _prime_violations(_act_le(M.leq, M.act_table, ns), M.lattice.top, M.top),
-        ids, M.lattice.element_count * M.element_count)
-    return tuple(ids[prime].tolist())
+    out = []
+    for rows in _row_blocks(ids.size, M.lattice.element_count * M.element_count):
+        out += _first_marked(_prime_violations(_act_le(M.leq, M.act_table, ids[rows]),
+                                               M.lattice.top, M.top))
+    return tuple(out)
+
+
+@_memo
+def prime_elements(M: LatticeModule) -> tuple[int, ...]:
+    """Ids of the prime elements of M, ascending: the proper elements without a prime witness."""
+    return tuple(n for n, witness in zip(_proper_ids(M).tolist(), _prime_witnesses(M))
+                 if witness is None)
 
 
 @_memo

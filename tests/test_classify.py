@@ -1,3 +1,5 @@
+import itertools
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -216,18 +218,29 @@ def agreement_modules():
     return modules
 
 
+@pytest.fixture(scope="module")
+def one_element_blocks():
+    """classify_all of each of agreement_modules() in blocks of one element."""
+    modules = agreement_modules()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "_BLOCK_CELLS", 1)
+        return [classify_all(M) for M in modules]
+
+
 @pytest.mark.parametrize("block_cells", [None, 600], ids=["default-blocks", "small-blocks"])
-def test_whole_table_pass_matches_predicates(monkeypatch, block_cells):
+def test_whole_table_pass_matches_predicates(monkeypatch, one_element_blocks, block_cells):
     # classify_all evaluates each condition for every proper element at once,
-    # in blocks of elements; the predicates evaluate one element
+    # in blocks of elements; it matches blocks of one element, and the
+    # predicates read it
     if block_cells is not None:
         monkeypatch.setattr(lattice, "_BLOCK_CELLS", block_cells)
     blocked = 0
-    for M in agreement_modules():
+    for M, single in zip(agreement_modules(), one_element_blocks):
         cells = M.lattice.element_count ** 2 * M.element_count
         blocked += len(_row_blocks(M.element_count - 1, cells)) > 1
         primes = prime_elements(M)
-        for n, c in classify_all(M).items():
+        assert classify_all(M) == single, M
+        for n, c in single.items():
             for flag, predicate in PREDICATES.items():
                 assert (c.flag(flag), c.witnesses.get(flag)) == predicate(M, n), (M, n, flag)
             attached = p_attachments(M, n)
@@ -238,6 +251,31 @@ def test_whole_table_pass_matches_predicates(monkeypatch, block_cells):
                 x for x in M.elements() if M.le(x, n) and is_minimal_prime_over(M, n, x))
                 if n in primes else ())
     assert (blocked > 0) == (block_cells is not None)
+
+
+@pytest.mark.parametrize("first", [prime_elements, classify_all], ids=lambda fn: fn.__name__)
+def test_prime_condition_evaluated_once_per_block(monkeypatch, first):
+    # module._prime_witnesses is the one evaluation of the prime condition on
+    # M: prime_elements, rad, classify_all and is_prime_m all read it
+    M = gen_zn_square_module(10)
+    monkeypatch.setattr(lattice, "_BLOCK_CELLS", 600)
+    rows = []
+    for namespace in (sys.modules["latmod.module"], sys.modules["latmod.classify"]):
+        def counted(act_le, unit, top, *powers, evaluate=namespace._prime_violations):
+            if not powers:      # the prime condition; the primary one passes stable powers
+                rows.append(act_le.shape[0])
+            return evaluate(act_le, unit, top, *powers)
+
+        monkeypatch.setattr(namespace, "_prime_violations", counted)
+    first(M)
+    prime_elements(M)
+    classify_all(M)
+    rad(M, M.bottom)
+    is_prime_m(M, M.bottom)
+    proper = range(M.element_count - 1)
+    blocks = _row_blocks(len(proper), M.lattice.element_count * M.element_count)
+    assert len(blocks) > 1
+    assert rows == [len(proper[block]) for block in blocks]
 
 
 def test_classify_all_memory_bounded():
@@ -254,24 +292,86 @@ def test_classify_all_memory_bounded():
     assert peak < 59 * 60 ** 3, f"peak {peak / 2**20:.1f} MB"
 
 
+def first_violation(tuples, violates):
+    """(flag, witness): the first of ``tuples`` that ``violates``, or (True, None)."""
+    return next(((False, t) for t in tuples if violates(*t)), (True, None))
+
+
+def plain_prime(M, n):
+    """(flag, witness) of the prime condition on n, by a plain loop over (a, X)."""
+    le, act = M.le, M.act
+    return first_violation(itertools.product(M.lattice.elements(), M.elements()),
+                           lambda a, x: le(act(a, x), n) and not le(x, n)
+                           and not le(act(a, M.top), n))
+
+
 def plain_prime_elements(M):
     """Ids of the prime elements of M, by a plain loop over the definition."""
-    L = M.lattice
-    out = []
-    for n in M.proper_elements():
-        prime = True
-        for a in range(L.element_count):
-            if M.le(M.act(a, M.top), n):
-                continue
-            for x in M.elements():
-                if M.le(M.act(a, x), n) and not M.le(x, n):
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            out.append(n)
-    return tuple(out)
+    return tuple(n for n in M.proper_elements() if plain_prime(M, n)[0])
+
+
+def plain_powers(L, a):
+    """a, a^2, a^3, ... up to the first repeat."""
+    out, p = [], a
+    while p not in out:
+        out.append(p)
+        p = L.mul(p, a)
+    return out
+
+
+def plain_classes(M, n):
+    """Per witnessed flag of the proper element n: (flag, the first violating
+    tuple in ascending id order), by plain loops over the definitions; and
+    rad(n) and the x that n is a minimal prime over."""
+    L, le, act, top = M.lattice, M.le, M.act, M.top
+    pairs = list(itertools.product(L.elements(), M.elements()))
+    triples = list(itertools.product(L.elements(), L.elements(), M.elements()))
+    primes = plain_prime_elements(M)
+    residual = L.join_all(x for x in L.elements() if le(act(x, top), n))        # (n:I_M)
+    root = L.join_all(a for a in L.elements()
+                      if any(L.le(p, residual) for p in plain_powers(L, a)))
+    radical = M.meet_all(p for p in primes if le(n, p))
+
+    def abk(a, b, k, bound):       # abK <= n, aK not<= n, bK not<= bound
+        return le(act(L.mul(a, b), k), n) and not le(act(a, k), n) and not le(act(b, k), bound)
+
+    flags = {
+        "prime": plain_prime(M, n),
+        "primary": first_violation(pairs, lambda a, x: le(act(a, x), n) and not le(x, n)
+                                   and not any(le(act(p, top), n) for p in plain_powers(L, a))),
+        "semiprime": first_violation(
+            itertools.product(L.elements(), repeat=2),
+            lambda a, b: le(act(L.mul(a, b), top), n) and not le(act(a, top), n)
+            and not le(act(b, top), n)),
+        "radical_element": (True, None) if residual == root else (False, (residual, root)),
+        "classical_prime": first_violation(triples, lambda a, b, k: abk(a, b, k, n)),
+        "two_absorbing": first_violation(triples, lambda a, b, k: abk(a, b, k, n)
+                                         and not le(act(L.mul(a, b), top), n)),
+        "pseudo_primary": first_violation(pairs, lambda a, x: le(act(a, x), n)
+                                          and not le(act(a, top), n) and not le(x, radical)),
+        "pseudo_classical_primary": first_violation(triples,
+                                                    lambda a, b, k: abk(a, b, k, radical)),
+    }
+    minimal_over = tuple(x for x in M.elements() if le(x, n) and not any(
+        le(x, q) and le(q, n) for q in primes if q != n)) if n in primes else ()
+    return flags, radical, minimal_over
+
+
+def test_classify_all_matches_plain_references():
+    # each flag and witness of classify_all against a plain loop over its
+    # definition: the default family, zn-square 6/9/10 and the valid fixtures
+    modules = [inst.module for inst in default_instances()]
+    modules += [gen_zn_square_module(n) for n in (6, 9, 10)]
+    modules += [M for M in (parse_instance(path.read_text(encoding="utf-8"))[1]
+                            for path in sorted(FIXTURES.glob("v*.mlat"))) if M is not None]
+    witnessed = set()
+    for M in modules:
+        for n, c in classify_all(M).items():
+            flags, radical, minimal_over = plain_classes(M, n)
+            assert {flag: (c.flag(flag), c.witnesses.get(flag)) for flag in flags} == flags, (M, n)
+            assert (c.rad, c.minimal_prime_over) == (radical, minimal_over), (M, n)
+            witnessed |= set(c.witnesses)
+    assert witnessed == set(PREDICATES)      # every class fails somewhere
 
 
 def test_classifier_and_module_prime_routes_agree():

@@ -286,6 +286,26 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, argv):
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def test_leading_byte_order_mark_is_skipped(tmp_path, capsys):
+    # an editor may save UTF-8 with a leading U+FEFF; under the same file
+    # name, which the reports carry, the file reads as it does without one
+    commands = [("validate",), ("classify", "--all", "--format", "json"),
+                ("verify", "--format", "json")]
+    for fixture in ("v01_two_chain.mlat", "v02_two_chain_module.mlat"):
+        path = tmp_path / fixture
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(bom + (FIXTURES / fixture).read_bytes())
+            outputs.append([run_cli(capsys, argv[0], str(path), *argv[1:]) for argv in commands])
+        assert outputs[0] == outputs[1]
+        assert outputs[1][0][0] == 0
+    assert [code for code, _, _ in outputs[1]] == [0, 0, 0]    # v02 has a module block
+    # a decoding error's offset still counts the mark's three bytes
+    path.write_bytes(b"\xef\xbb\xbfmlat 1\nlattice\nelements 1\nlabel 0 caf\xe9\n")
+    assert run_cli(capsys, "validate", str(path))[2] == \
+        f"{path}: not valid UTF-8 (invalid continuation byte at byte 40)\n"
+
+
 @pytest.mark.parametrize("command", ["classify", "verify"])
 def test_load_errors_name_the_file(capsys, command):
     good = str(FIXTURES / "v02_two_chain_module.mlat")

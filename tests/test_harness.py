@@ -302,15 +302,14 @@ def test_fault_reads_the_one_classification(monkeypatch):
     # through sys.modules
     classify_module = sys.modules["latmod.classify"]
     builds = []
+    evaluate = classify_module._witnesses
 
-    class Counted(classify_module._Rows):
-        """Records the elements of each whole-table block it is built for."""
+    def counted(M, ns):
+        """Records the elements of each whole-table block evaluated."""
+        builds.append((M, list(ns)))
+        return evaluate(M, ns)
 
-        def __init__(self, M, ns):
-            builds.append((M, list(ns)))
-            super().__init__(M, ns)
-
-    monkeypatch.setattr(classify_module, "_Rows", Counted)
+    monkeypatch.setattr(classify_module, "_witnesses", counted)
     inst = make_instance("zn-square-4", gen_zn_square_module(4))
     other = make_instance("zn-self-12", gen_zn_self_module(12))
     assert not run_suite([inst, other], fault=Fault("pseudo_primary")).ok()

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 import tracemalloc
 from math import gcd, lcm
@@ -25,6 +27,7 @@ from latmod import (
     validate_lattice,
     validate_module,
 )
+from latmod.cli import main
 from latmod.instances import FAMILIES, InstanceSpec, divisors
 
 from conftest import label_index
@@ -398,3 +401,17 @@ def test_edited_input_parses_or_raises_a_located_error(text):
         assert err.line is not None and 1 <= err.line <= len(re.split(r"\r\n|\r|\n", text))
     except ValidationError:
         pass
+
+
+@given(edited_mlat())
+def test_edited_input_through_the_cli(tmp_path_factory, text):
+    # every edit exits 0, 1 or 2 without raising, and a valid file with a
+    # module block classifies
+    path = tmp_path_factory.getbasetemp() / "edited.mlat"
+    path.write_bytes(text.encode("utf-8"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["validate", str(path)])
+        assert code in (0, 1, 2)
+        if code == 0 and "+module" in out.getvalue():
+            assert main(["classify", str(path), "--all", "--format", "json"]) == 0

@@ -138,6 +138,23 @@ def test_matmuls_only_in_bool_matmul():
     assert sites == {"lattice.py": ["_bool_matmul"], "harness.py": ["_k_prime_residual_bound"]}
 
 
+def test_class_conditions_evaluated_in_one_place_each():
+    # the element class conditions run only in the lattice's flags, the
+    # module's prime-witness memo and the classifier's block function, so no
+    # second route to a verdict or a witness comes back; _prime_violations
+    # is _pair_violations with the bound N
+    conditions = {"_prime_violations", "_pair_violations", "_triple_violations"}
+    sites = {}
+    for path in Path(latmod.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) in conditions]
+        if calls:
+            sites[path.name] = sorted(set(owners(tree, calls)))
+    assert sites == {"lattice.py": ["_prime_violations", "lattice_flags"],
+                     "module.py": ["_prime_witnesses"], "classify.py": ["_witnesses"]}
+
+
 def _docstrings(tree: ast.Module) -> set[int]:
     """The ids of the docstring nodes of the module, its classes and functions."""
     owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
