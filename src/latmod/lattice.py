@@ -186,15 +186,28 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _mismatches(axiom: str, lhs, rhs, message, keep=None) -> list[Violation]:
+    """One ``axiom`` violation at each index where ``lhs != rhs``, broadcast
+    together, and ``keep`` holds, in ascending index order; its text is
+    ``message(*index, lhs value, rhs value)``."""
+    bad = np.not_equal(lhs, rhs)
+    if keep is not None:
+        bad = bad & keep
+    if not bad.any():       # the common, valid case: no index to read
+        return []
+    index = np.nonzero(bad)
+    got = np.broadcast_to(lhs, bad.shape)[index].tolist()
+    want = np.broadcast_to(rhs, bad.shape)[index].tolist()
+    return [Violation(axiom, at, message(*at, x, y))
+            for at, x, y in zip(zip(*(i.tolist() for i in index)), got, want)]
+
+
 def _order_violations(leq: np.ndarray) -> list[Violation]:
-    n = leq.shape[0]
-    out = [Violation("order-reflexive", (i,), f"{i} <= {i} fails")
-           for i in np.flatnonzero(~leq.diagonal()).tolist()]
-    anti = leq & leq.T & ~np.eye(n, dtype=bool)
-    for i, j in np.argwhere(anti):
-        if i < j:
-            out.append(Violation("order-antisymmetric", (int(i), int(j)),
-                                 f"{i} <= {j} and {j} <= {i} with {i} != {j}"))
+    ids = np.arange(leq.shape[0])
+    out = _mismatches("order-reflexive", leq.diagonal(), True, lambda i, *_: f"{i} <= {i} fails")
+    out += _mismatches("order-antisymmetric", leq & leq.T, False,
+                       lambda i, j, *_: f"{i} <= {j} and {j} <= {i} with {i} != {j}",
+                       keep=ids[:, None] < ids)
     reach = _bool_matmul(leq, leq)
     for i, j in np.argwhere(reach & ~leq):
         k = int(np.flatnonzero(leq[i] & leq[:, j])[0])
@@ -299,52 +312,57 @@ def _lattice_order(leq: np.ndarray, top, bottom):
     return (join, meet, derived_top, derived_bottom), out
 
 
-def _check_lattice(leq, mul_table, top, bottom):
-    """:func:`lattice_violations`, plus ``(leq, join, meet, mul, top, bottom)`` when valid."""
+def _checked_tables(leq, table, rows, top, bottom, *, name, noun, carrier, square):
+    """The start of both validators: a square, nonempty order (:func:`_lattice_order`),
+    then ``table`` as int64, of ``rows`` rows (None: one per element) and
+    element ids.  Returns ``((leq, join, meet, table, top, bottom), violations)``,
+    or ``(None, violations)`` when checking must stop there; ``name``, ``noun``,
+    ``carrier`` and ``square`` are the texts in which the two differ.
+    """
     leq = np.asarray(leq, dtype=bool)
     if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
-        return None, [Violation("order-shape", (), f"leq must be a square matrix, got {leq.shape}")]
+        return None, [Violation("order-shape", (), f"{square}, got {leq.shape}")]
     n = leq.shape[0]
     if n == 0:
-        return None, [Violation("order-shape", (), "carrier must be nonempty")]
+        return None, [Violation("order-shape", (), f"{carrier} must be nonempty")]
 
     order, out = _lattice_order(leq, top, bottom)
     if order is None:
         return None, out
-    join, meet, derived_top, derived_bottom = order
 
-    mul = np.asarray(mul_table, dtype=np.int64)
-    if mul.shape != (n, n):
-        return None, out + [Violation("mul-shape", (), f"mul table must be {n}x{n}, got {mul.shape}")]
-    if ((mul < 0) | (mul >= n)).any():
-        i, j = map(int, np.argwhere((mul < 0) | (mul >= n))[0])
-        return None, out + [Violation("mul-range", (i, j),
-                                      f"mul[{i},{j}] = {int(mul[i, j])} is not a carrier id")]
+    table = np.asarray(table, dtype=np.int64)
+    shape = (n if rows is None else rows, n)
+    if table.shape != shape:
+        return None, out + [Violation(f"{name}-shape", (),
+                                      f"{noun} must be {shape[0]}x{n}, got {table.shape}")]
+    if ((table < 0) | (table >= n)).any():
+        i, j = np.argwhere((table < 0) | (table >= n))[0].tolist()
+        return None, out + [Violation(f"{name}-range", (i, j),
+                                      f"{name}[{i},{j}] = {table[i, j]} is not a {carrier} id")]
+    join, meet, top, bottom = order
+    return (leq, join, meet, table, top, bottom), out
 
-    ids = np.arange(n)
-    for i, j in np.argwhere(mul != mul.T):
-        if i < j:
-            out.append(Violation("mul-commutative", (int(i), int(j)),
-                                 f"{i}*{j} = {int(mul[i, j])} but {j}*{i} = {int(mul[j, i])}"))
-    for (a,) in np.argwhere(mul[derived_top] != ids):
-        out.append(Violation("mul-identity", (int(a),),
-                             f"top * {a} = {int(mul[derived_top, a])}, expected {a}"))
-    for (a,) in np.argwhere(mul[:, derived_top] != ids):
-        if mul[derived_top, a] == a:  # avoid duplicating the symmetric report
-            out.append(Violation("mul-identity", (int(a),),
-                                 f"{a} * top = {int(mul[a, derived_top])}, expected {a}"))
-    assoc_lhs = mul[mul, :]
-    assoc_rhs = mul[ids[:, None, None], mul[None, :, :]]
-    for a, b, c in np.argwhere(assoc_lhs != assoc_rhs):
-        out.append(Violation("mul-associative", (int(a), int(b), int(c)),
-                             f"({a}*{b})*{c} = {int(assoc_lhs[a, b, c])} but {a}*({b}*{c}) = {int(assoc_rhs[a, b, c])}"))
-    dist_lhs = mul[ids[:, None, None], join[None, :, :]]
-    dist_rhs = join[mul[:, :, None], mul[:, None, :]]
-    for a, b, c in np.argwhere(dist_lhs != dist_rhs):
-        out.append(Violation("mul-join-distributive", (int(a), int(b), int(c)),
-                             f"{a}*({b} v {c}) = {int(dist_lhs[a, b, c])} but "
-                             f"{a}*{b} v {a}*{c} = {int(dist_rhs[a, b, c])}"))
-    return (leq, join, meet, mul, derived_top, derived_bottom), out
+
+def _check_lattice(leq, mul_table, top, bottom):
+    """:func:`lattice_violations`, plus ``(leq, join, meet, mul, top, bottom)`` when valid."""
+    tables, out = _checked_tables(leq, mul_table, None, top, bottom, name="mul", noun="mul table",
+                                  carrier="carrier", square="leq must be a square matrix")
+    if tables is None:
+        return None, out
+    _, join, _, mul, top, _ = tables
+    ids = np.arange(len(mul))
+    out += _mismatches("mul-commutative", mul, mul.T,
+                       lambda i, j, u, v: f"{i}*{j} = {u} but {j}*{i} = {v}",
+                       keep=ids[:, None] < ids)
+    out += _mismatches("mul-identity", mul[top], ids, lambda a, u, _: f"top * {a} = {u}, expected {a}")
+    out += _mismatches("mul-identity", mul[:, top], ids,
+                       lambda a, u, _: f"{a} * top = {u}, expected {a}",
+                       keep=mul[top] == ids)    # avoid duplicating the symmetric report
+    out += _mismatches("mul-associative", mul[mul, :], mul[:, mul],
+                       lambda a, b, c, u, v: f"({a}*{b})*{c} = {u} but {a}*({b}*{c}) = {v}")
+    out += _mismatches("mul-join-distributive", mul[:, join], join[mul[:, :, None], mul[:, None, :]],
+                       lambda a, b, c, u, v: f"{a}*({b} v {c}) = {u} but {a}*{b} v {a}*{c} = {v}")
+    return tables, out
 
 
 def lattice_violations(leq, mul_table, top=None, bottom=None) -> list[Violation]:
@@ -378,6 +396,18 @@ def _checked_labels(labels, count: int) -> tuple[str, ...] | None:
     return labels
 
 
+def _validated(cls, checked, labels, *head):
+    """``cls(*head, leq, join, meet, table, top, bottom, labels)``, tables frozen,
+    from the ``(tables, violations)`` of a table check: the end of both
+    validators.  Raises :class:`ValidationError` for any violation or label
+    that MLAT cannot carry (:func:`_checked_labels`)."""
+    tables, violations = checked
+    if violations:
+        raise ValidationError(violations)
+    labels = _checked_labels(labels, len(tables[0]))
+    return cls(*head, *map(_freeze, tables[:4]), *tables[4:], labels)
+
+
 def validate_lattice(leq, mul_table, top=None, bottom=None, labels=None) -> MultiplicativeLattice:
     """Validate raw tables and return the frozen structure.
 
@@ -385,20 +415,7 @@ def validate_lattice(leq, mul_table, top=None, bottom=None, labels=None) -> Mult
     carrying the violation report when an axiom fails or a label is one
     that MLAT cannot carry (:func:`_checked_labels`).
     """
-    fields, violations = _check_lattice(leq, mul_table, top, bottom)
-    if violations:
-        raise ValidationError(violations)
-    leq, join, meet, mul, top, bottom = fields
-    labels = _checked_labels(labels, leq.shape[0])
-    return MultiplicativeLattice(
-        leq=_freeze(leq),
-        join_table=_freeze(join),
-        meet_table=_freeze(meet),
-        mul_table=_freeze(mul),
-        top=top,
-        bottom=bottom,
-        labels=labels,
-    )
+    return _validated(MultiplicativeLattice, _check_lattice(leq, mul_table, top, bottom), labels)
 
 
 # ---------------------------------------------------------------------------

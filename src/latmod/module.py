@@ -11,15 +11,17 @@ arbitrary families:
     (5) bottom_L A    == bottom_M
 
 On a finite carrier the family forms of (1) and (2) follow from the binary
-and empty-join cases, which is what ``validate_module`` checks exhaustively:
-by induction on the size of the family, (join_{i<=k} a_i) A ==
-(join_{i<k} a_i) A v a_k A, and likewise for (2).  Only when one of those
-cases fails does it spot-check the family forms, to name the families the
-failure breaks; when all hold, no subset can fail.  The 200 spot-check
-subsets come from a fixed seed and all 200 are evaluated in one numpy pass.
-They depend only on the sizes of L and M, so each (|L|, |M|) shape's 200
-families are drawn once per process and kept, read-only, in a memo bounded
-to ``_SUBSET_DRAW_SHAPES`` shapes.
+and empty-join cases: by induction on the size of the family,
+(join_{i<=k} a_i) A == (join_{i<k} a_i) A v a_k A, and likewise for (2).
+``validate_module`` checks those cases and (3)-(5) exhaustively, each as one
+whole-table comparison, after the raw-table checks it shares with
+``validate_lattice``.  Only when a case of (1) or (2) fails, not (3) or (4)
+alone, does it spot-check the family forms, to name the families the failure
+breaks; when all hold, no subset can fail.  The 200 spot-check subsets come
+from a fixed seed and all 200 are evaluated in one numpy pass.  They depend
+only on the sizes of L and M, so each (|L|, |M|) shape's 200 families are
+drawn once per process and kept, read-only, in a memo bounded to
+``_SUBSET_DRAW_SHAPES`` shapes.
 
 This module also provides the structural operators: residuals in both
 directions, the prime-radical ``rad``, saturation, varieties, and the
@@ -38,25 +40,25 @@ import numpy as np
 
 from .lattice import (
     MultiplicativeLattice,
-    ValidationError,
     Violation,
     _FiniteLattice,
     _act_le,
-    _checked_labels,
+    _checked_tables,
     _coatoms,
     _first_marked,
     _freeze,
     _join_of_members,
     _join_principal,
-    _lattice_order,
     _least_upper_bounds,
     _meet_principal,
     _memo,
+    _mismatches,
     _prime_violations,
     _principal,
     _principally_generated,
     _require_in,
     _row_blocks,
+    _validated,
     lattice_flags,
 )
 
@@ -114,71 +116,41 @@ class LatticeModule(_FiniteLattice):
 
 def _check_module(L: MultiplicativeLattice, leq, act_table, top, bottom):
     """:func:`module_violations`, plus ``(leq, join, meet, act, top, bottom)`` when valid."""
-    leq = np.asarray(leq, dtype=bool)
-    if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
-        return None, [Violation("order-shape", (), f"module leq must be square, got {leq.shape}")]
-    m = leq.shape[0]
-    if m == 0:
-        return None, [Violation("order-shape", (), "module carrier must be nonempty")]
-
-    order, out = _lattice_order(leq, top, bottom)
-    if order is None:
+    tables, out = _checked_tables(leq, act_table, L.element_count, top, bottom, name="act",
+                                  noun="action table", carrier="module carrier",
+                                  square="module leq must be square")
+    if tables is None:
         return None, out
-    join, meet, derived_top, derived_bottom = order
+    leq, join, _, act, _, bottom = tables
+    lids, mids = np.arange(L.element_count), np.arange(len(leq))
 
-    nl = L.element_count
-    act = np.asarray(act_table, dtype=np.int64)
-    if act.shape != (nl, m):
-        return None, out + [Violation("act-shape", (), f"action table must be {nl}x{m}, got {act.shape}")]
-    if ((act < 0) | (act >= m)).any():
-        a, x = map(int, np.argwhere((act < 0) | (act >= m))[0])
-        return None, out + [Violation("act-range", (a, x),
-                                      f"act[{a},{x}] = {int(act[a, x])} is not a module carrier id")]
-
-    lids = np.arange(nl)
-    mids = np.arange(m)
-    joins_checked = len(out)
-
-    # (1) binary: (a v b) A == aA v bA
-    lhs = act[L.join_table, :]
-    rhs = join[act[:, None, :], act[None, :, :]]
-    for a, b, x in np.argwhere(lhs != rhs):
-        if a <= b:
-            out.append(Violation("axiom-1", (int(a), int(b), int(x)),
-                                 f"({a} v {b}){x} = {int(lhs[a, b, x])} but {a}{x} v {b}{x} = {int(rhs[a, b, x])}"))
+    # (1) binary: (a v b) A == aA v bA, for ids a <= b
+    joins = _mismatches("axiom-1", act[L.join_table, :], join[act[:, None, :], act[None, :, :]],
+                        lambda a, b, x, u, v: f"({a} v {b}){x} = {u} but {a}{x} v {b}{x} = {v}",
+                        keep=(lids[:, None] <= lids)[:, :, None])
     # (5) == the empty-join case of (1): bottom_L A == bottom_M
-    for (x,) in np.argwhere(act[L.bottom] != derived_bottom):
-        out.append(Violation("axiom-5", (int(x),),
-                             f"bottom * {x} = {int(act[L.bottom, x])}, expected module bottom {derived_bottom}"))
-    # (2) binary: a (A v B) == aA v aB
-    lhs = act[:, join]
-    rhs = join[act[:, :, None], act[:, None, :]]
-    for a, x, y in np.argwhere(lhs != rhs):
-        if x <= y:
-            out.append(Violation("axiom-2", (int(a), int(x), int(y)),
-                                 f"{a}({x} v {y}) = {int(lhs[a, x, y])} but {a}{x} v {a}{y} = {int(rhs[a, x, y])}"))
+    joins += _mismatches("axiom-5", act[L.bottom], bottom,
+                         lambda x, u, v: f"bottom * {x} = {u}, expected module bottom {v}")
+    # (2) binary: a (A v B) == aA v aB, for ids A <= B
+    joins += _mismatches("axiom-2", act[:, join], join[act[:, :, None], act[:, None, :]],
+                         lambda a, x, y, u, v: f"{a}({x} v {y}) = {u} but {a}{x} v {a}{y} = {v}",
+                         keep=mids[:, None] <= mids)
     # (2) empty-join case: a bottom_M == bottom_M
-    for (a,) in np.argwhere(act[:, derived_bottom] != derived_bottom):
-        out.append(Violation("axiom-2-empty", (int(a),),
-                             f"{a} * module bottom = {int(act[a, derived_bottom])}, expected {derived_bottom}"))
+    joins += _mismatches("axiom-2-empty", act[:, bottom], bottom,
+                         lambda a, u, v: f"{a} * module bottom = {u}, expected {v}")
+    out += joins
     # (3): (a b) A == a (b A)
-    lhs = act[L.mul_table, :]
-    rhs = act[lids[:, None, None], act[None, :, :]]
-    for a, b, x in np.argwhere(lhs != rhs):
-        out.append(Violation("axiom-3", (int(a), int(b), int(x)),
-                             f"({a}*{b}){x} = {int(lhs[a, b, x])} but {a}({b}{x}) = {int(rhs[a, b, x])}"))
+    out += _mismatches("axiom-3", act[L.mul_table, :], act[:, act],
+                       lambda a, b, x, u, v: f"({a}*{b}){x} = {u} but {a}({b}{x}) = {v}")
     # (4): top_L A == A
-    for (x,) in np.argwhere(act[L.top] != mids):
-        out.append(Violation("axiom-4", (int(x),),
-                             f"top * {x} = {int(act[L.top, x])}, expected {x}"))
+    out += _mismatches("axiom-4", act[L.top], mids,
+                       lambda x, u, _: f"top * {x} = {u}, expected {x}")
 
-    # Folding a family from the bottom, one member at a time, applies the
-    # empty case once and the binary case at each step, so the family forms
-    # of (1) and (2) hold whenever those cases do.  Spot-check them only after
-    # one failed, to list the families it breaks.
-    if len(out) > joins_checked:
+    # the family forms of (1) and (2) hold whenever their join cases do (see
+    # the module docstring): spot-check them only to list what a failure breaks
+    if joins:
         out += _subset_violations(L, act, leq)
-    return (leq, join, meet, act, derived_top, derived_bottom), out
+    return tables, out
 
 
 # Shapes whose spot-check draws stay memoized; a (4, 40) entry is about 12 KB.
@@ -282,21 +254,7 @@ def validate_module(L: MultiplicativeLattice, leq, act_table,
 
     Join and meet are derived from the order.
     """
-    fields, violations = _check_module(L, leq, act_table, top, bottom)
-    if violations:
-        raise ValidationError(violations)
-    leq, join, meet, act, top, bottom = fields
-    labels = _checked_labels(labels, leq.shape[0])
-    return LatticeModule(
-        lattice=L,
-        leq=_freeze(leq),
-        join_table=_freeze(join),
-        meet_table=_freeze(meet),
-        act_table=_freeze(act),
-        top=top,
-        bottom=bottom,
-        labels=labels,
-    )
+    return _validated(LatticeModule, _check_module(L, leq, act_table, top, bottom), labels, L)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import itertools
+import random
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latmod import (
@@ -24,9 +26,12 @@ from latmod import (
     parse_instance,
     prime_elements,
     rad,
+    validate_lattice,
+    validate_module,
 )
 from latmod import lattice
-from latmod.harness import default_instances
+from latmod.classify import FLAG_NAMES
+from latmod.harness import default_instances, make_instance, run_suite
 from latmod.lattice import _row_blocks
 
 from conftest import label_index
@@ -433,3 +438,45 @@ def test_multiplication_collapse_small():
             lf = l_element_flags(L, c.residual_top)
             assert c.pseudo_primary == c.primary == c.pseudo_classical_primary == lf.primary
             assert c.prime == c.classical_prime == c.semiprime == lf.prime
+
+
+def relabelled(M, rng):
+    """``M`` and its lattice with element ids permuted at random, top and
+    bottom included, revalidated from raw tables; returns the module and the
+    two permutations (new id of each old id), for L and for M."""
+    L = M.lattice
+    perm_l = np.array(rng.sample(range(L.element_count), L.element_count))
+    perm_m = np.array(rng.sample(range(M.element_count), M.element_count))
+    old_l, old_m = np.argsort(perm_l), np.argsort(perm_m)     # old id at each new id
+    L2 = validate_lattice(L.leq[np.ix_(old_l, old_l)], perm_l[L.mul_table[np.ix_(old_l, old_l)]],
+                          top=perm_l[L.top], bottom=perm_l[L.bottom],
+                          labels=[L.label(a) for a in old_l.tolist()])
+    M2 = validate_module(L2, M.leq[np.ix_(old_m, old_m)], perm_m[M.act_table[np.ix_(old_l, old_m)]],
+                         top=perm_m[M.top], bottom=perm_m[M.bottom],
+                         labels=[M.label(x) for x in old_m.tolist()])
+    return M2, perm_l.tolist(), perm_m.tolist()
+
+
+@pytest.mark.parametrize("instance", default_instances() + [
+    make_instance(f"zn-square-{n}", gen_zn_square_module(n)) for n in (6, 9, 10, 12)],
+    ids=lambda instance: instance.name)
+def test_relabelled_instances_classify_alike(instance):
+    # the classes, radicals, residuals and attachments are properties of the
+    # structure, not of its ids; witnesses are not compared, since the first
+    # tuple in id order moves with the ids
+    M = instance.module
+    rng = random.Random(instance.name)
+    suite = [(r.check_id, r.status, r.evaluated) for r in run_suite([instance]).results]
+    for _ in range(3):
+        M2, perm_l, perm_m = relabelled(M, rng)
+        got = classify_all(M2)
+        for n, c in classify_all(M).items():
+            c2 = got[perm_m[n]]
+            assert [c2.flag(name) for name in FLAG_NAMES] == [c.flag(name) for name in FLAG_NAMES]
+            assert c2.rad == perm_m[c.rad]
+            assert c2.residual_top == perm_l[c.residual_top]
+            assert c2.sqrt_residual_top == perm_l[c.sqrt_residual_top]
+            assert [c2.p_prime, c2.p_primary, c2.p_pseudo_primary] == [
+                None if p is None else perm_l[p] for p in (c.p_prime, c.p_primary, c.p_pseudo_primary)]
+        assert [(r.check_id, r.status, r.evaluated) for r in run_suite(
+            [make_instance(instance.name, M2)]).results] == suite

@@ -126,6 +126,19 @@ def test_classify_unknown_element(tmp_path, capsys):
     assert code == 2 and "unknown element" in err
 
 
+def test_classify_unknown_id(tmp_path, capsys):
+    path = tmp_path / "l12self.mlat"
+    run_cli(capsys, "gen", "zn-self", "12", "-o", str(path))
+    assert run_cli(capsys, "classify", str(path), "--id", "999") == (
+        2, "", "error: unknown element id 999\n")
+
+
+def test_validate_a_directory(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "validate", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_classify_requires_module(tmp_path, capsys):
     path = tmp_path / "l12.mlat"
     run_cli(capsys, "gen", "zn-ideals", "12", "-o", str(path))

@@ -327,6 +327,16 @@ def test_statement_ids_checked_in_order(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("mlat 1\n", "missing lattice block (line 1)"),
+    ("mlat 1\nlattice\n", "lattice block has no elements declaration (line 2)"),
+], ids=["no-block", "no-elements"])
+def test_incomplete_file_rejected(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
+
+
 # str.splitlines() also breaks at these; MLAT lines end only at \n, \r\n or \r
 NON_NEWLINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 

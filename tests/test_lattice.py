@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from latmod import (
     is_pg_lattice,
     is_principal_l,
     l_element_flags,
+    parse_instance,
     residual_ll,
     sqrt,
     stable_power,
@@ -36,11 +38,15 @@ from latmod.lattice import (
 
 from conftest import label_index
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+CHAIN = [[True, True], [False, True]]     # 0 < 1
+CHAIN_MUL = [[0, 0], [0, 1]]              # meet; 1 is the top
+
 
 def two_chain():
-    leq = [[True, True], [False, True]]
-    mul = [[0, 0], [0, 1]]  # meet; 1 is the top
-    return validate_lattice(leq, mul)
+    return validate_lattice(CHAIN, CHAIN_MUL)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +104,37 @@ def test_supplied_table_cross_checked(l12):
     with pytest.raises(ValidationError) as err:
         validate_lattice(l12.leq, l12.mul_table, top=l12.bottom)
     assert any(v.axiom == "top" for v in err.value.violations)
+
+
+@pytest.mark.parametrize("leq, mul, declared, expected", [
+    ([True, True], CHAIN_MUL, {}, [
+        Violation("order-shape", (), "leq must be a square matrix, got (2,)")]),
+    ([[True, True]], CHAIN_MUL, {}, [
+        Violation("order-shape", (), "leq must be a square matrix, got (1, 2)")]),
+    (np.zeros((0, 0), dtype=bool), [], {}, [
+        Violation("order-shape", (), "carrier must be nonempty")]),
+    (CHAIN, [[0, 0, 0], [0, 1, 1]], {}, [
+        Violation("mul-shape", (), "mul table must be 2x2, got (2, 3)")]),
+    (CHAIN, [[0, -1], [0, 1]], {}, [
+        Violation("mul-range", (0, 1), "mul[0,1] = -1 is not a carrier id")]),
+    (CHAIN, [[0, 0], [0, 2]], {}, [
+        Violation("mul-range", (1, 1), "mul[1,1] = 2 is not a carrier id")]),
+    (CHAIN, CHAIN_MUL, {"top": 0, "bottom": 1}, [
+        Violation("top", (0,), "declared top 0, order gives 1"),
+        Violation("bottom", (1,), "declared bottom 1, order gives 0")]),
+    (CHAIN, [[0, 0]], {"bottom": 1}, [
+        Violation("bottom", (1,), "declared bottom 1, order gives 0"),
+        Violation("mul-shape", (), "mul table must be 2x2, got (1, 2)")]),
+], ids=["1-d", "non-square", "empty", "shape", "negative", "too-large", "top-bottom",
+        "bottom-then-shape"])
+def test_raw_table_guards(leq, mul, declared, expected):
+    assert lattice_violations(leq, mul, **declared) == expected
+
+
+def test_label_count_checked():
+    with pytest.raises(ValidationError) as err:
+        validate_lattice(CHAIN, CHAIN_MUL, labels=["0"])
+    assert err.value.violations == [Violation("labels", (), "expected 2 labels, got 1")]
 
 
 @st.composite
@@ -340,23 +377,23 @@ def test_sqrt_values(l12):
     assert sqrt(l12, l12.top) == l12.top
 
 
-def test_sqrt_oracle_brute_force(l12, l8):
+def brute_force_sqrt(L, a):
     # independent route: try every exponent up to the carrier size
+    members = []
+    for x in L.elements():
+        p = x
+        for _ in range(L.element_count + 1):
+            if L.le(p, a):
+                members.append(x)
+                break
+            p = L.mul(p, x)
+    return L.join_all(members)
+
+
+def test_sqrt_oracle_brute_force(l12, l8):
     for L in (l12, l8):
-        n = L.element_count
         for a in L.elements():
-            members = []
-            for x in L.elements():
-                p = x
-                hits = False
-                for _ in range(n + 1):
-                    if L.le(p, a):
-                        hits = True
-                        break
-                    p = L.mul(p, x)
-                if hits:
-                    members.append(x)
-            assert L.join_all(members) == sqrt(L, a)
+            assert brute_force_sqrt(L, a) == sqrt(L, a)
 
 
 def test_sqrt_properties(l12):
@@ -402,6 +439,18 @@ def test_prime_flags_against_oracle():
         for a in L.elements():
             assert l_element_flags(L, a).prime == brute_force_prime(L, a)
             assert l_element_flags(L, a).primary == brute_force_primary(L, a)
+
+
+def test_p_primary_against_definition():
+    # q is p-primary when q is primary, sqrt(q) = p and p is prime
+    fixtures = [parse_instance(path.read_text(encoding="utf-8"))[0]
+                for path in sorted(FIXTURES.glob("v*.mlat"))]
+    for L in [gen_zn_ideal_lattice(n) for n in range(2, 61)] + fixtures:
+        primes = [brute_force_prime(L, p) for p in L.elements()]
+        for q in L.elements():
+            primary, radical = brute_force_primary(L, q), brute_force_sqrt(L, q)
+            assert [is_p_primary_l(L, q, p) for p in L.elements()] == [
+                primary and radical == p and primes[p] for p in L.elements()]
 
 
 def test_flag_values(l12):

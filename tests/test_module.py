@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from latmod import (
+    ValidationError,
     gen_zn_self_module,
     is_faithful,
     is_multiplication_module,
@@ -17,12 +18,14 @@ from latmod import (
     residual_ml,
     residual_mm,
     saturation,
+    validate_lattice,
     validate_module,
     variety,
     variety_l,
 )
 from latmod import lattice
 from latmod.harness import default_instances
+from latmod.lattice import Violation
 from latmod.module import (
     _SUBSET_DRAW_SHAPES,
     _saturations,
@@ -108,6 +111,53 @@ def test_same_shape_rejects_draw_once(monkeypatch, m8self):
         act[cell] = (act[cell] + 1) % m8self.element_count
         assert module_violations(L, m8self.leq, act)
     assert made == [(0,)]
+
+
+CHAIN = [[True, True], [False, True]]     # 0 < 1
+
+
+@pytest.fixture(scope="module")
+def two_chain():
+    return validate_lattice(CHAIN, [[0, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("leq, act, declared, expected", [
+    ([True, True], [[0, 0], [0, 1]], {}, [
+        Violation("order-shape", (), "module leq must be square, got (2,)")]),
+    ([[True, True]], [[0, 0], [0, 1]], {}, [
+        Violation("order-shape", (), "module leq must be square, got (1, 2)")]),
+    (np.zeros((0, 0), dtype=bool), np.zeros((2, 0), dtype=int), {}, [
+        Violation("order-shape", (), "module carrier must be nonempty")]),
+    (CHAIN, [[0, 0, 0], [0, 1, 1]], {}, [
+        Violation("act-shape", (), "action table must be 2x2, got (2, 3)")]),
+    (CHAIN, [[0, 0], [-1, 1]], {}, [
+        Violation("act-range", (1, 0), "act[1,0] = -1 is not a module carrier id")]),
+    (CHAIN, [[0, 0], [0, 5]], {}, [
+        Violation("act-range", (1, 1), "act[1,1] = 5 is not a module carrier id")]),
+    (CHAIN, [[0, 0]], {"bottom": 1}, [
+        Violation("bottom", (1,), "declared bottom 1, order gives 0"),
+        Violation("act-shape", (), "action table must be 2x2, got (1, 2)")]),
+], ids=["1-d", "non-square", "empty", "shape", "negative", "too-large", "bottom-then-shape"])
+def test_raw_table_guards(two_chain, leq, act, declared, expected):
+    assert module_violations(two_chain, leq, act, **declared) == expected
+
+
+def test_label_count_checked(two_chain):
+    with pytest.raises(ValidationError) as err:
+        validate_module(two_chain, CHAIN, [[0, 0], [0, 1]], labels=["0", "1", "2"])
+    assert err.value.violations == [Violation("labels", (), "expected 2 labels, got 3")]
+
+
+def test_spot_checks_only_after_a_join_case_fails(monkeypatch):
+    # 0 < a < 1 with a*a = 0, acting on 0 < 1 with a x = x: only (3) fails,
+    # and the family forms of (1) and (2) follow from their join cases
+    L = validate_lattice(np.triu(np.ones((3, 3), dtype=bool)), [[0, 0, 0], [0, 0, 1], [0, 1, 2]])
+    spot_checked = []
+    monkeypatch.setattr("latmod.module._subset_violations",
+                        lambda *args: spot_checked.append(args) or [])
+    assert module_violations(L, CHAIN, [[0, 0], [0, 1], [0, 1]]) == [
+        Violation("axiom-3", (1, 1, 1), "(1*1)1 = 0 but 1(11) = 1")]
+    assert spot_checked == []
 
 
 def test_single_element_module(l12):

@@ -155,6 +155,22 @@ def test_class_conditions_evaluated_in_one_place_each():
                      "module.py": ["_prime_witnesses"], "classify.py": ["_witnesses"]}
 
 
+def test_violations_built_in_named_places():
+    # every table axiom of both validators is one lattice._mismatches call, so
+    # a Violation is built directly only by the shared raw-table checks, the
+    # order checks and the labels, and the family spot checks of a module
+    sites = {}
+    for name in ("lattice.py", "module.py"):
+        tree = ast.parse((Path(latmod.__file__).parent / name).read_text(encoding="utf-8"))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "Violation"]
+        sites[name] = sorted(set(owners(tree, calls)))
+    assert sites == {
+        "lattice.py": ["_checked_labels", "_checked_tables", "_derive_join_meet",
+                       "_lattice_order", "_mismatches", "_order_violations"],
+        "module.py": ["_subset_violations"]}
+
+
 def _docstrings(tree: ast.Module) -> set[int]:
     """The ids of the docstring nodes of the module, its classes and functions."""
     owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
