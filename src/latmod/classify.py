@@ -6,7 +6,10 @@ in ascending id order), absent when the flag holds.  Each condition is
 evaluated in one place: ``classify_all`` evaluates all of them for all proper
 elements at once (:func:`_witnesses`), in blocks whose masks stay within
 ``lattice._BLOCK_CELLS`` cells, and reads the prime one from
-``module._prime_witnesses``, as ``prime_elements`` does.  ``classify``, the
+``module._prime_witnesses``, as ``prime_elements`` does.  That is one
+``lattice._first_witnesses`` pass, the blocked first-witness pass that
+``lattice_flags`` runs on L; ``classify_all`` keeps a block loop of its own
+because its other conditions share one gather per block.  ``classify``, the
 ``is_*`` ``(flag, witness)`` predicates, ``p_attachments`` and
 ``is_minimal_prime_over`` read one element of it.  ``classify_all`` is
 memoized on the module and always reports the truth; a fault injected to test

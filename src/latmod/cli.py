@@ -49,16 +49,21 @@ def _square_cap() -> int:
     try:
         return int(value)
     except ValueError:
-        raise SystemExit(_usage_error(f"MLAT_CAP must be an integer, got {value!r}"))
+        raise _usage_error(f"MLAT_CAP must be an integer, got {value!r}") from None
 
 
 def _module_families() -> list[str]:
     return [name for name, (_, top) in FAMILIES.items() if top is not None]
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+class _Failure(Exception):
+    """A failure that a command detects, raised where it is found as
+    ``_Failure(exit status, stderr text)``; ``main`` writes the text in one
+    write and returns the status."""
+
+
+def _usage_error(message: str) -> _Failure:
+    return _Failure(2, f"error: {message}\n")
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
@@ -72,17 +77,13 @@ def _read_mlat(path: str) -> str:
         return fh.read().removeprefix("\ufeff")
 
 
-class _OutputError(Exception):
-    """The ``-o`` output file cannot be written (exit status 2)."""
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _OutputError(str(exc)) from None
+            raise _usage_error(str(exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -183,30 +184,33 @@ def cmd_gen(args) -> int:
     try:
         _, lattice, module = spec.build(cap=_square_cap)
     except ValueError as exc:
-        return _usage_error(str(exc))
+        raise _usage_error(str(exc)) from None
     _emit(serialize_instance(lattice, module), args.output)
     return 0
 
 
+def _parse_file(path: str, prefix: str):
+    """``parse_instance`` on the MLAT file at ``path``.  A file that cannot be
+    read is a usage error; one that does not decode or parse fails with status
+    2 and its message after ``prefix``.  A ``ValidationError`` is left to the
+    caller."""
+    try:
+        return parse_instance(_read_mlat(path))
+    except OSError as exc:
+        raise _usage_error(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise _Failure(2, f"{prefix}{_not_utf8(path, exc)}\n") from None
+    except ParseError as exc:
+        raise _Failure(2, f"{prefix}{path}: {exc}\n") from None
+
+
 def cmd_validate(args) -> int:
     try:
-        text = _read_mlat(args.path)
-    except OSError as exc:
-        return _usage_error(str(exc))
-    except UnicodeDecodeError as exc:
-        print(_not_utf8(args.path, exc), file=sys.stderr)
-        return 2
-    try:
-        parse_result = parse_instance(text)
-    except ParseError as exc:
-        print(f"{args.path}: {exc}", file=sys.stderr)
-        return 2
+        lattice, module = _parse_file(args.path, "")
     except ValidationError as exc:
-        # one write: a reject lists dozens of violations
-        sys.stderr.write("".join([f"{args.path}: invalid instance\n"] + [
-            f"  [{v.axiom}] witness {v.witness}: {v.message}\n" for v in exc.violations]))
-        return 1
-    lattice, module = parse_result
+        raise _Failure(1, "".join([f"{args.path}: invalid instance\n"] + [
+            f"  [{v.axiom}] witness {v.witness}: {v.message}\n"
+            for v in exc.violations])) from None
     blocks = "lattice" + ("+module" if module is not None else "")
     print(f"{args.path}: valid ({blocks}, lattice elements={lattice.element_count}"
           + (f", module elements={module.element_count}" if module is not None else "")
@@ -214,38 +218,22 @@ def cmd_validate(args) -> int:
     return 0
 
 
-class _InvalidFile(ValueError):
-    """An instance file that parses but fails validation (exit status 1)."""
-
-
 def _load_instance(path: str):
     """The module instance in an MLAT file, named by the file's last path
-    component without ``.mlat``.  Parse errors (``ParseError``) and
-    validation errors (``_InvalidFile``) are raised with messages that name
-    the file."""
+    component without ``.mlat``; every failure names the file."""
     try:
-        _, module = parse_instance(_read_mlat(path))
-    except UnicodeDecodeError as exc:
-        raise ParseError(_not_utf8(path, exc)) from None
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        _, module = _parse_file(path, "error: ")
     except ValidationError as exc:
-        raise _InvalidFile(f"{path}: invalid instance: {exc}") from None
+        raise _Failure(1, f"{path}: invalid instance: {exc}\n") from None
     if module is None:
-        raise ParseError(f"{path} has no module block; classification and "
-                         "verification need a module instance")
+        raise _usage_error(f"{path} has no module block; classification and "
+                           "verification need a module instance")
     name = re.sub(r"\.mlat$", "", path.replace("\\", "/").rsplit("/", 1)[-1])
     return make_instance(name, module)
 
 
 def cmd_classify(args) -> int:
-    try:
-        instance = _load_instance(args.path)
-    except (OSError, ParseError) as exc:
-        return _usage_error(str(exc))
-    except _InvalidFile as exc:
-        print(exc, file=sys.stderr)
-        return 1
+    instance = _load_instance(args.path)
     module = instance.module
     started = time.perf_counter()
     classifications = classify_all(module)
@@ -255,15 +243,15 @@ def cmd_classify(args) -> int:
     else:
         if args.id is not None:
             if not 0 <= args.id < module.element_count:
-                return _usage_error(f"unknown element id {args.id}")
+                raise _usage_error(f"unknown element id {args.id}")
             element = args.id
         else:
             matches = [i for i in module.elements() if module.label(i) == args.label]
             if not matches:
-                return _usage_error(f"unknown element label {args.label!r}")
+                raise _usage_error(f"unknown element label {args.label!r}")
             element = matches[0]
         if element == module.top:
-            return _usage_error(
+            raise _usage_error(
                 f"element {module.label(element)} is the top element; "
                 "classification applies to proper elements only")
         selected = [element]
@@ -324,9 +312,9 @@ def cmd_verify(args) -> int:
         return 0
 
     if args.max_n is not None and args.family not in _module_families():
-        return _usage_error(f"--max-n applies only to --family {' or '.join(_module_families())}")
+        raise _usage_error(f"--max-n applies only to --family {' or '.join(_module_families())}")
     instances = []
-    try:
+    try:                                # a generator's bound is a usage error
         if args.family == "default":
             instances.extend(default_instances(square_cap=_square_cap()))
         elif args.family is not None:
@@ -335,34 +323,31 @@ def cmd_verify(args) -> int:
                 name, _, module = InstanceSpec(family=args.family, n=n).build(cap=_square_cap)
                 instances.append(make_instance(name, module))
             if not instances:           # only --max-n below 2 leaves a family empty
-                return _usage_error(f"--family {args.family} --max-n {args.max_n} gives no "
-                                    "instance: n runs from 2")
-        origin = {instance.name: f"--family {args.family}" for instance in instances}
-        for path in args.paths:
-            instance = _load_instance(path)
-            if instance.name in origin:
-                return _usage_error(f"{origin[instance.name]} and {path} both give "
-                                    f"an instance named {instance.name!r}")
-            origin[instance.name] = path
-            instances.append(instance)
-    except _InvalidFile as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:    # ParseError, or a generator's bound
-        return _usage_error(str(exc))
+                raise _usage_error(f"--family {args.family} --max-n {args.max_n} gives no "
+                                   "instance: n runs from 2")
+    except ValueError as exc:
+        raise _usage_error(str(exc)) from None
+    origin = {instance.name: f"--family {args.family}" for instance in instances}
+    for path in args.paths:
+        instance = _load_instance(path)
+        if instance.name in origin:
+            raise _usage_error(f"{origin[instance.name]} and {path} both give "
+                               f"an instance named {instance.name!r}")
+        origin[instance.name] = path
+        instances.append(instance)
     if not instances:
-        return _usage_error("nothing to verify: pass instance files or --family")
+        raise _usage_error("nothing to verify: pass instance files or --family")
 
     if args.checks == "all":
         selection = "all"
     else:
         selection = [c.strip() for c in args.checks.split(",") if c.strip()]
         if not selection:
-            return _usage_error(f"--checks {args.checks!r} names no check")
+            raise _usage_error(f"--checks {args.checks!r} names no check")
         try:
             _select(selection)      # the rule run_suite applies, checked before any check runs
         except (KeyError, ValueError) as exc:
-            return _usage_error(exc.args[0])
+            raise _usage_error(exc.args[0]) from None
 
     report = run_suite(instances, checks=selection, seed=args.seed)
     payload = {
@@ -462,8 +447,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _OutputError as exc:
-        return _usage_error(str(exc))
+    except _Failure as exc:
+        code, text = exc.args
+        sys.stderr.write(text)
+        return code
 
 
 if __name__ == "__main__":

@@ -71,7 +71,14 @@ import numpy as np
 
 from .classify import FLAG_NAMES, Classification, _attachments, classify_all
 from .instances import DEFAULT_FAMILY, DEFAULT_SQUARE_CAP, InstanceSpec, serialize_instance
-from .lattice import _bool_matmul, _row_blocks, is_pg_lattice, lattice_flags, sqrt_table
+from .lattice import (
+    _bool_matmul,
+    _first_witnesses,
+    _row_blocks,
+    is_pg_lattice,
+    lattice_flags,
+    sqrt_table,
+)
 from .module import (
     LatticeModule,
     _proper_ids,
@@ -731,14 +738,12 @@ def _k_cp_cg(ctx: Ctx):
         "if (N:X) != (N:Y) always forces N = (N v X) ^ (N v Y), then N is classical prime")
 def _k_join_meet_condition(ctx: Ctx):
     M, ids = ctx.M, _proper_ids(ctx.M)
-    holds = np.empty(ids.size, dtype=bool)
-    for block in _row_blocks(ids.size, 8 * M.element_count ** 2):    # 8-byte ids
-        ns = ids[block]
+    def violations(ns):
         rows, up = ctx.res_mm[ns], M.join_table[ns]    # [N, X]: (N:X), N v X
         meets = M.meet_table[up[:, :, None], up[:, None, :]]        # [N, X, Y]
-        holds[block] = ((rows[:, :, None] == rows[:, None, :])
-                        | (meets == ns[:, None, None])).all(axis=(1, 2))
-    domain = ids[holds].tolist()
+        return (rows[:, :, None] != rows[:, None, :]) & (meets != ns[:, None, None])
+    witnesses = _first_witnesses(violations, ids, 8 * M.element_count ** 2)    # 8-byte ids
+    domain = [n for n, witness in zip(ids.tolist(), witnesses) if witness is None]
     return _implication(ctx, domain, "join-meet-condition", "classical_prime")
 
 

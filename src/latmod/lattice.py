@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from math import prod
 
 import numpy as np
 
@@ -575,33 +574,25 @@ def _row_blocks(count: int, row_cells: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def _unmarked(violations, ids: np.ndarray, row_cells: int) -> np.ndarray:
-    """Bool [i]: ``violations(block)``, a mask with one row per id of the
-    block, marks nothing in the row of ``ids[i]``; ids are taken in
-    :func:`_row_blocks` of ``row_cells`` cells per row."""
-    out = np.empty(len(ids), dtype=bool)
+def _first_witnesses(violations, ids: np.ndarray, row_cells: int) -> list[tuple[int, ...] | None]:
+    """Per id of ``ids``, in order: the first index marked in its row of
+    ``violations(block)``, a mask with one row per id of the block
+    (:func:`_first_marked`), or None where the row marks nothing; ids are
+    taken in :func:`_row_blocks` of ``row_cells`` cells per row."""
+    out = []
     for rows in _row_blocks(len(ids), row_cells):
-        marks = violations(ids[rows])
-        out[rows] = ~marks.reshape(marks.shape[0], -1).any(axis=1)
+        out += _first_marked(violations(ids[rows]))
     return out
 
 
 def _first_marked(marks: np.ndarray) -> list[tuple[int, ...] | None]:
     """Per row of ``marks`` (axis 0): the lexicographically first marked index
     into the remaining axes, or None where the row marks nothing."""
-    shape = marks.shape[1:]
-    flat = marks.reshape(marks.shape[0], prod(shape))
-    return [_unravel(j, shape) if flat.item(i, j) else None
-            for i, j in enumerate(flat.argmax(axis=1).tolist())]
-
-
-def _unravel(index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """The index into an array of ``shape`` at flat position ``index`` (C order)."""
-    out = []
-    for size in reversed(shape):
-        index, rest = divmod(index, size)
-        out.append(rest)
-    return tuple(reversed(out))
+    flat = marks.reshape(marks.shape[0], -1)
+    first = flat.argmax(axis=1)
+    hit = flat[np.arange(first.size), first].tolist()
+    at = zip(*(axis.tolist() for axis in np.unravel_index(first, marks.shape[1:])))
+    return [index if found else None for found, index in zip(hit, at)]
 
 
 def _principally_generated(leq: np.ndarray, principal) -> bool:
@@ -641,21 +632,18 @@ def lattice_flags(L: MultiplicativeLattice) -> tuple[LElementFlags, ...]:
     """Flags for every element, computed by exhaustive quantification: each
     condition for all elements at once, in blocks."""
     n = L.element_count
-    ids = np.arange(n)
-    proper = ids != L.top
     stable = _stable_power_table(L)
-    prime = proper & _unmarked(
-        lambda a: _prime_violations(_act_le(L.leq, L.mul_table, a), L.top, L.top), ids, n * n)
-    primary = proper & _unmarked(
-        lambda a: _prime_violations(_act_le(L.leq, L.mul_table, a), L.top, L.top, stable),
-        ids, n * n)
+    prime, primary = (
+        [a != L.top and witness is None for a, witness in enumerate(_first_witnesses(
+            lambda ids: _prime_violations(_act_le(L.leq, L.mul_table, ids), L.top, L.top, powers),
+            np.arange(n), n * n))]
+        for powers in (slice(None), stable))
     principal = _principal(L, L.meet_table, L.join_table, L.mul_table, residual_table_ll(L))
     return tuple(
-        LElementFlags(element=a, proper=p, prime=pr, primary=pm, maximal=mx,
+        LElementFlags(element=a, proper=a != L.top, prime=pr, primary=pm, maximal=mx,
                       principal=pc, compact=True, sqrt=s)
-        for a, p, pr, pm, mx, pc, s in zip(range(n), proper.tolist(), prime.tolist(),
-                                           primary.tolist(), _coatoms(L.leq).tolist(),
-                                           principal.tolist(), sqrt_table(L).tolist()))
+        for a, pr, pm, mx, pc, s in zip(range(n), prime, primary, _coatoms(L.leq).tolist(),
+                                        principal.tolist(), sqrt_table(L).tolist()))
 
 
 def l_element_flags(L: MultiplicativeLattice, a: int) -> LElementFlags:

@@ -45,7 +45,7 @@ from .lattice import (
     _act_le,
     _checked_tables,
     _coatoms,
-    _first_marked,
+    _first_witnesses,
     _freeze,
     _join_of_members,
     _join_principal,
@@ -316,13 +316,11 @@ def _proper_ids(M: LatticeModule) -> np.ndarray:
 def _prime_witnesses(M: LatticeModule) -> tuple[tuple[int, int] | None, ...]:
     """Per proper element N, ascending: the first (a, X) with aX <= N, X not<= N
     and a I_M not<= N, or None where N is prime.  The one evaluation of the
-    prime condition on M, in blocks; ``prime_elements`` and ``classify_all`` read it."""
-    ids = _proper_ids(M)
-    out = []
-    for rows in _row_blocks(ids.size, M.lattice.element_count * M.element_count):
-        out += _first_marked(_prime_violations(_act_le(M.leq, M.act_table, ids[rows]),
-                                               M.lattice.top, M.top))
-    return tuple(out)
+    prime condition on M, one :func:`lattice._first_witnesses` pass;
+    ``prime_elements`` and ``classify_all`` read it."""
+    return tuple(_first_witnesses(
+        lambda ns: _prime_violations(_act_le(M.leq, M.act_table, ns), M.lattice.top, M.top),
+        _proper_ids(M), M.lattice.element_count * M.element_count))
 
 
 @_memo

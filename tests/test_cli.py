@@ -256,10 +256,7 @@ def test_mlat_cap_read_only_for_a_family(capsys, monkeypatch):
     # zn-square takes the cap, and so does the default family, which holds it
     for argv in (("gen", "zn-square", "3"), ("verify", "--family", "zn-square", "--max-n", "3"),
                  ("verify", "--family", "default")):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
-        assert capsys.readouterr() == ("", "error: MLAT_CAP must be an integer, got 'x'\n")
+        assert run_cli(capsys, *argv) == (2, "", "error: MLAT_CAP must be an integer, got 'x'\n")
 
 
 @pytest.mark.parametrize("family, top", [("zn-self", 30), ("zn-square", 8)])

@@ -270,6 +270,13 @@ def test_classifications_pinned():
     assert digest.hexdigest() == CLASSIFICATIONS_SHA256
 
 
+def test_classifications_pinned_in_one_element_blocks(monkeypatch):
+    # every blocked pass, lattice._first_witnesses for L and M and
+    # classify_all's own, at its other extreme: one element per block
+    monkeypatch.setattr(lattice, "_BLOCK_CELLS", 1)
+    test_classifications_pinned()
+
+
 def _single_cell_mutants(table, wrong_values):
     for idx in np.ndindex(table.shape):
         for value in wrong_values(table[idx]):

@@ -441,6 +441,25 @@ def test_prime_flags_against_oracle():
             assert l_element_flags(L, a).primary == brute_force_primary(L, a)
 
 
+def test_prime_flags_in_one_element_blocks(monkeypatch):
+    # lattice._first_witnesses at its other extreme: one element per block
+    monkeypatch.setattr(lattice, "_BLOCK_CELLS", 1)
+    test_prime_flags_against_oracle()
+
+
+@pytest.mark.parametrize("shape", [(8, 5), (8, 4, 1), (8, 3, 1, 4), (8, 2, 3, 5), (8, 1, 1, 1)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_first_marked_against_plain_loop(shape):
+    rng = np.random.default_rng(sum(shape))
+    marks = rng.random(shape) < 0.2
+    marks[0] = False                    # a row with no mark
+    marks[1] = False
+    marks[1].flat[-1] = True            # a mark only in the last cell
+    # np.ndindex runs in C order: the lexicographically first index comes first
+    assert lattice._first_marked(marks) == [
+        next((index for index in np.ndindex(row.shape) if row[index]), None) for row in marks]
+
+
 def test_p_primary_against_definition():
     # q is p-primary when q is primary, sqrt(q) = p and p is prime
     fixtures = [parse_instance(path.read_text(encoding="utf-8"))[0]

@@ -155,6 +155,20 @@ def test_class_conditions_evaluated_in_one_place_each():
                      "module.py": ["_prime_witnesses"], "classify.py": ["_witnesses"]}
 
 
+def test_first_marked_read_in_two_places():
+    # lattice._first_witnesses is the one blocked first-witness pass; only
+    # classify_all's block function, whose conditions share one gather per
+    # block, reads its masks directly, so no third block loop comes back
+    sites = {}
+    for path in Path(latmod.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_first_marked"]
+        if calls:
+            sites[path.name] = sorted(set(owners(tree, calls)))
+    assert sites == {"lattice.py": ["_first_witnesses"], "classify.py": ["_witnesses"]}
+
+
 def test_violations_built_in_named_places():
     # every table axiom of both validators is one lattice._mismatches call, so
     # a Violation is built directly only by the shared raw-table checks, the
