@@ -215,10 +215,11 @@ def _order_violations(leq: np.ndarray) -> list[Violation]:
     return out
 
 
-# Cells of the boolean block in :func:`_least_common_bounds`, and of the masks
-# one block of a whole-table pass (:func:`_row_blocks`) holds.  Those blocks
-# are the only arrays of more than two carrier dimensions, so this caps their
-# extra memory at a few MB, whatever the carrier size.
+# Bytes of the [i, j, word] block of up-set words in :func:`_least_common_bounds`,
+# and cells of the masks one block of a whole-table pass (:func:`_row_blocks`)
+# holds.  Those blocks are the only arrays of more than two carrier
+# dimensions, so this caps their extra memory at a few MB, whatever the
+# carrier size.
 _BLOCK_CELLS = 1 << 20
 
 # Boolean products of at least this many multiply-adds run as float32 BLAS
@@ -242,30 +243,37 @@ def _least_common_bounds(above: np.ndarray) -> np.ndarray:
     """Entry [i, j] is the least member of ``above[i] & above[j]``, or -1
     where that set has no least member.
 
-    ``above[x]`` is the set of elements at or above x in a partial order.  A
-    least member lies below every other member, so its down-set is strictly
-    the smallest in the set: it is the first member met when the carrier is
-    scanned by increasing down-set size.  Every member c has ``above[c]``
-    inside the set, so that first member is least iff ``above[c]`` has as
-    many elements as the set (an empty set counts 0 and yields -1).  Rows
-    i0..i1 are taken together against every column j >= i0 as one boolean
-    block, indexed [scan position, i, j], of at most ``_BLOCK_CELLS`` cells
-    (or one row, if a row alone is larger), and fill both triangles: memory
-    is bounded by the block, not O(n^3).
+    ``above[x]`` is the up-set of x in a partial order: the elements at or
+    above x.  The common set S of i and j is up-closed, so each member c has
+    ``above[c]`` inside S, and c is least iff ``above[c]`` is S; an
+    antisymmetric order gives each element its own up-set, so S names at
+    most one c, and an empty S none.  Each up-set is packed into uint64
+    words, and S is the AND of two rows of words, looked up among the
+    elements' rows by one sorted search.  A row's key is one uint64 up to 64
+    elements, else one void key of all its words, which searches about three
+    times slower at 40 elements.  Rows i0..i1 are
+    taken together against every row j >= i0 as one [i, j, word] block of at
+    most ``_BLOCK_CELLS`` bytes (or one row, if a row alone is larger), and
+    fill both triangles: memory is bounded by the block, and the work is
+    O(n^2 ceil(n / 64)) word operations.
     """
     n = above.shape[0]
-    scan = np.argsort(above.sum(axis=0))
-    by_scan = above.T[scan]                      # [k, x] = x <= scan[k]
-    up_size = above.sum(axis=1)
-    size_type = np.min_scalar_type(n)            # holds any set size
+    words = -(-n // 64)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(above, axis=1, bitorder="little")
+    rows = packed.view(np.uint64)                # [x, w]: word w of above[x]
+    key = np.dtype(np.uint64) if words == 1 else np.dtype((np.void, 8 * words))
+    keys = rows.view(key)[:, 0]
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
     out = np.empty((n, n), dtype=np.int64)
     i0 = 0
     while i0 < n:
-        i1 = min(n, i0 + max(1, _BLOCK_CELLS // ((n - i0) * n)))
-        common = by_scan[:, i0:i1, None] & by_scan[:, None, i0:]
-        least = scan[common.argmax(axis=0)]
-        found = up_size[least] == common.sum(axis=0, dtype=size_type)
-        out[i0:i1, i0:] = bounds = np.where(found, least, -1)
+        i1 = min(n, i0 + max(1, _BLOCK_CELLS // (8 * words * (n - i0))))
+        common = (rows[i0:i1, None] & rows[None, i0:]).view(key)[..., 0]
+        at = np.searchsorted(sorted_keys, common)
+        found = sorted_keys.take(at, mode="clip") == common
+        out[i0:i1, i0:] = bounds = np.where(found, order.take(at, mode="clip"), -1)
         out[i0:, i0:i1] = bounds.T
         i0 = i1
     return out
@@ -274,10 +282,12 @@ def _least_common_bounds(above: np.ndarray) -> np.ndarray:
 def _derive_join_meet(leq: np.ndarray):
     """Least upper bounds / greatest lower bounds from the order alone.
 
-    join[i, j] is the least member of up(i) & up(j), and meet[i, j] the
-    greatest member of down(i) & down(j), i.e. the least one in the reversed
-    order ``leq.T`` (:func:`_least_common_bounds`); both are -1 where missing.
-    A missing one is reported for i ascending, then j, order-lub before order-glb.
+    join[i, j] is the least member of up(i) & up(j): the element whose
+    up-set is that set.  meet[i, j] is the greatest member of down(i) &
+    down(j), the least one in the reversed order ``leq.T``.  Both are looked
+    up among packed up-set words (:func:`_least_common_bounds`) and are -1
+    where missing.  A missing one is reported for i ascending, then j,
+    order-lub before order-glb.
     """
     join = _least_common_bounds(leq)
     meet = _least_common_bounds(leq.T)

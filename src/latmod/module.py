@@ -229,17 +229,28 @@ def _subset_violations(L: MultiplicativeLattice, act, leq) -> list[Violation]:
     got2 = act[scalars, _least_upper_bounds(leq, msets)]
     want2 = _join_of_images(leq, act, draws.cells2, draws.rows2, count)
     bad1, bad2 = got1 != want1, got2 != want2
+    fail = np.flatnonzero(bad1 | bad2)
+    if not fail.size:       # a failing join case that no draw meets
+        return []
+    family1 = zip(_members(lsets[fail]), xs[fail].tolist(), got1[fail].tolist(), want1[fail].tolist())
+    family2 = zip(scalars[fail].tolist(), _members(msets[fail]), got2[fail].tolist(), want2[fail].tolist())
     out = []
-    for i in np.flatnonzero(bad1 | bad2):
-        if bad1[i]:
-            subset, x = np.flatnonzero(lsets[i]).tolist(), int(xs[i])
-            out.append(Violation("axiom-1-subset", (*subset, x),
-                                 f"(join {subset}){x} = {got1[i]}, expected {want1[i]}"))
-        if bad2[i]:
-            a, msubset = int(scalars[i]), np.flatnonzero(msets[i]).tolist()
-            out.append(Violation("axiom-2-subset", (a, *msubset),
-                                 f"{a}(join {msubset}) = {got2[i]}, expected {want2[i]}"))
+    for b1, (subset, x, u1, v1), b2, (a, msubset, u2, v2) in zip(
+            bad1[fail].tolist(), family1, bad2[fail].tolist(), family2):
+        if b1:
+            out.append(Violation("axiom-1-subset", (*subset, x), f"(join {subset}){x} = {u1}, expected {v1}"))
+        if b2:
+            out.append(Violation("axiom-2-subset", (a, *msubset), f"{a}(join {msubset}) = {u2}, expected {v2}"))
     return out
+
+
+def _members(sets: np.ndarray) -> list[list[int]]:
+    """Per row of the bool mask ``sets``, the ids it marks, ascending, read
+    from one ``np.nonzero`` over all rows."""
+    rows, ids = np.nonzero(sets)
+    ends = np.searchsorted(rows, np.arange(1, len(sets) + 1)).tolist()
+    ids = ids.tolist()
+    return [ids[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def module_violations(L: MultiplicativeLattice, leq, act_table,

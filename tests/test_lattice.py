@@ -271,10 +271,11 @@ def derive_join_meet_by_row(leq):
     return join, meet, out
 
 
-def random_closed_order(rng):
-    """The reflexive-transitive closure of random pairs i < j on up to 16
-    elements, sometimes with a bottom and a top adjoined, ids shuffled."""
-    n = rng.randint(1, 16)
+def random_closed_order(rng, n=None):
+    """The reflexive-transitive closure of random pairs i < j on ``n``
+    elements (default: 1 to 16), sometimes with a bottom and a top adjoined,
+    ids shuffled."""
+    n = rng.randint(1, 16) if n is None else n
     p = rng.random()
     leq = np.eye(n, dtype=bool)
     for i, j in itertools.combinations(range(n), 2):
@@ -296,6 +297,13 @@ def reference_orders():
         M = gen_zn_square_module(n)
         orders += [M.lattice.leq, M.leq]
     orders.append(gen_zn_square_module(24, cap=24).leq)
+    # either side of one and two 64-bit words of packed up-sets: a chain both
+    # ways, a random order, and divisor lattices of 63, 64 and 65 elements
+    for n in (63, 64, 65, 128, 129):
+        chain = np.triu(np.ones((n, n), dtype=bool))
+        orders += [chain, chain.T, random_closed_order(rng, n)]
+    for n in (14400, 30030, 331776):
+        orders.append(gen_zn_ideal_lattice(n).leq)
     return orders
 
 
