@@ -5,6 +5,11 @@ or check failure, 2 = usage or parse error.  Machine-readable reports
 (``--format json``) are byte-identical for identical inputs and seed; wall
 -clock timings appear only in the text format.  Each process builds one
 parser, with every command, on first use.
+
+Importing this module loads the lattice, module, classify and instances
+layers, which ``gen``, ``validate`` and ``classify`` use.  The theorem
+registry in ``harness`` is imported by ``cmd_verify`` alone, when it runs,
+so the other commands never compile or hold it.
 """
 
 from __future__ import annotations
@@ -20,18 +25,12 @@ from itertools import chain, compress, repeat
 
 from . import __version__
 from .classify import FLAG_NAMES, classify_all
-from .harness import (
-    _select,
-    default_instances,
-    list_checks,
-    make_instance,
-    run_suite,
-)
 from .instances import (
     DEFAULT_SQUARE_CAP,
     FAMILIES,
     InstanceSpec,
     ParseError,
+    make_instance,
     parse_instance,
     serialize_instance,
 )
@@ -304,6 +303,8 @@ def _witness_text(module, flag: str, witness) -> str:
 
 
 def cmd_verify(args) -> int:
+    from .harness import _select, default_instances, list_checks, run_suite
+
     if args.list:
         for entry in list_checks():
             hyps = ", ".join(entry["hypotheses"]) or "none"

@@ -70,7 +70,8 @@ from typing import Callable
 import numpy as np
 
 from .classify import FLAG_NAMES, Classification, _attachments, classify_all
-from .instances import DEFAULT_FAMILY, DEFAULT_SQUARE_CAP, InstanceSpec, serialize_instance
+# Instance and make_instance are defined in instances and re-exported here
+from .instances import DEFAULT_FAMILY, DEFAULT_SQUARE_CAP, Instance, InstanceSpec, make_instance
 from .lattice import (
     _bool_matmul,
     _first_witnesses,
@@ -109,24 +110,6 @@ __all__ = [
     "run_check",
     "replay_violation",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Instance:
-    """A named, validated module instance plus its content fingerprint."""
-
-    name: str
-    module: LatticeModule
-    fingerprint: str
-
-    @property
-    def lattice(self):
-        return self.module.lattice
-
-
-def make_instance(name: str, module: LatticeModule) -> Instance:
-    digest = hashlib.sha256(serialize_instance(module.lattice, module).encode()).hexdigest()
-    return Instance(name=name, module=module, fingerprint=digest[:16])
 
 
 def default_instances(square_cap: int = DEFAULT_SQUARE_CAP) -> list[Instance]:

@@ -26,10 +26,16 @@ Join and meet are always derived from the closed order, never supplied, in
 files and generators alike; a file is rejected if some pair has no least
 upper or greatest lower bound.  Serialization is canonical: structurally
 identical instances produce identical bytes.
+
+:func:`make_instance` names a module as an :class:`Instance`, whose
+fingerprint is a sha256 of that canonical text.  ``cli classify`` and the
+theorem harness share it; it lives here, not in ``harness``, so that loading
+an instance does not import the theorem registry.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -43,12 +49,14 @@ __all__ = [
     "DEFAULT_FAMILY",
     "DEFAULT_SQUARE_CAP",
     "FAMILIES",
+    "Instance",
     "InstanceSpec",
     "ParseError",
     "divisors",
     "gen_zn_ideal_lattice",
     "gen_zn_self_module",
     "gen_zn_square_module",
+    "make_instance",
     "parse_instance",
     "serialize_instance",
 ]
@@ -228,6 +236,26 @@ def serialize_instance(L: MultiplicativeLattice, M: LatticeModule | None = None)
             raise ValueError("module is not over the given lattice")
         _emit_block(lines, "module", M.leq, M.top, M.bottom, M.labels, "act", M.act_table)
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """A named, validated module instance plus its content fingerprint."""
+
+    name: str
+    module: LatticeModule
+    fingerprint: str
+
+    @property
+    def lattice(self):
+        return self.module.lattice
+
+
+def make_instance(name: str, module: LatticeModule) -> Instance:
+    """``module`` named ``name``; the fingerprint is the first 16 hex digits
+    of the sha256 of its canonical MLAT text."""
+    digest = hashlib.sha256(serialize_instance(module.lattice, module).encode()).hexdigest()
+    return Instance(name=name, module=module, fingerprint=digest[:16])
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,10 @@ def _order_violations(leq: np.ndarray) -> list[Violation]:
     out += _mismatches("order-antisymmetric", leq & leq.T, False,
                        lambda i, j, *_: f"{i} <= {j} and {j} <= {i} with {i} != {j}",
                        keep=ids[:, None] < ids)
-    reach = _bool_matmul(leq, leq)
-    for i, j in np.argwhere(reach & ~leq):
+    broken = _bool_matmul(leq, leq) & ~leq
+    if not broken.any():    # a closed order: no cell to read
+        return out
+    for i, j in np.argwhere(broken):
         k = int(np.flatnonzero(leq[i] & leq[:, j])[0])
         out.append(Violation("order-transitive", (int(i), k, int(j)),
                              f"{i} <= {k} <= {j} but not {i} <= {j}"))
@@ -291,8 +293,11 @@ def _derive_join_meet(leq: np.ndarray):
     """
     join = _least_common_bounds(leq)
     meet = _least_common_bounds(leq.T)
+    missing = (join < 0) | (meet < 0)
+    if not missing.any():   # a lattice: nothing to report
+        return join, meet, []
     out = []
-    for i, j in np.argwhere(np.triu((join < 0) | (meet < 0))).tolist():
+    for i, j in np.argwhere(np.triu(missing)).tolist():
         if join[i, j] < 0:
             out.append(Violation("order-lub", (i, j), f"elements {i}, {j} have no least upper bound"))
         if meet[i, j] < 0:

@@ -211,23 +211,22 @@ def _masks(rows, n: int) -> np.ndarray:
     return out
 
 
-def _join_of_images(leq, act, cells, rows, count: int) -> np.ndarray:
-    """Entry [i] is the join in ``leq`` of the ``act.flat[cells[k]]`` with
-    ``rows[k] == i * m``, for ``m`` the size of ``leq`` and i below ``count``."""
-    members = np.zeros(count * leq.shape[0], dtype=bool)
-    members[rows + act.take(cells)] = True
-    return _least_upper_bounds(leq, members.reshape(count, -1))
-
-
 def _subset_violations(L: MultiplicativeLattice, act, leq) -> list[Violation]:
-    """Family forms of (1) and (2) on the 200 draws of :func:`_subset_draws`."""
+    """Family forms of (1) and (2) on the 200 draws of :func:`_subset_draws`.
+
+    The three joins taken in M (each A_i, and the images of the families of
+    (1) and of (2)) are the three blocks of one member mask, joined by one
+    :func:`_least_upper_bounds` call."""
     draws = _subset_draws(*act.shape)
     lsets, xs, scalars, msets = draws.lsets, draws.x, draws.a, draws.msets
     count = len(xs)
+    members = np.zeros((3, msets.size), dtype=bool)
+    members[0] = msets.ravel()
+    members[1, draws.rows1 + act.take(draws.cells1)] = True
+    members[2, draws.rows2 + act.take(draws.cells2)] = True
+    mjoins, want1, want2 = _least_upper_bounds(leq, members.reshape(3 * count, -1)).reshape(3, count)
     got1 = act[_least_upper_bounds(L.leq, lsets), xs]
-    want1 = _join_of_images(leq, act, draws.cells1, draws.rows1, count)
-    got2 = act[scalars, _least_upper_bounds(leq, msets)]
-    want2 = _join_of_images(leq, act, draws.cells2, draws.rows2, count)
+    got2 = act[scalars, mjoins]
     bad1, bad2 = got1 != want1, got2 != want2
     fail = np.flatnonzero(bad1 | bad2)
     if not fail.size:       # a failing join case that no draw meets

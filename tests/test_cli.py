@@ -576,3 +576,42 @@ def test_leading_separator_before_a_command_is_dropped(capsys):
         main(["--", "bogus"])
     assert err.value.code == 2
     assert "invalid choice: '--'" in capsys.readouterr().err
+
+
+# Runs each argv through cli.main in one process and prints, per command,
+# its exit status and whether latmod.harness has been imported by then.
+_LOAD_PATH_SCRIPT = """
+import contextlib, io, json, sys
+from latmod import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    seen.append([code, "latmod.harness" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_verify_loads_the_harness():
+    # gen, validate and classify never import the theorem registry, so a
+    # process that runs them does not compile or keep it
+    good, reject = (str(FIXTURES / name) for name in ("v02_two_chain_module.mlat",
+                                                       "e15_module_axiom4.mlat"))
+    steps = [["--version"], ["gen", "zn-self", "6"], ["validate", good], ["validate", reject],
+             ["classify", good, "--all", "--format", "json"], ["verify", good]]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PATH_SCRIPT, json.dumps(steps)],
+                          capture_output=True, env=env, check=True, text=True)
+    assert json.loads(proc.stdout) == [[0, False], [0, False], [0, False], [1, False],
+                                       [0, False], [0, True]]
+
+
+def test_harness_reexports_the_instance_names():
+    import latmod.harness
+    import latmod.instances
+
+    assert latmod.harness.make_instance is latmod.instances.make_instance
+    assert latmod.harness.Instance is latmod.instances.Instance

@@ -138,6 +138,35 @@ def test_matmuls_only_in_bool_matmul():
     assert sites == {"lattice.py": ["_bool_matmul"], "harness.py": ["_k_prime_residual_bound"]}
 
 
+def harness_imports(tree: ast.Module) -> list[ast.stmt]:
+    """The import statements of ``tree`` that load ``latmod.harness``, in any spelling."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        else:
+            continue
+        if any("harness" in target.split(".") for target in targets):
+            found.append(node)
+    return found
+
+
+def test_harness_imported_only_in_cmd_verify():
+    # gen, validate and classify load the package without the theorem
+    # registry; a module-level import of it anywhere on that path would
+    # compile and keep it in every process (test_cli.test_only_verify_loads_the_harness)
+    sites = {}
+    for path in Path(latmod.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = harness_imports(tree)
+        if found:
+            sites[path.name] = owners(tree, found)
+    assert sites == {"cli.py": ["cmd_verify"]}
+
+
 def test_class_conditions_evaluated_in_one_place_each():
     # the element class conditions run only in the lattice's flags, the
     # module's prime-witness memo and the classifier's block function, so no
