@@ -90,17 +90,17 @@ def _emit(text: str, output: str | None) -> None:
 def _json_dumps(payload: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    Python runs ``indent`` in its pure-Python encoder, so the layout is
-    rebuilt here around the C encoder: a flat container (no member is a
-    non-empty container) is one C call whose item separator starts the
-    member line, and so is a list of non-empty flat dicts, whose boundaries
-    are then fixed by ``str.replace``.  That is exact because ``ensure_ascii``
-    output holds no raw newline inside a string.  Anything else is written
-    member by member."""
-    out: list[str] = []
-    _write_json(payload, 0, out)
-    out.append("\n")
-    return "".join(out)
+    Python runs ``indent`` in its pure-Python encoder, so ``_indented`` lays
+    the value out around the C encoder.  A scalar or an empty container is one
+    C call.  A dict with a key that is not a ``str`` is ``json.dumps`` itself,
+    re-indented, so the stdlib coerces such keys and raises its own errors; no
+    report has one.  A flat container (no member is a non-empty container) is
+    one C call whose item separator starts the member line, and so is a list
+    of non-empty flat dicts with ``str`` keys, whose boundaries are then fixed
+    by ``str.replace``.  Re-indenting by text is exact because
+    ``ensure_ascii`` output holds no raw newline inside a string.  Anything
+    else is written member by member, a dict's in sorted key order."""
+    return _indented(payload, 0) + "\n"
 
 
 # one C encoder per depth; without circular-reference markers they keep no
@@ -124,58 +124,31 @@ def _flat(members: list) -> bool:
     return not any(compress(members, map(isinstance, members, repeat((dict, list, tuple)))))
 
 
-def _c_layout(value, depth: int) -> str | None:
-    """A non-empty container at ``depth`` laid out by one C call, or None where
-    that does not apply."""
+def _indented(value, depth: int) -> str:
+    """``value`` as ``_json_dumps`` lays it out at ``depth``."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _c_encode(value, depth)
     outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-    if _flat(list(value.values()) if isinstance(value, dict) else value):
+    is_dict = isinstance(value, dict)
+    if is_dict and not all(map(isinstance, value, repeat(str))):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", outer)
+    if _flat(list(value.values()) if is_dict else value):
         text = _c_encode(value, depth + 1)
         return text[0] + inner + text[1:-1] + outer + text[-1]
-    if (not isinstance(value, dict) and all(map(isinstance, value, repeat(dict)))
-            and all(value) and _flat(list(chain.from_iterable(map(dict.values, value))))):
+    # keys checked as a set, since list members share them: C would name a bad
+    # key's type in full (numpy.int64, not int64)
+    if (not is_dict and all(map(isinstance, value, repeat(dict))) and all(value)
+            and all(map(isinstance, set(chain.from_iterable(value)), repeat(str)))
+            and _flat(list(chain.from_iterable(map(dict.values, value))))):
         member = inner + "  "
         body = _c_encode(value, depth + 2)[2:-2].replace(
             "}," + member + "{", inner + "}," + inner + "{" + member)
         return "[" + inner + "{" + member + body + inner + "}" + outer + "]"
-    return None
-
-
-def _write_json(value, depth: int, out: list[str]) -> None:
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        out.append(_c_encode(value, depth))
-        return
-    try:
-        text = _c_layout(value, depth)
-    except TypeError:
-        # C names a bad key's type in full (numpy.int64, not int64); the loop
-        # below raises json.dumps's own error
-        text = None
-    if text is not None:
-        out.append(text)
-        return
-    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-    if isinstance(value, dict):
-        out.append("{")
-        for k, (key, member) in enumerate(sorted(value.items())):
-            out.append(("," if k else "") + inner + _json_key(key) + ": ")
-            _write_json(member, depth + 1, out)
-        out.append(outer + "}")
-    else:
-        out.append("[")
-        for k, member in enumerate(value):
-            out.append(("," if k else "") + inner)
-            _write_json(member, depth + 1, out)
-        out.append(outer + "]")
-
-
-def _json_key(key) -> str:
-    """An object key as ``json.dumps`` writes it, non-str keys included."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError("keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-        key = _c_encode(key, 0)
-    return json.encoder.encode_basestring_ascii(key)
+    if is_dict:
+        return "{" + ",".join([inner + json.encoder.encode_basestring_ascii(key) + ": "
+                               + _indented(member, depth + 1)
+                               for key, member in sorted(value.items())]) + outer + "}"
+    return "[" + ",".join([inner + _indented(member, depth + 1) for member in value]) + outer + "]"
 
 
 def cmd_gen(args) -> int:

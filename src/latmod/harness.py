@@ -965,18 +965,15 @@ _check("cor-rad-join-p",
 
 
 def _rad_attachment_sides(ctx: Ctx, n: int) -> dict:
-    r = ctx.cls[n].rad
+    r, pseudo_primary = ctx.cls[n].rad, ctx.cls[n].p_pseudo_primary is not None
     if r == ctx.M.top:
-        return {"rad-proper": False,
-                "p-pseudo-primary": ctx.cls[n].p_pseudo_primary is not None}
+        return {"rad-proper": False, "p-pseudo-primary": pseudo_primary}
     c = ctx.cls[r]
-    rt = int(ctx.res_mm[r, ctx.M.top])
-    s = int(ctx.sqrts[rt])
     return {
-        "p-pseudo-primary": ctx.cls[n].p_pseudo_primary is not None,
-        "rad-p-prime": c.prime and bool(ctx.lflags[rt].prime),
-        "rad-p-primary": c.primary and bool(ctx.lflags[s].prime),
-        "rad-p-pseudo-primary": c.pseudo_primary and bool(ctx.lflags[s].prime),
+        "p-pseudo-primary": pseudo_primary,
+        "rad-p-prime": c.p_prime is not None,
+        "rad-p-primary": c.p_primary is not None,
+        "rad-p-pseudo-primary": c.p_pseudo_primary is not None,
     }
 
 
@@ -987,8 +984,8 @@ def _k_rad_attachments(ctx: Ctx):
     def attachment_mismatch(n, sides):
         if not sides.get("p-pseudo-primary"):
             return None
-        rt = int(ctx.res_mm[ctx.cls[n].rad, ctx.M.top])
-        primes = {int(ctx.cls[n].p_pseudo_primary), rt, int(ctx.sqrts[rt])}
+        c = ctx.cls[ctx.cls[n].rad]
+        primes = {int(ctx.cls[n].p_pseudo_primary), c.residual_top, c.sqrt_residual_top}
         if len(primes) == 1:
             return None
         return _violation_at(ctx, "attachment-mismatch", n, primes=sorted(primes))

@@ -436,6 +436,13 @@ def test_json_dumps_errors_match_stdlib(payload):
     assert outcome == _json_outcome(_stdlib_json, payload)
 
 
+def test_json_dumps_keys_of_a_list_of_flat_dicts():
+    # a list of flat dicts is one C call only when every key is a str: C
+    # names a bad key's type in full (numpy.int64, not int64)
+    for payload in ([{"a": 1}, {np.int64(3): 1}], [{"a": 1}, {2: 1, 1.5: None}]):
+        assert _json_outcome(_json_dumps, payload) == _json_outcome(_stdlib_json, payload)
+
+
 def _real_reports():
     instances = default_instances()
     for seed in range(4):
@@ -452,6 +459,19 @@ def _real_reports():
 def test_json_dumps_matches_stdlib_on_reports():
     for name, payload in _real_reports():
         assert _json_dumps(payload) == _stdlib_json(payload), name
+
+
+def test_reports_never_reach_json_dumps(monkeypatch):
+    # report keys are always str, so no report takes the stdlib branch of
+    # cli._indented, whose pure-Python indent path is the slow one
+    expected = [(name, payload, _stdlib_json(payload)) for name, payload in _real_reports()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    for name, payload, text in expected:
+        assert _json_dumps(payload) == text, name
 
 
 def _added_subparsers(monkeypatch, *argvs) -> list[list[str]]:

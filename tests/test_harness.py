@@ -1,9 +1,11 @@
 import gc
 import itertools
+import re
 import sys
 import threading
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from latmod import (
     sqrt,
 )
 from latmod.classify import FLAG_NAMES, classify_all, is_prime_m, is_pseudo_classical_primary
-from latmod import harness
+from latmod import cli, harness
 from latmod.harness import (
     AUTO_HYPOTHESES,
     BUNDLE,
@@ -34,10 +36,13 @@ from latmod.harness import (
     run_check,
     run_suite,
 )
+from latmod.instances import parse_instance, serialize_instance
 from latmod.lattice import validate_lattice
 from latmod.module import rad, validate_module
 
 from conftest import label_index
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +102,114 @@ def test_hypothesis_gating_covers_all_bundle_checks(inst8sq):
         if "multiplication-module" in check.hypotheses:
             assert result.status == "skipped"
             assert "multiplication-module" in result.skip_reason
+
+
+# Plain-loop references for the four computed hypotheses, written from their
+# definitions.  (B:e) is the greatest c of L with c e <= B; x is the join of a
+# set when x is below every upper bound of the set (the sets below are all
+# below x); e is principal when it is meet- and join-principal:
+# (b ^ (B:e)) e == be ^ B and (be v B):e == b v (B:e) for every b in L and B.
+
+def _greatest(S, ids):
+    (found,) = [c for c in ids if all(S.le(d, c) for d in ids)]
+    return found
+
+
+def _residuals(L, S, act) -> dict:
+    return {(B, e): _greatest(L, [c for c in L.elements() if S.le(act(c, e), B)])
+            for B in S.elements() for e in S.elements()}
+
+
+def _principally_generated_ref(L, S, act) -> bool:
+    res = _residuals(L, S, act)
+    principal = [e for e in S.elements() if all(
+        act(L.meet(b, res[B, e]), e) == S.meet(act(b, e), B)
+        and res[S.join(act(b, e), B), e] == L.join(b, res[B, e])
+        for b in L.elements() for B in S.elements())]
+    return all(S.le(x, u) for x in S.elements() for u in S.elements()
+               if all(S.le(g, u) for g in principal if S.le(g, x)))
+
+
+def _hypotheses_ref(M) -> dict[str, bool]:
+    L = M.lattice
+    return {
+        "pg-lattice": _principally_generated_ref(L, L, L.mul),
+        "pg-module": _principally_generated_ref(L, M, M.act),
+        "faithful": _residuals(L, M, M.act)[M.bottom, M.top] == L.bottom,
+        "multiplication-module": all(any(M.act(a, M.top) == n for a in L.elements())
+                                     for n in M.elements()),
+    }
+
+
+def _chain_3(aa: int):
+    """The chain 0 < a < 1 with a*a = ``aa``."""
+    return validate_lattice(np.arange(3)[:, None] <= np.arange(3),
+                            [[0, 0, 0], [0, aa, 1], [0, 1, 2]], labels=["0", "a", "1"])
+
+
+def _hypothesis_instances():
+    """Three modules over the 3-chain on which some computed hypothesis fails:
+    name -> (module, its computed hypotheses, the counts of its suite).
+    a*a = a makes a not join-principal ((aa v 0):a = 1 but a v (0:a) = a), so
+    L is not pg, nor is its self-module; a X = 0 makes the 2-chain unfaithful."""
+    idempotent = _chain_3(1)
+    two_chain = [[True, True], [False, True]]
+    return {
+        "chain-3-self": (
+            validate_module(idempotent, idempotent.leq, idempotent.mul_table,
+                            labels=idempotent.labels),
+            {"pg-lattice": False, "pg-module": False, "faithful": True,
+             "multiplication-module": True}, {"pass": 42, "fail": 0, "skipped": 22}),
+        "chain-2-over-idempotent-chain-3": (
+            validate_module(idempotent, two_chain, [[0, 0], [0, 0], [0, 1]]),
+            {"pg-lattice": False, "pg-module": True, "faithful": False,
+             "multiplication-module": True}, {"pass": 38, "fail": 0, "skipped": 26}),
+        "chain-2-over-nilpotent-chain-3": (
+            validate_module(_chain_3(0), two_chain, [[0, 0], [0, 0], [0, 1]]),
+            {"pg-lattice": True, "pg-module": True, "faithful": False,
+             "multiplication-module": True}, {"pass": 38, "fail": 0, "skipped": 26}),
+    }
+
+
+def test_computed_hypotheses_match_plain_loop_references():
+    # a fixture without a module block is read as its lattice's self-module
+    fixtures = [parse_instance(path.read_text(encoding="utf-8"))
+                for path in sorted(FIXTURES.glob("v*.mlat"))]
+    modules = ([M if M is not None else validate_module(L, L.leq, L.mul_table)
+                for L, M in fixtures]
+               + [inst.module for inst in default_instances()]
+               + [M for M, _, _ in _hypothesis_instances().values()])
+    seen = {name: set() for name in _hypotheses_ref(modules[0])}
+    for M in modules:
+        expected = _hypotheses_ref(M)
+        assert {name: HYPOTHESES[name](M) for name in expected} == expected
+        for name, value in expected.items():
+            seen[name].add(value)
+    assert seen == dict.fromkeys(seen, {False, True})
+
+
+@pytest.mark.parametrize("name", list(_hypothesis_instances()))
+def test_unmet_hypotheses_skip_their_checks(tmp_path, capsys, name):
+    M, hypotheses, counts = _hypothesis_instances()[name]
+    assert _hypotheses_ref(M) == hypotheses
+    path = tmp_path / f"{name}.mlat"
+    path.write_text(serialize_instance(M.lattice, M), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == (f"summary: {counts['pass']} pass, {counts['fail']} fail, "
+                         f"{counts['skipped']} skipped over 1 instance(s)")
+    skips = {}
+    for line in lines[:-1]:
+        found = re.fullmatch(r"(PASS|FAIL|SKIP) (\S+) (\S+) evaluated=\d+( \((.*)\))? "
+                             r"\[\d+\.\d{3}s\]", line)
+        assert found and found[2] == name, line
+        if found[1] == "SKIP":
+            skips[found[3]] = found[5]
+    assert len(skips) == counts["skipped"]
+    for check_id, reason in skips.items():
+        unmet = [h for h in registry()[check_id].hypotheses if not hypotheses.get(h, True)]
+        assert reason == ("hypotheses unmet: " + ", ".join(unmet) if unmet
+                          else "vacuous quantification"), check_id
 
 
 def test_implication_figure(inst12, inst8sq):

@@ -167,6 +167,22 @@ def test_harness_imported_only_in_cmd_verify():
     assert sites == {"cli.py": ["cmd_verify"]}
 
 
+def test_json_dumps_called_only_in_indented():
+    # cli._indented lays every report out around the C encoder; the stdlib's
+    # pure-Python indent path is taken only for a dict with a non-str key,
+    # which no report holds (test_cli.test_reports_never_reach_json_dumps)
+    sites = {}
+    for path in Path(latmod.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "dumps"
+                 or isinstance(node, ast.Name) and node.id == "dumps"
+                 or isinstance(node, ast.alias) and node.name == "dumps"]
+        if reads:
+            sites[path.name] = owners(tree, reads)
+    assert sites == {"cli.py": ["_indented"]}
+
+
 def test_class_conditions_evaluated_in_one_place_each():
     # the element class conditions run only in the lattice's flags, the
     # module's prime-witness memo and the classifier's block function, so no
